@@ -192,8 +192,8 @@ int64_t Apollo::state_bytes() const {
 // by read_matrix/write_matrix and the cross-moment check in load_state.
 // lint:allow(check-shape-preconditions)
 bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
-  const Rng::State rs = seeder_.state();
-  if (!write_pod(f, t_) || !write_pod(f, rs)) return false;
+  if (!write_pod(f, t_) || !write_rng_state(f, seeder_.state()))
+    return false;
   for (size_t i = 0; i < params.size(); ++i) {
     // A slot is "present" once it has been projected at least once — the
     // byte layout matches the old pointer-keyed format exactly (v3
@@ -221,7 +221,7 @@ bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
 
 bool Apollo::load_state(std::FILE* f, const nn::ParamList& params) {
   Rng::State rs;
-  if (!read_pod(f, t_) || !read_pod(f, rs)) return false;
+  if (!read_pod(f, t_) || !read_rng_state(f, rs)) return false;
   seeder_.set_state(rs);
   states_.assign(params.size(), State());
   for (size_t i = 0; i < params.size(); ++i) {
@@ -256,7 +256,7 @@ bool Apollo::load_state(std::FILE* f, const nn::ParamList& params) {
 // lint:allow(check-shape-preconditions)
 bool Apollo::merge_state(std::FILE* f, const nn::ParamList& params) {
   Rng::State rs;
-  if (!read_pod(f, t_) || !read_pod(f, rs)) return false;
+  if (!read_pod(f, t_) || !read_rng_state(f, rs)) return false;
   seeder_.set_state(rs);  // identical in every shard of a step
   if (states_.size() < params.size()) states_.resize(params.size());
   for (size_t i = 0; i < params.size(); ++i) {

@@ -60,7 +60,8 @@ class LlamaModel {
   std::vector<Matrix> snapshot() const;
   void restore(const std::vector<Matrix>& snap);
 
-  // Read-only structural access for the inference path (nn/inference.h).
+  // Read-only structural access for the KV-cached decoder
+  // (serve/batcher.h).
   struct Layer {
     Parameter* attn_norm;
     Parameter* wq;

@@ -4,106 +4,10 @@
 #include <cmath>
 
 #include "autograd/tape.h"
-#include "nn/inference.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
-#include "tensor/rng.h"
 
 namespace apollo::nn {
-
-namespace {
-
-int32_t pick(const std::vector<float>& logits, const SamplerConfig& cfg,
-             Rng& rng) {
-  const int64_t v = static_cast<int64_t>(logits.size());
-  if (cfg.temperature <= 0.f) {
-    return static_cast<int32_t>(
-        std::max_element(logits.begin(), logits.end()) - logits.begin());
-  }
-  // Optionally restrict to the top-k logits.
-  std::vector<int32_t> candidates(static_cast<size_t>(v));
-  for (int64_t i = 0; i < v; ++i)
-    candidates[static_cast<size_t>(i)] = static_cast<int32_t>(i);
-  if (cfg.top_k > 0 && cfg.top_k < v) {
-    std::partial_sort(candidates.begin(), candidates.begin() + cfg.top_k,
-                      candidates.end(), [&](int32_t a, int32_t b) {
-                        return logits[static_cast<size_t>(a)] >
-                               logits[static_cast<size_t>(b)];
-                      });
-    candidates.resize(static_cast<size_t>(cfg.top_k));
-  }
-  // Nucleus (top-p) filter: keep the smallest prefix of the sorted
-  // distribution whose cumulative (temperature-scaled) mass reaches top_p.
-  if (cfg.top_p < 1.f && candidates.size() > 1) {
-    std::sort(candidates.begin(), candidates.end(),
-              [&](int32_t a, int32_t b) {
-                return logits[static_cast<size_t>(a)] >
-                       logits[static_cast<size_t>(b)];
-              });
-    float mx2 = logits[static_cast<size_t>(candidates[0])];
-    double total = 0;
-    std::vector<double> mass(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      mass[i] = std::exp(
-          (logits[static_cast<size_t>(candidates[i])] - mx2) /
-          cfg.temperature);
-      total += mass[i];
-    }
-    double acc = 0;
-    size_t keep = candidates.size();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      acc += mass[i] / total;
-      if (acc >= cfg.top_p) {
-        keep = i + 1;
-        break;
-      }
-    }
-    candidates.resize(keep);
-  }
-  // Softmax over candidates at the given temperature.
-  float mx = -1e30f;
-  for (int32_t c : candidates)
-    mx = std::max(mx, logits[static_cast<size_t>(c)]);
-  double denom = 0;
-  std::vector<double> probs(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    probs[i] = std::exp((logits[static_cast<size_t>(candidates[i])] - mx) /
-                        cfg.temperature);
-    denom += probs[i];
-  }
-  double u = rng.next_double() * denom;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    u -= probs[i];
-    if (u <= 0) return candidates[i];
-  }
-  return candidates.back();
-}
-
-}  // namespace
-
-std::vector<int32_t> generate(LlamaModel& model,
-                              const std::vector<int32_t>& prompt,
-                              int n_tokens, const SamplerConfig& cfg) {
-  Rng rng(cfg.seed);
-  // Incremental decode through the KV-cached inference path: O(context)
-  // per token instead of a full-window forward.
-  InferenceSession session(model);
-  std::vector<float> logits;
-  if (prompt.empty()) {
-    logits = session.step(0);  // BOS-like: condition on token 0
-  } else {
-    logits = session.prompt(prompt);
-  }
-
-  std::vector<int32_t> out;
-  out.reserve(static_cast<size_t>(n_tokens));
-  for (int t = 0; t < n_tokens; ++t) {
-    const int32_t tok = pick(logits, cfg, rng);
-    out.push_back(tok);
-    if (t + 1 < n_tokens) logits = session.step(tok);
-  }
-  return out;
-}
 
 double sequence_log_likelihood(LlamaModel& model,
                                const std::vector<int32_t>& tokens) {

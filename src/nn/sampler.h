@@ -1,8 +1,6 @@
-// Autoregressive sampling from a trained LlamaModel — greedy or
-// temperature/top-k sampling over a sliding context window. Used by the
-// apollo-eval tool to show qualitative output of byte-level models and by
-// tests to check that a trained model emits higher-likelihood continuations
-// than an untrained one.
+// Teacher-forced scoring of a token sequence under a LlamaModel. Used by
+// tests to check that a trained model assigns higher likelihood to its
+// corpus than an untrained one. (Generation lives in serve/batcher.h.)
 #pragma once
 
 #include <cstdint>
@@ -12,24 +10,8 @@
 
 namespace apollo::nn {
 
-struct SamplerConfig {
-  float temperature = 1.f;  // 0 ⇒ greedy argmax
-  int top_k = 0;            // 0 ⇒ full distribution
-  float top_p = 1.f;        // nucleus sampling: keep the smallest set of
-                            // tokens with cumulative probability ≥ top_p
-  uint64_t seed = 1234;
-};
-
-// Continues `prompt` by `n_tokens`. The model sees a sliding window of its
-// configured seq_len (prompts shorter than the window are left-padded with
-// token 0, whose positions are ignored by causality for later positions).
-// Returns only the newly generated tokens.
-std::vector<int32_t> generate(LlamaModel& model,
-                              const std::vector<int32_t>& prompt,
-                              int n_tokens, const SamplerConfig& cfg = {});
-
 // Mean log-likelihood (nats/token) the model assigns to `tokens` under
-// teacher forcing — the sampler-side twin of validation_loss.
+// teacher forcing — the per-sequence twin of validation_loss.
 double sequence_log_likelihood(LlamaModel& model,
                                const std::vector<int32_t>& tokens);
 

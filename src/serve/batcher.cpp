@@ -57,8 +57,8 @@ BatchDecoder::BatchDecoder(nn::LlamaModel& model, int max_batch)
   }
   transpose_into(lm_head_t_, model.lm_head().value);
 
-  // RoPE table, computed with the exact double-precision expression the
-  // single-request session evaluates per step, so the two paths rotate
+  // RoPE table, computed with the same double-precision expression as the
+  // tape forward's table (autograd/ops_attention.cpp), so both paths rotate
   // with bit-identical cos/sin factors.
   rope_cos_.resize(static_cast<size_t>(cfg.seq_len) * static_cast<size_t>(half));
   rope_sin_.resize(rope_cos_.size());
@@ -168,14 +168,20 @@ void BatchDecoder::rope_row(float* row, int pos) const {
   }
 }
 
+const float* BatchDecoder::last_logits(int lane) const {
+  for (int64_t r = 0; r < step_rows_; ++r)
+    if (rows_[static_cast<size_t>(r)] == lane)
+      return logits_.data() + r * model_.config().vocab;
+  return nullptr;
+}
+
 int32_t BatchDecoder::sample_row(int r, Lane& lane) {
   const int64_t v = model_.config().vocab;
   const float* logits =
       logits_.data() + static_cast<int64_t>(r) * v;
   const GenParams& p = lane.params;
   if (p.temperature <= 0.f) {
-    // Greedy argmax, first maximum — matches std::max_element in the
-    // single-request sampler.
+    // Greedy argmax; ties go to the lowest token id.
     int64_t best = 0;
     for (int64_t i = 1; i < v; ++i)
       if (logits[i] > logits[best]) best = i;
@@ -247,6 +253,7 @@ void BatchDecoder::decode_step() {
   for (int i = 0; i < max_batch_; ++i)
     if (lanes_[static_cast<size_t>(i)].occupied)
       rows_[static_cast<size_t>(b++)] = i;
+  step_rows_ = b;
 
   // Embed this step's token per lane: the next prompt token while
   // prefilling, else the token sampled last step.
@@ -283,8 +290,8 @@ void BatchDecoder::decode_step() {
     }
 
     // Per-lane causal attention over the cached window, chronological
-    // order (oldest → newest), identical to the single-request session.
-    // Lanes are independent: band-parallel, no shared writes.
+    // order (oldest → newest). Lanes are independent: band-parallel, no
+    // shared writes.
     core::parallel_for(
         b,
         [&](int64_t r0, int64_t r1) {
@@ -367,6 +374,23 @@ void BatchDecoder::decode_step() {
       out.done = true;
       out.finish = FinishReason::kLength;
     }
+  }
+}
+
+std::vector<int32_t> generate(nn::LlamaModel& model,
+                              const std::vector<int32_t>& prompt,
+                              const GenParams& params) {
+  std::vector<int32_t> out;
+  if (params.max_tokens <= 0) return out;
+  BatchDecoder dec(model, 1);
+  const int lane = dec.admit(prompt, params);
+  // Every step either feeds a prompt token or emits one, and the lane
+  // finishes by max_tokens at the latest, so this loop terminates.
+  for (;;) {
+    dec.decode_step();
+    const DecodeOut& o = dec.output(lane);
+    if (o.emitted) out.push_back(o.token);
+    if (o.done) return out;
   }
 }
 

@@ -46,7 +46,7 @@ class BatchDecoder {
   int64_t kv_bytes() const { return arena_.bytes(); }
 
   // Claims a free lane for a new request (cold path; copies the prompt).
-  // An empty prompt is conditioned on token 0, matching nn::generate.
+  // An empty prompt is conditioned on token 0 (a BOS stand-in).
   // Returns the lane index, or -1 when all lanes are occupied.
   int admit(const std::vector<int32_t>& prompt, const GenParams& params);
 
@@ -63,6 +63,11 @@ class BatchDecoder {
   const DecodeOut& output(int lane) const {
     return outputs_[static_cast<size_t>(lane)];
   }
+
+  // The vocab-length logits row the latest decode_step computed for
+  // `lane` (the prediction after the token it fed), or nullptr when the
+  // lane took no part in that step. Valid until the next decode_step.
+  const float* last_logits(int lane) const;
 
   // Runs one batched token step for every occupied lane. No-op when idle.
   // Zero-allocation: enforced by tools/analyze pass_hotpath.
@@ -94,11 +99,11 @@ class BatchDecoder {
                  int64_t n, int64_t k) const;
 
   // In-place rotary embedding on one hidden-length row at position `pos`,
-  // reading the precomputed cos/sin table (bit-identical to the
-  // single-request session's rope_vec).
+  // reading the precomputed cos/sin table.
   void rope_row(float* row, int pos) const;
 
-  // Replicates nn sampler pick() on logits row `r` using lane scratch.
+  // Greedy / temperature / top-k / top-p pick from logits row `r`, drawing
+  // from the lane's seeded stream; uses preallocated scratch only.
   int32_t sample_row(int r, Lane& lane);
 
   nn::LlamaModel& model_;
@@ -114,8 +119,10 @@ class BatchDecoder {
   // RoPE table: window × (head_dim/2) cos and sin values.
   std::vector<float> rope_cos_, rope_sin_;
 
-  // Dense gather of occupied lanes, rebuilt each step.
+  // Dense gather of occupied lanes, rebuilt each step; the first
+  // step_rows_ entries are the latest step's.
   std::vector<int> rows_;
+  int64_t step_rows_ = 0;
 
   // Step activations, max_batch rows each.
   std::vector<float> x_, xn_, q_, k_, v_, att_, proj_;
@@ -127,5 +134,14 @@ class BatchDecoder {
   std::vector<int32_t> cand_;
   std::vector<double> mass_, probs_;
 };
+
+// Decodes one request to completion on a dedicated one-lane BatchDecoder
+// and returns its generated tokens (the prompt excluded). max_tokens <= 0
+// returns no tokens. This is the single-request entry point (apollo-eval
+// --generate); a lane's tokens do not depend on its batch, so the result
+// equals what ServeEngine streams for the same (prompt, params).
+std::vector<int32_t> generate(nn::LlamaModel& model,
+                              const std::vector<int32_t>& prompt,
+                              const GenParams& params);
 
 }  // namespace apollo::serve

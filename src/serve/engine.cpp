@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <map>
 
 #include "obs/json_writer.h"
@@ -120,10 +121,17 @@ void ServeEngine::stream_token(int lane, int32_t token) {
   ActiveLane& al = lanes_[static_cast<size_t>(lane)];
   obs::JsonObject o;
   o.field_int("token", token);
-  if (token >= 0 && token < 256) {
+  if (token >= 0 && token < 0x80) {
     // Byte-level models: the token id IS the byte.
     const char txt[2] = {static_cast<char>(token), '\0'};
     o.field_str("text", txt);
+  } else if (token >= 0x80 && token < 0x100) {
+    // A lone byte >= 0x80 is not UTF-8, so it goes out as \u00XX: the code
+    // point equals the byte, and json_min decodes it back to that byte.
+    char esc[12];
+    std::snprintf(esc, sizeof esc, "\"\\u%04x\"",
+                  static_cast<unsigned>(token));
+    o.field_raw("text", esc);
   }
   http_.send_chunk(al.conn, o.str() + "\n");
   if (al.first_token_ms < 0) {

@@ -2,19 +2,18 @@
 //
 // One contiguous float allocation holds every cached key/value row for
 // every decode slot: slot s, layer l keeps a ring of up to `window` rows of
-// rotary-encoded K and raw V (the same per-position rows the single-request
-// nn::InferenceSession caches, laid out flat instead of as a
-// vector-of-vectors). The whole arena is sized once at construction — KV
-// memory is a startup-time budget, and admission control (serve/scheduler)
-// is what handles demand beyond it. Steady-state decode never allocates.
+// rotary-encoded K and raw V, one per fed position. The whole arena is
+// sized once at construction — KV memory is a startup-time budget, and
+// admission control (serve/scheduler) is what handles demand beyond it.
+// Steady-state decode never allocates.
 //
 // Memory math (docs/SERVING.md):
 //   bytes = slots · layers · 2 · window · hidden · 4
 //
 // Ring semantics: rows are written at position p mod window. Once a
 // sequence is longer than the window, attention reads the newest `window`
-// rows in chronological order — exactly the sliding-window truncation the
-// single-request session implements by erasing its oldest row.
+// rows in chronological order — a sliding-window truncation, with RoPE
+// positions wrapping to stay inside the trained range.
 #pragma once
 
 #include <cstdint>

@@ -14,8 +14,8 @@
 
 namespace apollo::serve {
 
-// Per-request sampling controls, mirroring nn::SamplerConfig plus the
-// serving-only generation cap. temperature == 0 means greedy argmax, which
+// Per-request sampling controls plus the generation cap, shared by the HTTP
+// engine and serve::generate. temperature == 0 means greedy argmax, which
 // is also the deterministic mode the equivalence tests use.
 struct GenParams {
   int max_tokens = 16;      // generation cap (finish_reason "length")

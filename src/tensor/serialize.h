@@ -9,6 +9,7 @@
 #include <type_traits>
 
 #include "tensor/matrix.h"
+#include "tensor/rng.h"
 
 namespace apollo {
 
@@ -21,15 +22,42 @@ inline bool read_bytes(std::FILE* f, void* p, size_t n) {
   return n == 0 || std::fread(p, 1, n, f) == n;
 }
 
+// Only types whose every byte is value (no padding) may be written whole:
+// a padded struct would copy stack garbage into the file and its CRC.
+template <typename T>
+constexpr bool kPodBytesAreValue =
+    std::has_unique_object_representations_v<T> ||
+    std::is_floating_point_v<T>;
+
 template <typename T>
 bool write_pod(std::FILE* f, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(kPodBytesAreValue<T>, "padded type: write its fields");
   return write_bytes(f, &v, sizeof v);
 }
 template <typename T>
 bool read_pod(std::FILE* f, T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(kPodBytesAreValue<T>, "padded type: read its fields");
   return read_bytes(f, &v, sizeof v);
+}
+
+// Rng::State in its 48-byte on-disk layout: s[4], a 0/1 flag byte, 7 zero
+// pad bytes, then `cached`. Field by field, so the struct's padding never
+// reaches the file. The reader ignores the pad bytes (older writers left
+// garbage there) and rejects any flag byte other than 0 or 1.
+inline bool write_rng_state(std::FILE* f, const Rng::State& st) {
+  const uint8_t flag = st.has_cached ? 1 : 0;
+  const uint8_t pad[7] = {};
+  return write_pod(f, st.s) && write_pod(f, flag) && write_pod(f, pad) &&
+         write_pod(f, st.cached);
+}
+inline bool read_rng_state(std::FILE* f, Rng::State& st) {
+  uint8_t flag = 0;
+  uint8_t pad[7];
+  if (!read_pod(f, st.s) || !read_pod(f, flag) || flag > 1 ||
+      !read_pod(f, pad) || !read_pod(f, st.cached))
+    return false;
+  st.has_cached = flag == 1;
+  return true;
 }
 
 inline bool write_string(std::FILE* f, const std::string& s) {

@@ -22,7 +22,7 @@
 //     agreement is bounded-ULP, asserted by tests/simd_conformance_test.cpp.
 //
 // Raw intrinsics are confined to src/tensor/simd/ — enforced by the
-// apollo-lint `raw-simd-intrinsic` rule.
+// `raw-simd-intrinsic` rule of apollo-analyze's lint pass.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,6 @@
 #include "fault/fault_injection.h"
 #include "nn/parameter.h"
 #include "obs/trace.h"
-#include "tensor/serialize.h"
 #include "train/ckpt_io.h"
 
 namespace apollo::train {
@@ -238,52 +237,6 @@ CheckpointResult save_checkpoint(const std::string& path,
 
 namespace {
 
-// Legacy loader for v1 (weights only) and v2 (optimizer tail, no CRCs)
-// files, kept byte-compatible with the original readers.
-CheckpointResult load_legacy(std::FILE* f, const std::string& path,
-                             uint32_t version, int64_t step,
-                             const nn::ParamList& params,
-                             optim::Optimizer* opt) {
-  for (nn::Parameter* p : params) {
-    uint32_t name_len = 0;
-    if (!read_pod(f, name_len) || name_len > 4096)
-      return fail("corrupt name length near param " + p->name);
-    std::string name(name_len, '\0');
-    int64_t rows = 0, cols = 0;
-    if (!read_bytes(f, name.data(), name_len) || !read_pod(f, rows) ||
-        !read_pod(f, cols))
-      return fail("truncated param header near " + p->name);
-    if (name != p->name)
-      return fail("parameter name mismatch: file '" + name + "' vs model '" +
-                  p->name + "'");
-    if (rows != p->value.rows() || cols != p->value.cols())
-      return fail("shape mismatch for " + name);
-    if (!read_bytes(f, p->value.data(),
-                    static_cast<size_t>(p->value.size()) * sizeof(float)))
-      return fail("truncated data for " + name);
-  }
-
-  CheckpointResult r;
-  r.ok = true;
-  r.step = step;
-  if (version < 2) return r;  // v1: weights only
-
-  uint8_t has_opt = 0;
-  if (!read_pod(f, has_opt)) return r;  // tolerate missing tail
-  if (has_opt == 0 || opt == nullptr) return r;
-  std::string opt_name;
-  if (!read_string(f, opt_name))
-    return fail("corrupt optimizer section: " + path);
-  if (opt_name != opt->name()) {
-    // Different optimizer: weights are loaded, state is skipped.
-    return r;
-  }
-  if (!opt->load_state(f, params))
-    return fail("failed to restore optimizer state (" + opt_name + ")");
-  r.optimizer_state_restored = true;
-  return r;
-}
-
 CheckpointResult load_v3(std::FILE* f, const std::string& path,
                          const nn::ParamList& params, optim::Optimizer* opt) {
   CrcReader rd(f);
@@ -379,39 +332,31 @@ CheckpointResult load_checkpoint(const std::string& path,
   uint32_t version = 0;
   if (std::fread(&version, 1, sizeof version, f.get()) != sizeof version)
     return fail("truncated header: " + path);
-  if (version != 1 && version != 2 && version != kVersion)
+  if (version != kVersion)
     return fail("unsupported checkpoint version " + std::to_string(version));
 
   auto params = model.parameters();
   int64_t step = 0;
   uint32_t count = 0;
-  if (version == kVersion) {
-    // v3 header section: CRC covers version|step|count.
-    uint32_t crc = fault::crc32_update(fault::kCrc32Init, &version,
-                                       sizeof version);
-    if (std::fread(&step, 1, sizeof step, f.get()) != sizeof step ||
-        std::fread(&count, 1, sizeof count, f.get()) != sizeof count)
-      return fail("truncated header: " + path);
-    crc = fault::crc32_update(crc, &step, sizeof step);
-    crc = fault::crc32_update(crc, &count, sizeof count);
-    uint32_t stored = 0;
-    if (std::fread(&stored, 1, sizeof stored, f.get()) != sizeof stored)
-      return fail("truncated header: " + path);
-    if (stored != fault::crc32_final(crc))
-      return fail("CRC mismatch in header: " + path);
-  } else {
-    if (!read_pod(f.get(), step) || !read_pod(f.get(), count))
-      return fail("truncated header: " + path);
-  }
+  // Header section: CRC covers version|step|count.
+  uint32_t crc =
+      fault::crc32_update(fault::kCrc32Init, &version, sizeof version);
+  if (std::fread(&step, 1, sizeof step, f.get()) != sizeof step ||
+      std::fread(&count, 1, sizeof count, f.get()) != sizeof count)
+    return fail("truncated header: " + path);
+  crc = fault::crc32_update(crc, &step, sizeof step);
+  crc = fault::crc32_update(crc, &count, sizeof count);
+  uint32_t stored = 0;
+  if (std::fread(&stored, 1, sizeof stored, f.get()) != sizeof stored)
+    return fail("truncated header: " + path);
+  if (stored != fault::crc32_final(crc))
+    return fail("CRC mismatch in header: " + path);
   if (count != params.size())
     return fail("parameter count mismatch: file has " +
                 std::to_string(count) + ", model has " +
                 std::to_string(params.size()));
 
-  CheckpointResult r = version == kVersion
-                           ? load_v3(f.get(), path, params, opt)
-                           : load_legacy(f.get(), path, version, step,
-                                         params, opt);
+  CheckpointResult r = load_v3(f.get(), path, params, opt);
   if (r.ok) r.step = step;
   return r;
 }

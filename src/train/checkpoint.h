@@ -17,7 +17,8 @@
 // Loading validates magic/version, every section CRC, and that every
 // parameter matches the model's name and shape, so a checkpoint from a
 // different configuration is rejected with a readable error instead of
-// silently mis-loading. v1 (weights only) and v2 (no CRCs) files still load.
+// silently mis-loading. Files of any other version (the pre-v3 v1/v2
+// layouts included) are refused with "unsupported checkpoint version N".
 #pragma once
 
 #include <string>

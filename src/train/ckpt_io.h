@@ -9,9 +9,9 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <type_traits>
 
 #include "fault/crc32.h"
+#include "tensor/serialize.h"
 
 namespace apollo::train {
 
@@ -31,7 +31,7 @@ class CrcWriter {
   }
   template <typename T>
   void write_pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(kPodBytesAreValue<T>, "padded type: write its fields");
     write(&v, sizeof v);
   }
   // Writes the CRC of the section that just ended (the CRC bytes themselves
@@ -71,7 +71,7 @@ class CrcReader {
   }
   template <typename T>
   bool read_pod(T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(kPodBytesAreValue<T>, "padded type: read its fields");
     return read(&v, sizeof v);
   }
   // Returns true when the stored section CRC matches the accumulated one;

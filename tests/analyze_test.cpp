@@ -1,5 +1,5 @@
 // Subprocess tests for tools/apollo_analyze.cpp: plant violations for each
-// of the four passes in a throwaway tree, run the real binary against it,
+// of the five passes in a throwaway tree, run the real binary against it,
 // and assert rule ids, baseline-diff semantics, suppressions, and the
 // JSON/SARIF sinks. APOLLO_ANALYZE_BIN is injected by tests/CMakeLists.txt.
 //
@@ -388,6 +388,131 @@ TEST_F(AnalyzeTest, TestOnlyEnvVarsAreExemptFromDocs) {
 }
 
 // ---------------------------------------------------------------------------
+// Pass 5: lint
+// ---------------------------------------------------------------------------
+
+TEST_F(AnalyzeTest, LintPlantedViolationsOfEveryRuleAreCaught) {
+  put("src/bad_thread.cpp",
+      "#include <thread>\n"
+      "void spawn() { std::thread t([] {}); t.join(); }\n");
+  put("src/bad_rng.cpp",
+      "#include <cstdlib>\n"
+      "int roll() { return rand(); }\n");
+  put("src/bad_header.h",
+      "using namespace std;\n"
+      "inline int three() { return 3; }\n");
+  put("src/bad_new.cpp",
+      "int* make() { return new int(3); }\n");
+  put("src/bad_printf.cpp",
+      "#include <cstdio>\n"
+      "void show(double x) { std::printf(\"%f\\n\", x); }\n");
+  put("src/bad_simd.cpp",
+      "#include <immintrin.h>\n"
+      "float hsum8(const float* p) {\n"
+      "  __m256 v = _mm256_loadu_ps(p);\n"
+      "  __m128 lo = _mm256_castps256_ps128(v);\n"
+      "  return _mm_cvtss_f32(lo);\n"
+      "}\n");
+  put("src/bad_accum.cpp",
+      "#include <unordered_map>\n"
+      "float total(const std::unordered_map<int, float>& m) {\n"
+      "  float s = 0.f;\n"
+      "  for (const auto& kv : m) s += kv.second;\n"
+      "  return s;\n"
+      "}\n");
+  put("src/optim/bad_entry.cpp",
+      "#include \"tensor/matrix.h\"\n"
+      "namespace apollo::optim {\n"
+      "void apply_scale(Matrix& g, float s) {\n"
+      "  for (long i = 0; i < g.size(); ++i) g[i] *= s;\n"
+      "}\n"
+      "}\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  for (const char* want :
+       {"src/bad_thread.cpp:2: raw-thread:", "src/bad_rng.cpp:2: raw-rng:",
+        "src/bad_header.h:1: pragma-once:",
+        "src/bad_header.h:1: using-namespace-header:",
+        "src/bad_new.cpp:1: raw-new-delete:",
+        "src/bad_printf.cpp:2: printf-float-precision:",
+        "src/bad_accum.cpp:4: unordered-float-accum:",
+        "src/bad_simd.cpp:1: raw-simd-intrinsic:",
+        "src/bad_simd.cpp:3: raw-simd-intrinsic:",
+        "src/optim/bad_entry.cpp:3: check-shape-preconditions:"})
+    EXPECT_NE(r.output.find(want), std::string::npos) << want << "\n"
+                                                      << r.output;
+}
+
+TEST_F(AnalyzeTest, LintSimdIntrinsicsAllowedInsideTensorSimd) {
+  put("src/tensor/simd/kernels_demo.cpp",
+      "#include <immintrin.h>\n"
+      "float first(const float* p) {\n"
+      "  __m256 v = _mm256_loadu_ps(p);\n"
+      "  return _mm256_cvtss_f32(v);\n"
+      "}\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, LintLineSuppressionSilencesTheRule) {
+  put("src/suppressed.cpp",
+      "#include <thread>\n"
+      "// lint:allow(raw-thread)\n"
+      "void spawn() { std::thread t([] {}); t.join(); }\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, LintFileSuppressionSilencesTheWholeFile) {
+  put("src/suppressed_file.cpp",
+      "// lint:allow-file(raw-new-delete)\n"
+      "int* a() { return new int(1); }\n"
+      "int* b() { return new int(2); }\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, LintSuppressionOfOneRuleDoesNotHideAnother) {
+  put("src/partial.cpp",
+      "#include <thread>\n"
+      "// lint:allow(raw-rng)\n"
+      "void spawn() { std::thread t([] {}); t.join(); }\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("raw-thread"), std::string::npos) << r.output;
+}
+
+TEST_F(AnalyzeTest, LintViolationsInsideCommentsAndStringsAreIgnored) {
+  put("src/innocuous.cpp",
+      "// std::thread in a comment is fine; so is rand().\n"
+      "const char* kDoc = \"uses std::thread and new int[4]\";\n"
+      "int use() { return kDoc[0]; }\n");
+  const RunResult r = analyze("--pass lint");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST_F(AnalyzeTest, LintFindingsGoThroughBaselineAndJson) {
+  put("src/bad_new.cpp",
+      "int* make() { return new int(3); }\n");
+  const std::string base = (root_ / "baseline.json").string();
+  const RunResult json = analyze("--pass lint --json");
+  EXPECT_EQ(json.exit_code, 1) << json.output;
+  EXPECT_NE(json.output.find("\"rule\": \"raw-new-delete\""),
+            std::string::npos)
+      << json.output;
+  EXPECT_NE(
+      json.output.find("\"fingerprint\": \"raw-new-delete|src/bad_new.cpp|"),
+      std::string::npos)
+      << json.output;
+  EXPECT_EQ(
+      analyze("--pass lint --baseline " + base + " --write-baseline").exit_code,
+      0);
+  const RunResult r = analyze("--pass lint --baseline " + base);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("1 baselined"), std::string::npos) << r.output;
+}
+
+// ---------------------------------------------------------------------------
 // Baseline-diff semantics
 // ---------------------------------------------------------------------------
 
@@ -463,10 +588,11 @@ TEST_F(AnalyzeTest, SinglePassSelectionSkipsOtherPasses) {
   EXPECT_EQ(r.output.find("env-undocumented"), std::string::npos) << r.output;
 }
 
-TEST(AnalyzeCliTest, ListPassesNamesAllFour) {
+TEST(AnalyzeCliTest, ListPassesNamesAllFive) {
   const RunResult r = run_analyze("--list-passes");
   EXPECT_EQ(r.exit_code, 0);
-  for (const char* pass : {"layering", "concurrency", "hotpath", "docdrift"})
+  for (const char* pass :
+       {"layering", "concurrency", "hotpath", "docdrift", "lint"})
     EXPECT_NE(r.output.find(pass), std::string::npos) << pass;
 }
 

@@ -4,7 +4,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
+#include "core/apollo.h"
+#include "tensor/rng.h"
 #include "train/checkpoint.h"
 
 namespace apollo {
@@ -139,9 +143,10 @@ TEST(Checkpoint, UnwritablePathReportsRetryExhaustion) {
   EXPECT_NE(r.error.find("after 3 attempts"), std::string::npos) << r.error;
 }
 
-TEST(Checkpoint, LegacyV1FileStillLoads) {
-  // Hand-crafted v1 layout (no CRCs, weights only): readers must stay
-  // byte-compatible with checkpoints written before format v3.
+TEST(Checkpoint, LegacyV1FileIsRejected) {
+  // Hand-crafted v1 layout (no CRCs, weights only). Only builds older than
+  // format v3 wrote v1/v2 files, and their reader is gone: the file must be
+  // refused by version, before any weight is touched.
   const std::string path = temp_path("ckpt_v1.bin");
   nn::LlamaModel a(tiny(), 1);
   auto params = a.parameters();
@@ -167,12 +172,105 @@ TEST(Checkpoint, LegacyV1FileStillLoads) {
   std::fclose(f);
 
   nn::LlamaModel b(tiny(), 2);
+  nn::LlamaModel untouched(tiny(), 2);
   auto l = train::load_checkpoint(path, b);
-  ASSERT_TRUE(l.ok) << l.error;
-  EXPECT_EQ(l.step, 77);
-  EXPECT_FALSE(l.optimizer_state_restored);
+  EXPECT_FALSE(l.ok);
+  EXPECT_NE(l.error.find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << l.error;
   for (size_t i = 0; i < params.size(); ++i)
-    EXPECT_TRUE(params[i]->value == b.parameters()[i]->value);
+    EXPECT_TRUE(b.parameters()[i]->value ==
+                untouched.parameters()[i]->value)
+        << params[i]->name;
+}
+
+// Fills 64 KiB of stack below the caller's frame with `pattern`, so a byte
+// that a later call leaves unwritten reads back as that pattern.
+[[gnu::noinline]] void dirty_stack(unsigned char pattern) {
+  volatile unsigned char buf[64 * 1024];
+  for (size_t i = 0; i < sizeof buf; ++i) buf[i] = pattern;
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// An APOLLO model with one optimizer step taken, so the checkpoint carries
+// the seeder's Rng::State and per-slot projection state.
+struct SteppedApollo {
+  nn::LlamaModel model{tiny(), 3};
+  core::Apollo opt{core::ApolloConfig{}};
+
+  SteppedApollo() {
+    Rng rng(5);
+    const auto params = model.parameters();
+    for (nn::Parameter* p : params) p->grad.fill_gaussian(rng, 0.f, 0.1f);
+    opt.step(params);
+  }
+};
+
+// Writes `opt`'s state to a new file at `path` right after filling the
+// stack below this frame with `pattern`: any byte save_state leaves
+// unwritten in its own frame reads back as that pattern.
+[[gnu::noinline]] void save_state_on_dirty_stack(const core::Apollo& opt,
+                                                 const nn::ParamList& params,
+                                                 const std::string& path,
+                                                 unsigned char pattern) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  dirty_stack(pattern);
+  EXPECT_TRUE(opt.save_state(f, params));
+  std::fclose(f);
+}
+
+TEST(Checkpoint, ApolloStateBytesDoNotDependOnStackContents) {
+  // Rng::State has padding after its flag byte; writing the struct whole
+  // would copy whatever the stack held there into the file and its CRC.
+  SteppedApollo s;
+  const auto params = s.model.parameters();
+  const std::string a = temp_path("apollo_state_a.bin");
+  const std::string b = temp_path("apollo_state_b.bin");
+  save_state_on_dirty_stack(s.opt, params, a, 0x00);
+  save_state_on_dirty_stack(s.opt, params, b, 0xA5);
+  const std::vector<char> state_a = file_bytes(a), state_b = file_bytes(b);
+  ASSERT_FALSE(state_a.empty());
+  EXPECT_TRUE(state_a == state_b) << "optimizer state depends on the stack";
+
+  // The same holds for whole checkpoints, section CRCs included.
+  const std::string c = temp_path("ckpt_stack_a.bin");
+  const std::string d = temp_path("ckpt_stack_b.bin");
+  dirty_stack(0x00);
+  ASSERT_TRUE(train::save_checkpoint(c, s.model, 1, &s.opt).ok);
+  dirty_stack(0xA5);
+  ASSERT_TRUE(train::save_checkpoint(d, s.model, 1, &s.opt).ok);
+  EXPECT_TRUE(file_bytes(c) == file_bytes(d))
+      << "checkpoint bytes depend on the stack";
+}
+
+TEST(Checkpoint, ApolloStateRejectsNonBooleanRngFlag) {
+  // Layout: i64 step count, then Rng::State (32 bytes of s, the flag byte).
+  SteppedApollo s;
+  const auto params = s.model.parameters();
+  std::vector<char> blob(1 << 20);
+  std::FILE* w = fmemopen(blob.data(), blob.size(), "wb");
+  ASSERT_NE(w, nullptr);
+  ASSERT_TRUE(s.opt.save_state(w, params));
+  const long len = std::ftell(w);
+  std::fclose(w);
+  ASSERT_GT(len, 41);
+
+  core::Apollo good(core::ApolloConfig{});
+  std::FILE* r = fmemopen(blob.data(), static_cast<size_t>(len), "rb");
+  EXPECT_TRUE(good.load_state(r, params));
+  std::fclose(r);
+
+  blob[8 + 32] = 2;
+  core::Apollo bad(core::ApolloConfig{});
+  r = fmemopen(blob.data(), static_cast<size_t>(len), "rb");
+  EXPECT_FALSE(bad.load_state(r, params));
+  std::fclose(r);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Sampler tests: determinism, shape, greedy-vs-stochastic behaviour, and a
-// trained-model likelihood check.
+// Sampler tests: determinism, shape, and greedy-vs-stochastic behaviour of
+// serve::generate, plus a trained-model likelihood check.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +7,7 @@
 #include "data/corpus.h"
 #include "nn/sampler.h"
 #include "optim/adamw.h"
+#include "serve/batcher.h"
 #include "train/trainer.h"
 
 namespace apollo {
@@ -23,9 +24,24 @@ nn::LlamaConfig tiny() {
   return c;
 }
 
+serve::GenParams greedy(int n_tokens) {
+  serve::GenParams gp;
+  gp.max_tokens = n_tokens;
+  gp.temperature = 0.f;
+  return gp;
+}
+
+serve::GenParams sampled(int n_tokens, uint64_t seed) {
+  serve::GenParams gp;
+  gp.max_tokens = n_tokens;
+  gp.temperature = 1.f;
+  gp.seed = seed;
+  return gp;
+}
+
 TEST(Sampler, ReturnsRequestedCount) {
   nn::LlamaModel model(tiny(), 1);
-  auto out = nn::generate(model, {1, 2, 3}, 10);
+  auto out = serve::generate(model, {1, 2, 3}, sampled(10, 1234));
   ASSERT_EQ(out.size(), 10u);
   for (int32_t t : out) {
     EXPECT_GE(t, 0);
@@ -35,43 +51,33 @@ TEST(Sampler, ReturnsRequestedCount) {
 
 TEST(Sampler, GreedyIsDeterministic) {
   nn::LlamaModel model(tiny(), 2);
-  nn::SamplerConfig cfg;
-  cfg.temperature = 0.f;
-  auto a = nn::generate(model, {5}, 8, cfg);
-  auto b = nn::generate(model, {5}, 8, cfg);
-  EXPECT_EQ(a, b);
+  const serve::GenParams gp = greedy(8);
+  EXPECT_EQ(serve::generate(model, {5}, gp), serve::generate(model, {5}, gp));
 }
 
 TEST(Sampler, SeededSamplingDeterministic) {
   nn::LlamaModel model(tiny(), 3);
-  nn::SamplerConfig cfg;
-  cfg.temperature = 1.f;
-  cfg.seed = 7;
-  auto a = nn::generate(model, {5}, 8, cfg);
-  auto b = nn::generate(model, {5}, 8, cfg);
+  const auto a = serve::generate(model, {5}, sampled(8, 7));
+  const auto b = serve::generate(model, {5}, sampled(8, 7));
   EXPECT_EQ(a, b);
-  cfg.seed = 8;
-  auto c = nn::generate(model, {5}, 8, cfg);
+  const auto c = serve::generate(model, {5}, sampled(8, 8));
   EXPECT_NE(a, c);
 }
 
 TEST(Sampler, TopKRestrictsSupport) {
   // With top_k = 1, sampling degenerates to greedy regardless of seed.
   nn::LlamaModel model(tiny(), 4);
-  nn::SamplerConfig greedy;
-  greedy.temperature = 0.f;
-  nn::SamplerConfig k1;
+  serve::GenParams k1 = sampled(6, 99);
   k1.temperature = 2.f;
   k1.top_k = 1;
-  k1.seed = 99;
-  EXPECT_EQ(nn::generate(model, {3, 1}, 6, greedy),
-            nn::generate(model, {3, 1}, 6, k1));
+  EXPECT_EQ(serve::generate(model, {3, 1}, greedy(6)),
+            serve::generate(model, {3, 1}, k1));
 }
 
 TEST(Sampler, PromptsLongerThanWindowWork) {
   nn::LlamaModel model(tiny(), 5);
   std::vector<int32_t> prompt(50, 2);  // > seq_len 16
-  auto out = nn::generate(model, prompt, 4);
+  auto out = serve::generate(model, prompt, sampled(4, 1234));
   EXPECT_EQ(out.size(), 4u);
 }
 
@@ -109,24 +115,20 @@ TEST(Sampler, LikelihoodIsProperLogProb) {
 
 TEST(Sampler, TopPOneKeepsFullDistribution) {
   nn::LlamaModel model(tiny(), 9);
-  nn::SamplerConfig a;
-  a.seed = 5;
-  nn::SamplerConfig b = a;
+  const serve::GenParams a = sampled(8, 5);
+  serve::GenParams b = a;
   b.top_p = 1.f;  // explicit no-op
-  EXPECT_EQ(nn::generate(model, {2}, 8, a), nn::generate(model, {2}, 8, b));
+  EXPECT_EQ(serve::generate(model, {2}, a), serve::generate(model, {2}, b));
 }
 
 TEST(Sampler, TinyTopPIsGreedy) {
   // top_p → 0 keeps only the argmax token.
   nn::LlamaModel model(tiny(), 10);
-  nn::SamplerConfig greedy;
-  greedy.temperature = 0.f;
-  nn::SamplerConfig p0;
+  serve::GenParams p0 = sampled(6, 77);
   p0.temperature = 2.f;
   p0.top_p = 1e-6f;
-  p0.seed = 77;
-  EXPECT_EQ(nn::generate(model, {4, 4}, 6, greedy),
-            nn::generate(model, {4, 4}, 6, p0));
+  EXPECT_EQ(serve::generate(model, {4, 4}, greedy(6)),
+            serve::generate(model, {4, 4}, p0));
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Serving subsystem tests (DESIGN.md §14). The load-bearing invariants:
 //
 //  1. Cached incremental decode is token-identical to a full-sequence
-//     recompute — against the tape forward (the architecture's reference
-//     implementation) within one window, and against the single-request
-//     InferenceSession decode for arbitrary lengths — across prompt
-//     lengths, batch compositions, and every available SIMD level.
+//     recompute — logits against the tape forward (the architecture's
+//     reference implementation) within one window, and token streams
+//     against a recorded oracle for arbitrary lengths and every sampling
+//     mode — across prompt lengths, batch compositions, and every
+//     available SIMD level.
 //  2. Batch composition is invisible: a request's tokens are identical
 //     whether it decodes alone or staggered into a full batch (continuous
 //     batching must not change anyone's output).
@@ -19,13 +20,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "autograd/tape.h"
-#include "nn/inference.h"
-#include "nn/sampler.h"
 #include "serve/batcher.h"
 #include "serve/engine.h"
 #include "serve/json_min.h"
@@ -54,43 +54,230 @@ std::vector<int32_t> ramp_prompt(int len) {
   return p;
 }
 
-// Runs one request through a dedicated single-lane decoder to completion.
-std::vector<int32_t> decode_solo(nn::LlamaModel& model,
-                                 const std::vector<int32_t>& prompt,
-                                 const serve::GenParams& params) {
-  serve::BatchDecoder dec(model, 1);
-  const int lane = dec.admit(prompt, params);
-  EXPECT_EQ(lane, 0);
-  std::vector<int32_t> out;
-  for (int guard = 0; guard < 4096; ++guard) {
-    dec.decode_step();
-    const serve::DecodeOut& o = dec.output(lane);
-    if (o.emitted) out.push_back(o.token);
-    if (o.done) return out;
-  }
-  ADD_FAILURE() << "decode did not finish";
-  return out;
+// ---------------------------------------------------------------------------
+// Recorded decode oracle
+// ---------------------------------------------------------------------------
+
+// Token streams for tiny() recorded from the KV-cached single-request
+// decoder that preceded serve::generate (same sampler, seed 1234), identical
+// at every SIMD level. Indexed [model seed 11/14][prompt length][mode]; each
+// stream is 20 tokens, so every generation wraps the 8-slot KV ring.
+constexpr int kGoldenSeeds[] = {11, 14};
+constexpr int kGoldenLengths[] = {0, 1, 3, 7, 12};
+constexpr int kGoldenTokens = 20;
+constexpr int32_t kGolden[2][5][4][kGoldenTokens] = {
+    {  // model seed 11
+        {  // prompt length 0
+            {15, 34, 11, 11, 11, 11, 11, 11, 11, 11,
+             0, 15, 34, 35, 31, 8, 8, 8, 8, 8},
+            {2, 40, 32, 41, 4, 42, 21, 9, 27, 31,
+             24, 10, 7, 31, 18, 39, 28, 46, 46, 39},
+            {15, 16, 39, 43, 5, 28, 40, 16, 34, 36,
+             8, 36, 32, 34, 35, 42, 47, 14, 28, 6},
+            {27, 36, 23, 33, 18, 20, 26, 28, 44, 4,
+             47, 19, 24, 28, 36, 42, 12, 19, 1, 6},
+        },
+        {  // prompt length 1
+            {46, 18, 16, 14, 25, 46, 18, 16, 14, 25,
+             46, 18, 16, 14, 25, 46, 18, 16, 14, 25},
+            {2, 40, 32, 41, 4, 42, 21, 9, 27, 31,
+             24, 10, 7, 31, 18, 39, 28, 46, 46, 39},
+            {46, 46, 0, 36, 32, 2, 31, 8, 17, 4,
+             31, 36, 32, 34, 35, 17, 16, 39, 4, 21},
+            {30, 45, 40, 42, 47, 32, 28, 17, 30, 3,
+             37, 16, 5, 6, 26, 44, 6, 10, 3, 43},
+        },
+        {  // prompt length 3
+            {11, 11, 11, 11, 11, 11, 11, 0, 15, 34,
+             35, 31, 8, 8, 8, 8, 8, 8, 8, 8},
+            {1, 40, 32, 41, 4, 42, 21, 9, 27, 31,
+             24, 10, 7, 31, 18, 39, 28, 46, 46, 39},
+            {11, 26, 42, 47, 5, 7, 28, 39, 14, 1,
+             39, 16, 14, 1, 30, 42, 47, 14, 28, 6},
+            {0, 30, 3, 43, 20, 9, 0, 13, 3, 3,
+             11, 23, 0, 35, 23, 33, 30, 37, 44, 44},
+        },
+        {  // prompt length 7
+            {8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+             8, 8, 8, 8, 8, 8, 8, 8, 8, 8},
+            {2, 40, 32, 41, 4, 42, 21, 9, 27, 31,
+             24, 10, 7, 31, 18, 39, 28, 46, 46, 39},
+            {8, 44, 22, 16, 14, 41, 37, 37, 38, 17,
+             16, 34, 11, 5, 18, 46, 0, 47, 14, 34},
+            {36, 21, 34, 25, 35, 16, 38, 31, 10, 24,
+             23, 16, 25, 24, 22, 9, 6, 16, 22, 9},
+        },
+        {  // prompt length 12
+            {8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+             8, 8, 8, 8, 8, 8, 8, 8, 8, 8},
+            {2, 40, 32, 41, 4, 42, 21, 9, 27, 31,
+             24, 10, 7, 31, 18, 39, 28, 46, 46, 39},
+            {8, 44, 22, 35, 31, 34, 18, 16, 34, 36,
+             4, 31, 8, 17, 14, 28, 24, 9, 46, 41},
+            {36, 42, 7, 4, 37, 29, 22, 18, 12, 14,
+             39, 24, 9, 22, 6, 4, 17, 13, 16, 21},
+        },
+    },
+    {  // model seed 14
+        {  // prompt length 0
+            {22, 38, 15, 22, 38, 15, 18, 1, 40, 22,
+             38, 40, 22, 38, 40, 22, 38, 40, 22, 38},
+            {2, 40, 32, 41, 4, 42, 21, 9, 27, 30,
+             23, 10, 6, 30, 17, 39, 29, 45, 46, 39},
+            {22, 17, 37, 46, 24, 25, 47, 33, 28, 42,
+             32, 1, 40, 4, 14, 24, 38, 25, 18, 13},
+            {43, 46, 15, 30, 6, 6, 27, 27, 3, 21,
+             25, 27, 41, 45, 30, 7, 28, 45, 17, 12},
+        },
+        {  // prompt length 1
+            {40, 29, 39, 4, 24, 8, 27, 18, 1, 13,
+             18, 1, 13, 18, 1, 13, 18, 1, 13, 18},
+            {2, 40, 33, 41, 4, 42, 21, 9, 27, 30,
+             23, 10, 6, 30, 17, 39, 29, 45, 46, 39},
+            {40, 5, 26, 12, 14, 4, 15, 18, 46, 16,
+             43, 23, 7, 13, 25, 16, 35, 4, 17, 13},
+            {13, 5, 45, 26, 1, 47, 16, 12, 44, 21,
+             31, 35, 24, 44, 41, 11, 12, 0, 20, 39},
+        },
+        {  // prompt length 3
+            {42, 42, 42, 42, 42, 42, 42, 42, 42, 42,
+             42, 42, 42, 42, 42, 42, 42, 42, 42, 42},
+            {2, 40, 32, 41, 4, 42, 21, 9, 27, 30,
+             23, 10, 6, 30, 17, 39, 29, 45, 46, 39},
+            {42, 36, 8, 22, 38, 25, 47, 33, 28, 42,
+             32, 1, 40, 4, 14, 24, 38, 25, 18, 13},
+            {4, 4, 20, 1, 6, 8, 10, 31, 14, 19,
+             37, 2, 14, 28, 20, 1, 10, 35, 39, 3},
+        },
+        {  // prompt length 7
+            {42, 42, 42, 42, 42, 42, 42, 42, 42, 42,
+             42, 42, 42, 42, 42, 42, 42, 42, 42, 42},
+            {2, 40, 33, 41, 4, 42, 21, 9, 27, 30,
+             23, 10, 6, 30, 17, 39, 29, 45, 46, 39},
+            {42, 36, 8, 43, 28, 3, 34, 25, 22, 17,
+             23, 39, 4, 34, 42, 3, 42, 36, 13, 34},
+            {6, 28, 47, 44, 0, 28, 20, 0, 17, 6,
+             31, 35, 23, 14, 18, 39, 42, 12, 45, 44},
+        },
+        {  // prompt length 12
+            {27, 18, 1, 13, 18, 1, 13, 18, 1, 13,
+             18, 1, 13, 18, 1, 13, 18, 1, 13, 18},
+            {2, 40, 32, 41, 4, 42, 21, 9, 27, 30,
+             23, 10, 6, 30, 17, 39, 29, 45, 46, 39},
+            {27, 2, 22, 36, 1, 24, 23, 7, 38, 0,
+             9, 0, 22, 36, 7, 20, 9, 13, 15, 4},
+            {34, 40, 41, 23, 37, 8, 10, 2, 27, 36,
+             16, 2, 31, 36, 14, 40, 0, 24, 14, 40},
+        },
+    },
+};
+
+// Mode 0 greedy; 1 T=0.9; 2 T=0.9 with top-k 5; 3 T=0.9 with top-p 0.85.
+serve::GenParams golden_params(int mode) {
+  serve::GenParams gp;
+  gp.max_tokens = kGoldenTokens;
+  gp.temperature = mode == 0 ? 0.f : 0.9f;
+  gp.top_k = mode == 2 ? 5 : 0;
+  gp.top_p = mode == 3 ? 0.85f : 1.f;
+  return gp;
+}
+
+std::vector<int32_t> golden(int seed_idx, int len_idx, int mode) {
+  const int32_t* s = kGolden[seed_idx][len_idx][mode];
+  return {s, s + kGoldenTokens};
 }
 
 // ---------------------------------------------------------------------------
 // KV-cache equivalence
 // ---------------------------------------------------------------------------
 
-TEST(ServeBatcher, CachedDecodeMatchesSessionDecodeAcrossPromptLengths) {
-  nn::LlamaModel model(tiny(), 11);
-  nn::SamplerConfig sc;
-  sc.temperature = 0.f;  // greedy: token-identical or bust
-  serve::GenParams gp;
-  gp.temperature = 0.f;
-  gp.max_tokens = 6;
+TEST(ServeBatcher, CachedDecodeMatchesRecordedStreamsAcrossPromptLengths) {
   // Lengths straddle the seq_len=8 attention window: 12-long prompts and
-  // long generations both exercise the sliding-window ring.
-  for (int len : {0, 1, 3, 7, 12}) {
-    const auto prompt = ramp_prompt(len);
-    const auto expected = nn::generate(model, prompt, gp.max_tokens, sc);
-    const auto got = decode_solo(model, prompt, gp);
-    EXPECT_EQ(got, expected) << "prompt length " << len;
+  // 20-token generations both exercise the sliding-window ring.
+  for (simd::Level level : simd::available_levels()) {
+    ASSERT_TRUE(simd::set_level(level));
+    for (int si = 0; si < 2; ++si) {
+      nn::LlamaModel model(tiny(), static_cast<uint64_t>(kGoldenSeeds[si]));
+      for (int li = 0; li < 5; ++li)
+        for (int mode = 0; mode < 4; ++mode)
+          EXPECT_EQ(serve::generate(model, ramp_prompt(kGoldenLengths[li]),
+                                    golden_params(mode)),
+                    golden(si, li, mode))
+              << "SIMD level " << simd::level_name(level) << ", model seed "
+              << kGoldenSeeds[si] << ", prompt length " << kGoldenLengths[li]
+              << ", mode " << mode;
+    }
   }
+  simd::clear_level_override();
+}
+
+TEST(ServeBatcher, GenerateWithNoTokenBudgetReturnsNothing) {
+  nn::LlamaModel model(tiny(), 11);
+  serve::GenParams gp = golden_params(0);
+  for (int budget : {0, -3}) {
+    gp.max_tokens = budget;
+    EXPECT_TRUE(serve::generate(model, ramp_prompt(3), gp).empty());
+  }
+}
+
+TEST(ServeBatcher, LogitsMatchTapeForwardExactly) {
+  // Feeding a window token by token reproduces the tape forward's logits
+  // at every position.
+  nn::LlamaModel model(tiny(), 3);
+  const std::vector<int32_t> window = {5, 1, 44, 2, 2, 30, 7, 19};
+  ag::Tape tape;
+  const Matrix& ref = tape.value(model.forward(tape, window));
+
+  serve::BatchDecoder dec(model, 1);
+  serve::GenParams gp;
+  gp.max_tokens = 1;
+  const int lane = dec.admit(window, gp);
+  for (size_t t = 0; t < window.size(); ++t) {
+    dec.decode_step();
+    const float* logits = dec.last_logits(lane);
+    ASSERT_NE(logits, nullptr);
+    for (int64_t v = 0; v < ref.cols(); ++v)
+      EXPECT_NEAR(logits[v], ref.at(static_cast<int64_t>(t), v), 5e-4f)
+          << "position " << t << " vocab " << v;
+  }
+  EXPECT_TRUE(dec.output(lane).done);
+}
+
+TEST(ServeBatcher, FirstTokenDependsOnlyOnItself) {
+  // With an empty cache, the first step equals the tape forward of a
+  // window whose later tokens are arbitrary (causality).
+  nn::LlamaModel model(tiny(), 8);
+  serve::BatchDecoder dec(model, 1);
+  const int lane = dec.admit({9}, serve::GenParams{});
+  dec.decode_step();
+  const float* logits = dec.last_logits(lane);
+  ASSERT_NE(logits, nullptr);
+  ag::Tape tape;
+  const Matrix& ref =
+      tape.value(model.forward(tape, {9, 0, 0, 0, 0, 0, 0, 0}));
+  for (int64_t v = 0; v < ref.cols(); ++v)
+    EXPECT_NEAR(logits[v], ref.at(0, v), 5e-4f);
+}
+
+TEST(ServeBatcher, LongDecodeStaysFinite) {
+  // Slide far past the trained window; outputs must remain finite.
+  nn::LlamaModel model(tiny(), 7);
+  std::vector<int32_t> prompt;
+  for (int t = 0; t < 40; ++t) prompt.push_back(t % 48);  // 5× the window
+  serve::BatchDecoder dec(model, 1);
+  serve::GenParams gp;
+  gp.max_tokens = 1;
+  const int lane = dec.admit(prompt, gp);
+  for (size_t t = 0; t < prompt.size(); ++t) {
+    dec.decode_step();
+    const float* logits = dec.last_logits(lane);
+    ASSERT_NE(logits, nullptr);
+    for (int v = 0; v < tiny().vocab; ++v)
+      ASSERT_TRUE(std::isfinite(logits[v])) << "step " << t;
+    // Only the step that feeds the last prompt token emits.
+    EXPECT_EQ(dec.output(lane).emitted, t + 1 == prompt.size());
+  }
+  EXPECT_TRUE(dec.output(lane).done);
 }
 
 TEST(ServeBatcher, CachedDecodeMatchesTapeForwardRecompute) {
@@ -102,7 +289,7 @@ TEST(ServeBatcher, CachedDecodeMatchesTapeForwardRecompute) {
   serve::GenParams gp;
   gp.temperature = 0.f;
   gp.max_tokens = 5;  // 3 prompt + 5 generated == seq_len
-  const auto got = decode_solo(model, prompt, gp);
+  const auto got = serve::generate(model, prompt, gp);
   ASSERT_EQ(static_cast<int>(got.size()), gp.max_tokens);
 
   std::vector<int32_t> prefix = prompt;
@@ -144,7 +331,7 @@ TEST(ServeBatcher, BatchCompositionDoesNotChangeAnyRequestsTokens) {
 
   std::vector<std::vector<int32_t>> solo;
   for (const Req& r : reqs)
-    solo.push_back(decode_solo(model, r.prompt, r.params));
+    solo.push_back(serve::generate(model, r.prompt, r.params));
 
   serve::BatchDecoder dec(model, 4);  // fewer lanes than requests
   std::vector<std::vector<int32_t>> batched(reqs.size());
@@ -179,32 +366,31 @@ TEST(ServeBatcher, BatchCompositionDoesNotChangeAnyRequestsTokens) {
 }
 
 TEST(ServeBatcher, TokenIdentityHoldsAtEverySimdLevel) {
+  // Each recorded stream of model seed 14, decoded in the middle lane of a
+  // batch of three beside two long greedy neighbours, at every SIMD level.
   nn::LlamaModel model(tiny(), 14);
-  const auto prompt = ramp_prompt(4);
-  nn::SamplerConfig sc;
-  sc.temperature = 0.f;
-  serve::GenParams gp;
-  gp.temperature = 0.f;
-  gp.max_tokens = 6;
+  serve::GenParams neighbour;
+  neighbour.temperature = 0.f;
+  neighbour.max_tokens = 64;  // outlives every recorded stream
   for (simd::Level level : simd::available_levels()) {
     ASSERT_TRUE(simd::set_level(level));
-    const auto expected = nn::generate(model, prompt, gp.max_tokens, sc);
-    // Decode inside a batch of three (two greedy neighbours on other
-    // prompts) — still token-identical to the session at the same level.
-    serve::BatchDecoder dec(model, 3);
-    serve::GenParams other = gp;
-    (void)dec.admit(ramp_prompt(2), other);
-    const int lane = dec.admit(prompt, gp);
-    (void)dec.admit(ramp_prompt(6), other);
-    std::vector<int32_t> got;
-    for (int guard = 0; guard < 256 && got.size() < expected.size();
-         ++guard) {
-      dec.decode_step();
-      const serve::DecodeOut& o = dec.output(lane);
-      if (o.emitted) got.push_back(o.token);
+    for (int li = 0; li < 5; ++li) {
+      for (int mode = 0; mode < 4; ++mode) {
+        serve::BatchDecoder dec(model, 3);
+        (void)dec.admit(ramp_prompt(2), neighbour);
+        const int lane =
+            dec.admit(ramp_prompt(kGoldenLengths[li]), golden_params(mode));
+        (void)dec.admit(ramp_prompt(6), neighbour);
+        std::vector<int32_t> got;
+        for (int guard = 0; guard < 256 && !dec.output(lane).done; ++guard) {
+          dec.decode_step();
+          if (dec.output(lane).emitted) got.push_back(dec.output(lane).token);
+        }
+        EXPECT_EQ(got, golden(1, li, mode))
+            << "SIMD level " << simd::level_name(level) << ", prompt length "
+            << kGoldenLengths[li] << ", mode " << mode;
+      }
     }
-    EXPECT_EQ(got, expected)
-        << "SIMD level " << simd::level_name(level);
   }
   simd::clear_level_override();
 }
@@ -214,7 +400,7 @@ TEST(ServeBatcher, StopTokenEndsStreamWithStopReason) {
   serve::GenParams gp;
   gp.temperature = 0.f;
   gp.max_tokens = 8;
-  const auto free_run = decode_solo(model, ramp_prompt(3), gp);
+  const auto free_run = serve::generate(model, ramp_prompt(3), gp);
   ASSERT_GE(free_run.size(), 2u);
 
   serve::GenParams stop = gp;
@@ -484,6 +670,66 @@ TEST(ServeEngine, StreamsTokensOverLoopbackHttp) {
   EXPECT_EQ(tokens, 4u) << response;
 }
 
+// True when `s` is well-formed UTF-8 (lead byte, then the continuation
+// bytes it announces).
+bool valid_utf8(const std::string& s) {
+  for (size_t i = 0; i < s.size();) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    const size_t len = c < 0x80           ? 1
+                       : (c >> 5) == 0x6  ? 2
+                       : (c >> 4) == 0xE  ? 3
+                       : (c >> 3) == 0x1E ? 4
+                                          : 0;
+    if (len == 0 || i + len > s.size()) return false;
+    for (size_t k = 1; k < len; ++k)
+      if ((static_cast<unsigned char>(s[i + k]) >> 6) != 0x2) return false;
+    i += len;
+  }
+  return true;
+}
+
+TEST(ServeEngine, HighByteTokensStreamAsValidUtf8Json) {
+  // A byte-level model samples ids 128-255 too; each token line must still
+  // be valid UTF-8 JSON whose `text` decodes back to the token's byte.
+  nn::LlamaConfig mc = tiny();
+  mc.vocab = 256;
+  nn::LlamaModel model(mc, 18);
+  serve::EngineConfig cfg;
+  cfg.port = 0;
+  cfg.max_batch = 1;
+  serve::ServeEngine engine(model, cfg);
+
+  const int fd = connect_loopback(engine.port());
+  const std::string body =
+      R"({"tokens":[1,2],"max_tokens":32,"temperature":1.0,"seed":5})";
+  const std::string request =
+      "POST /v1/generate HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+      std::to_string(body.size()) + "\r\n\r\n" + body;
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  const std::string response = pump_until_closed(engine, fd);
+  ::close(fd);
+
+  int lines = 0, high = 0;
+  for (size_t at = response.find("{\"token\":"); at != std::string::npos;
+       at = response.find("{\"token\":", at + 1)) {
+    const std::string line = response.substr(at, response.find('\n', at) - at);
+    ++lines;
+    EXPECT_TRUE(valid_utf8(line)) << line;
+    std::map<std::string, serve::JsonValue> obj;
+    std::string err;
+    ASSERT_TRUE(serve::parse_json_object(line, obj, &err)) << err << ": "
+                                                           << line;
+    const int token = static_cast<int>(obj.at("token").num);
+    const std::string byte =
+        token == 0 ? std::string() : std::string(1, static_cast<char>(token));
+    EXPECT_EQ(obj.at("text").str, byte) << line;
+    if (token >= 0x80) ++high;
+  }
+  EXPECT_EQ(lines, 32) << response;
+  EXPECT_GT(high, 0) << "no token >= 128 sampled; pick another seed";
+}
+
 TEST(ServeEngine, ConcurrentRequestsAllCompleteAndMatchSoloDecode) {
   nn::LlamaModel model(tiny(), 16);
   serve::EngineConfig cfg;
@@ -499,7 +745,7 @@ TEST(ServeEngine, ConcurrentRequestsAllCompleteAndMatchSoloDecode) {
   std::vector<std::vector<int32_t>> want;
   for (int i = 0; i < 3; ++i) {
     const std::vector<int32_t> prompt = ramp_prompt(2 + i);
-    want.push_back(decode_solo(model, prompt, gp));
+    want.push_back(serve::generate(model, prompt, gp));
     std::string toks = "[";
     for (size_t j = 0; j < prompt.size(); ++j) {
       if (j != 0) toks += ',';

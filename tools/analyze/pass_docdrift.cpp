@@ -3,8 +3,8 @@
 //
 //   env-undocumented — getenv("APOLLO_X") in src/, tools/, or bench/ with no
 //                      row in docs/ENVVARS.md. (tests/ is exempt: test
-//                      harness variables like APOLLO_LINT_BIN are plumbing,
-//                      not user surface.)
+//                      harness variables, such as a test binary path, are
+//                      plumbing, not user surface.)
 //   env-stale-doc    — a docs/ENVVARS.md row whose variable no longer has a
 //                      getenv site anywhere in the tree.
 #include <map>

@@ -1,19 +1,10 @@
-// apollo-lint — repo-invariant static analysis for the APOLLO codebase.
-//
-// A self-contained C++20 tool (no external dependencies, per the repo rule)
-// that scans src/, tools/, bench/ and tests/ and enforces the invariants the
-// test suite cannot see — determinism hazards, hygiene, and API-contract
-// rules. Low-rank-state optimizers are exactly where silent numeric
-// corruption hides (projected-moment drift surfaces thousands of steps in),
-// so these are machine-checked rather than left to reviewer vigilance.
-//
-// Rules run over the shared token stream from tools/analyze/source_model.*
-// (the same lexer apollo-analyze uses), so string/comment/raw-string
-// contents can never false-positive and every match is word-boundary exact.
-//
-// Rules (each suppressible with `// lint:allow(rule-id)` on the offending
-// line or the line directly above, or `// lint:allow-file(rule-id)` anywhere
-// in the file):
+// Lint pass: nine token-level repo invariants the test suite cannot see —
+// determinism hazards, hygiene, and API contracts. Low-rank-state
+// optimizers are exactly where silent numeric corruption hides
+// (projected-moment drift surfaces thousands of steps in), so these are
+// machine-checked rather than left to reviewer vigilance. Rules match on
+// the shared token stream, so string/comment/raw-string contents never
+// false-positive and every match is word-boundary exact.
 //
 //   raw-thread                std::thread / std::jthread / std::async /
 //                             OpenMP outside core/threadpool.* — all
@@ -46,43 +37,27 @@
 //                             constructors with init-lists, static helpers,
 //                             anonymous namespaces, and bodies delegating to
 //                             Optimizer::begin_step/end_step are exempt).
-//
-// Exit status: 0 when clean, 1 with `file:line: rule-id: message`
-// diagnostics otherwise, 2 on usage/IO errors.
-#include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <filesystem>
-#include <iostream>
 #include <set>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "analyze/source_model.h"
+#include "analyze/passes.h"
 
-namespace fs = std::filesystem;
+namespace analyze {
+
+namespace {
+
 using srcmodel::SourceFile;
 using srcmodel::TokKind;
 using srcmodel::Token;
 
-namespace {
-
-struct Diagnostic {
-  std::string file;
-  int line = 0;
-  std::string rule;
-  std::string message;
-};
-
-// ---------------------------------------------------------------------------
-// Rule engine
-// ---------------------------------------------------------------------------
-
 class Linter {
  public:
-  explicit Linter(std::vector<Diagnostic>* out) : out_(out) {}
+  explicit Linter(std::vector<Finding>* out) : out_(out) {}
 
   void lint(const SourceFile& ft) {
     rule_raw_thread(ft);
@@ -97,10 +72,12 @@ class Linter {
   }
 
  private:
+  // `detail` is the finding's line-independent identity (the construct
+  // that matched); it keys the baseline fingerprint.
   void emit(const SourceFile& ft, int line, const std::string& rule,
-            const std::string& message) {
+            const std::string& detail, const std::string& message) {
     if (ft.allowed(line, rule)) return;
-    out_->push_back({ft.display_path, line, rule, message});
+    out_->push_back({rule, ft.display_path, line, detail, message});
   }
 
   // --- determinism ---------------------------------------------------------
@@ -112,7 +89,7 @@ class Linter {
     auto hit = [&](size_t i, std::string_view what) {
       if (t[i].line == last_line) return;  // one diagnostic per line
       last_line = t[i].line;
-      emit(ft, t[i].line, "raw-thread",
+      emit(ft, t[i].line, "raw-thread", std::string(what),
            "raw threading primitive (" + std::string(what) +
                "); route parallel work through core/threadpool.* so the "
                "determinism contract holds for any APOLLO_THREADS");
@@ -138,7 +115,7 @@ class Linter {
                            name == "drand48") &&
                           i + 1 < t.size() && srcmodel::is_punct(t[i + 1], "(");
       if (c_call || name == "random_device") {
-        emit(ft, t[i].line, "raw-rng",
+        emit(ft, t[i].line, "raw-rng", name,
              "non-reproducible randomness (" + name +
                  "); all randomness must flow through the seeded "
                  "apollo::Rng (tensor/rng.*)");
@@ -156,7 +133,7 @@ class Linter {
           seeded = close != t.size() && close > j + 1;
         }
         if (!seeded) {
-          emit(ft, t[i].line, "raw-rng",
+          emit(ft, t[i].line, "raw-rng", name,
                "unseeded std::" + name +
                    "; seed explicitly, or better use apollo::Rng "
                    "(tensor/rng.*)");
@@ -184,7 +161,7 @@ class Linter {
           if (t[i].text.rfind(pre, 0) == 0) hit = std::string(pre) + "*";
       if (hit.empty() || t[i].line == last_line) continue;
       last_line = t[i].line;
-      emit(ft, t[i].line, "raw-simd-intrinsic",
+      emit(ft, t[i].line, "raw-simd-intrinsic", hit,
            "raw SIMD intrinsic (" + hit +
                ") outside src/tensor/simd/; call through the dispatched "
                "simd::KernelTable (tensor/simd/simd.h) so the scalar "
@@ -261,6 +238,7 @@ class Linter {
         const std::string& target = t[k - 1].text;
         if (is_float_var(t, target)) {
           emit(ft, t[k].line, "unordered-float-accum",
+               target + " over " + range_var,
                "float accumulation into '" + target +
                    "' while iterating std::unordered container '" +
                    range_var +
@@ -289,7 +267,7 @@ class Linter {
     if (!ft.is_header) return;
     for (size_t i = 0; i < ft.tokens.size(); ++i)
       if (srcmodel::match_seq(ft.tokens, i, {"#", "pragma", "once"})) return;
-    emit(ft, 1, "pragma-once", "header is missing #pragma once");
+    emit(ft, 1, "pragma-once", "", "header is missing #pragma once");
   }
 
   void rule_using_namespace_header(const SourceFile& ft) {
@@ -299,6 +277,7 @@ class Linter {
       if (srcmodel::is_ident(t[i], "using") &&
           srcmodel::is_ident(t[i + 1], "namespace"))
         emit(ft, t[i].line, "using-namespace-header",
+             i + 2 < t.size() ? t[i + 2].text : "",
              "`using namespace` in a header leaks into every includer");
   }
 
@@ -321,7 +300,7 @@ class Linter {
         if (allocates && !operator_on_line(i) &&
             t[i].line != last_new_line) {
           last_new_line = t[i].line;
-          emit(ft, t[i].line, "raw-new-delete",
+          emit(ft, t[i].line, "raw-new-delete", "new",
                "raw `new`; use std::vector / std::make_unique so ownership "
                "is explicit");
         }
@@ -331,7 +310,7 @@ class Linter {
         if (!deleted_fn && !operator_on_line(i) &&
             t[i].line != last_delete_line) {
           last_delete_line = t[i].line;
-          emit(ft, t[i].line, "raw-new-delete",
+          emit(ft, t[i].line, "raw-new-delete", "delete",
                "raw `delete`; use owning containers / smart pointers");
         }
       }
@@ -381,6 +360,7 @@ class Linter {
       }
       if (k < s.size() && std::strchr("fFeEgG", s[k]) != nullptr && !has_dot) {
         emit(ft, str.line, "printf-float-precision",
+             std::string("%") + s[k],
              std::string("float conversion %") + s[k] +
                  " without explicit precision; pin it (e.g. %.6g) so "
                  "output is byte-stable across platforms");
@@ -466,7 +446,7 @@ class Linter {
           checked = true;
       }
       if (checked) continue;
-      emit(ft, t[i - 1].line, "check-shape-preconditions",
+      emit(ft, t[i - 1].line, "check-shape-preconditions", name,
            "'" + name +
                "' takes Matrix/ParamList arguments but never "
                "APOLLO_CHECKs its preconditions; add a shape/size check "
@@ -474,86 +454,15 @@ class Linter {
     }
   }
 
-  std::vector<Diagnostic>* out_;
+  std::vector<Finding>* out_;
 };
 
-// ---------------------------------------------------------------------------
-// Driver
-// ---------------------------------------------------------------------------
-
-void print_rules() {
-  std::cout <<
-      "raw-thread                determinism: no std::thread/std::async/"
-      "OpenMP outside core/threadpool.*\n"
-      "raw-rng                   determinism: no rand()/random_device/"
-      "unseeded mt19937 outside tensor/rng.*\n"
-      "raw-simd-intrinsic        isolation: no _mm*/__m256/__m512 "
-      "intrinsics outside src/tensor/simd/\n"
-      "unordered-float-accum     determinism: no float accumulation over "
-      "unordered containers\n"
-      "pragma-once               hygiene: headers carry #pragma once\n"
-      "using-namespace-header    hygiene: no `using namespace` in headers\n"
-      "raw-new-delete            hygiene: no raw new/delete\n"
-      "printf-float-precision    hygiene: float printf in src/ pins "
-      "precision\n"
-      "check-shape-preconditions contract: optim/core entry points "
-      "APOLLO_CHECK their Matrix/ParamList/Parameter inputs\n"
-      "Suppress with // lint:allow(rule-id) on or above the line, or "
-      "// lint:allow-file(rule-id).\n";
-}
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  fs::path root = ".";
-  std::vector<std::string> dirs;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--root" && i + 1 < argc) {
-      root = argv[++i];
-    } else if (arg == "--list-rules") {
-      print_rules();
-      return 0;
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: apollo-lint [--root DIR] [--list-rules] "
-                   "[subdir...]\n       (default subdirs: src tools bench "
-                   "tests)\n";
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "apollo-lint: unknown option " << arg << "\n";
-      return 2;
-    } else {
-      dirs.emplace_back(arg);
-    }
-  }
-  if (dirs.empty()) dirs = {"src", "tools", "bench", "tests"};
-
-  const std::vector<fs::path> files = srcmodel::collect_sources(root, dirs);
-
-  std::vector<Diagnostic> diags;
-  Linter linter(&diags);
-  int scanned = 0;
-  for (const fs::path& f : files) {
-    SourceFile ft;
-    if (!srcmodel::load_file(f, fs::relative(f, root).generic_string(), ft)) {
-      std::cerr << "apollo-lint: cannot read " << f << "\n";
-      return 2;
-    }
-    linter.lint(ft);
-    ++scanned;
-  }
-
-  std::sort(diags.begin(), diags.end(), [](const auto& a, const auto& b) {
-    return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
-  });
-  for (const Diagnostic& d : diags)
-    std::cout << d.file << ":" << d.line << ": " << d.rule << ": "
-              << d.message << "\n";
-  if (diags.empty()) {
-    std::cout << "apollo-lint: " << scanned << " files clean\n";
-    return 0;
-  }
-  std::cerr << "apollo-lint: " << diags.size() << " finding(s) in "
-            << scanned << " files\n";
-  return 1;
+void pass_lint(const AnalysisContext& ctx, std::vector<Finding>& out) {
+  Linter linter(&out);
+  for (const auto& [path, sf] : ctx.files) linter.lint(sf);
 }
+
+}  // namespace analyze

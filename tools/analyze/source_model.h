@@ -1,9 +1,9 @@
-// Shared source model for the repo's static-analysis tools (apollo-lint,
-// apollo-analyze): a dependency-free, string/comment/raw-string aware C++
-// tokenizer plus the `// lint:allow(rule)` suppression machinery.
+// Shared source model for every apollo-analyze pass: a dependency-free,
+// string/comment/raw-string aware C++ tokenizer plus the
+// `// lint:allow(rule)` suppression machinery.
 //
-// Both tools are deliberately self-contained (no link against the apollo
-// libraries — they must build and run even when the library is broken), so
+// The analyzer is deliberately self-contained (no link against the apollo
+// libraries — it must build and run even when the library is broken), so
 // this layer depends on the standard library only.
 //
 // A SourceFile carries three synchronized views of one file:

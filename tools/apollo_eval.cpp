@@ -13,7 +13,7 @@
 #include "data/corpus.h"
 #include "data/text_corpus.h"
 #include "nn/llama.h"
-#include "nn/sampler.h"
+#include "serve/batcher.h"
 #include "train/checkpoint.h"
 #include "train/trainer.h"
 
@@ -101,19 +101,21 @@ int main(int argc, char** argv) {
               std::exp(loss));
 
   // Optional sampling.
-  const int n_generate = static_cast<int>(args.get_int("generate", 0));
+  // Read every sampling flag before the unknown-flag check, so a given
+  // --temperature/--top-k is not reported as unrecognized.
+  serve::GenParams gp;
+  gp.max_tokens = static_cast<int>(args.get_int("generate", 0));
+  gp.temperature = static_cast<float>(args.get_double("temperature", 0.8));
+  gp.top_k = static_cast<int>(args.get_int("top-k", 40));
   const std::string prompt_str = args.get("prompt", "");
   for (const auto& flag : args.unknown())
     std::fprintf(stderr, "warning: unrecognized flag %s\n", flag.c_str());
-  if (n_generate > 0) {
-    nn::SamplerConfig sc;
-    sc.temperature = static_cast<float>(args.get_double("temperature", 0.8));
-    sc.top_k = static_cast<int>(args.get_int("top-k", 40));
+  if (gp.max_tokens > 0) {
     std::vector<int32_t> prompt;
     for (char c : prompt_str)
       prompt.push_back(static_cast<int32_t>(static_cast<unsigned char>(c)) %
                        cfg.vocab);
-    auto tokens = nn::generate(model, prompt, n_generate, sc);
+    auto tokens = serve::generate(model, prompt, gp);
     if (cfg.vocab == 256) {
       std::printf("\n--- sample ---\n%s", prompt_str.c_str());
       for (int32_t t : tokens) {
