@@ -189,7 +189,7 @@ int64_t Apollo::state_bytes() const {
 }
 
 // Pure serialization: `params` only fixes key order, shapes are validated
-// by read_matrix/write_matrix and the cross-moment check in load_state.
+// by read_matrix/write_matrix and the cross-moment check in merge_state.
 // lint:allow(check-shape-preconditions)
 bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
   if (!write_pod(f, t_) || !write_rng_state(f, seeder_.state()))
@@ -219,31 +219,13 @@ bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
   return dense_.save(f, static_cast<int64_t>(params.size()));
 }
 
+// A full load is a merge into cleared state; merge_state parses and checks
+// every record.
+// lint:allow(check-shape-preconditions)
 bool Apollo::load_state(std::FILE* f, const nn::ParamList& params) {
-  Rng::State rs;
-  if (!read_pod(f, t_) || !read_rng_state(f, rs)) return false;
-  seeder_.set_state(rs);
-  states_.assign(params.size(), State());
-  for (size_t i = 0; i < params.size(); ++i) {
-    uint8_t present = 0;
-    if (!read_pod(f, present)) return false;
-    if (!present) continue;
-    State& s = states_[i];
-    uint8_t side = 0;
-    double nl = -1.0;
-    if (!read_pod(f, side) || !read_pod(f, s.proj_seed) ||
-        !read_pod(f, s.local_t) || !read_pod(f, nl) ||
-        !read_matrix(f, s.svd_projector) || !read_matrix(f, s.m) ||
-        !read_matrix(f, s.v))
-      return false;
-    s.side = side == 0 ? ProjectionSide::kLeft : ProjectionSide::kRight;
-    // The auxiliary moments must agree with each other — a corrupt or
-    // truncated checkpoint fails here rather than thousands of steps later.
-    APOLLO_CHECK_SAME_SHAPE(s.m, s.v);
-    s.limiter = optim::NormGrowthLimiter(cfg_.nl_gamma);
-    s.limiter.set_tracked_norm(nl);
-  }
-  return dense_.load(f, static_cast<int64_t>(params.size()));
+  states_.clear();
+  dense_.reset();
+  return merge_state(f, params);
 }
 
 // Shard merge: every present record carries metadata this rank must know

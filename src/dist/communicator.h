@@ -1,18 +1,16 @@
-// Multi-process data-parallel communication over local transports.
+// Multi-process data-parallel communication over shared memory.
 //
 // A *world* is a set of worker processes forked from one supervisor
 // (dist/world.h). Every worker holds a Communicator wired to a shared
-// anonymous memory region mapped before the fork; bulk data moves either
-// through per-rank slots in that region (Transport::kShm, the default) or
-// through a full mesh of Unix-domain socketpairs (Transport::kSocket).
-// Control words — the abort command, the generation-counting barrier and
-// the per-rank heartbeats read by the supervisor's hung-rank detector —
-// always live in shared memory regardless of transport.
+// anonymous memory region mapped before the fork: bulk data moves through
+// per-rank slots in that region, next to the control words — the abort
+// command, the generation-counting barrier and the per-rank heartbeats read
+// by the supervisor's hung-rank detector.
 //
 // Determinism contract (tests/dist_test.cpp): all-reduce chunks data into
 // fixed kBucketFloats buckets, gathers every rank's bucket, and then EVERY
 // rank computes the same left-to-right rank-ordered float sum. The result
-// is bit-identical across ranks, runs, and transports, and — because the
+// is bit-identical across ranks and runs, and — because the
 // rank-ordered sum is exactly the order in which a single process
 // accumulates micro-batch gradients — a W-rank world reproduces the
 // single-process `--grad-accum W` trajectory bit for bit (DISTRIBUTED.md).
@@ -28,7 +26,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace apollo::dist {
 
@@ -37,11 +34,8 @@ inline constexpr int kMaxRanks = 16;
 // shared region's footprint is independent of model shape.
 inline constexpr int64_t kBucketFloats = 64 * 1024;
 
-enum class Transport : uint8_t { kShm, kSocket };
-
-const char* transport_name(Transport t);
-// Accepts "shm" / "socket"; returns false on anything else.
-bool parse_transport(const std::string& name, Transport* out);
+// Unread (shm is the only transport); kept because perfbench/ assigns kShm.
+enum class Transport : uint8_t { kShm };
 
 // Thrown from inside a collective when the world is tearing down (the
 // supervisor set the abort command after losing a rank) or a peer stopped
@@ -70,18 +64,14 @@ static_assert(std::atomic<uint32_t>::is_always_lock_free &&
 class Communicator {
  public:
   // Assembled by World inside each worker right after fork. `slots` points
-  // at world × kBucketFloats floats of shared memory (shm transport;
-  // nullptr under sockets). `peer_fds[r]` is this rank's end of the
-  // socketpair to rank r (socket transport; own entry -1).
+  // at world × kBucketFloats floats of shared memory.
   Communicator(ControlBlock* ctl, float* slots, int rank, int world,
-               int epoch, Transport transport, std::vector<int> peer_fds,
-               int timeout_ms);
+               int epoch, int timeout_ms);
 
   int rank() const { return rank_; }
   int world() const { return world_; }
   // 0 for the first incarnation; +1 per supervisor-driven world restart.
   int epoch() const { return epoch_; }
-  Transport transport() const { return transport_; }
 
   // In-place deterministic all-reduce SUM over float data. Every rank ends
   // with the identical left-to-right rank-ordered sum (see file comment).
@@ -101,28 +91,12 @@ class Communicator {
                        std::chrono::steady_clock::time_point deadline);
   std::chrono::steady_clock::time_point deadline() const;
 
-  struct IoOp {
-    int fd = -1;
-    bool send = false;
-    char* buf = nullptr;      // recv target (send uses cbuf)
-    const char* cbuf = nullptr;
-    size_t bytes = 0;
-    size_t done = 0;
-  };
-  // Drives a set of nonblocking socket transfers to completion, polling the
-  // abort command, ticking the heartbeat, and enforcing the deadline.
-  void pump_io(std::vector<IoOp>& ops, const char* what);
-  void exchange_chunk(const float* mine, int64_t count);  // socket allgather
-
   ControlBlock* ctl_;
   float* slots_;
   int rank_;
   int world_;
   int epoch_;
-  Transport transport_;
-  std::vector<int> peer_fds_;
   int timeout_ms_;
-  std::vector<float> scratch_;  // socket transport: world × bucket recv area
 };
 
 }  // namespace apollo::dist

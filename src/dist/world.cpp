@@ -2,7 +2,6 @@
 
 #include <signal.h>
 #include <sys/mman.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -50,8 +49,8 @@ World::World(const WorldConfig& cfg) : cfg_(cfg) {
     std::abort();
   }
   // One region serves every incarnation: control words up front, then the
-  // per-rank all-reduce slots (used by the shm transport; harmlessly idle
-  // under sockets). Sized for the initial width, which only ever shrinks.
+  // per-rank all-reduce slots. Sized for the initial width, which only ever
+  // shrinks.
   const size_t slot_bytes = static_cast<size_t>(cfg_.ranks) *
                             static_cast<size_t>(kBucketFloats) * sizeof(float);
   shm_bytes_ = sizeof(ControlBlock) + 64 + slot_bytes;
@@ -108,36 +107,6 @@ int World::run_epoch(int world, int epoch,
   ControlBlock* cb = control();
   reset_control(cb, epoch);
 
-  // Socket transport: full mesh of nonblocking stream socketpairs, created
-  // before the forks so each worker inherits its row.
-  std::vector<std::vector<int>> mesh(
-      static_cast<size_t>(world), std::vector<int>(static_cast<size_t>(world), -1));
-  if (cfg_.transport == Transport::kSocket) {
-    for (int i = 0; i < world; ++i) {
-      for (int j = 0; j < i; ++j) {
-        int sv[2];
-        if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0, sv) != 0) {
-          std::fprintf(stderr, "[dist] socketpair failed: %s\n",
-                       std::strerror(errno));
-          return 1;
-        }
-        mesh[static_cast<size_t>(i)][static_cast<size_t>(j)] = sv[0];
-        mesh[static_cast<size_t>(j)][static_cast<size_t>(i)] = sv[1];
-      }
-    }
-  }
-
-  const auto close_mesh_except_row = [&](int keep_row) {
-    for (int i = 0; i < world; ++i) {
-      if (i == keep_row) continue;
-      for (int j = 0; j < world; ++j) {
-        int& fd = mesh[static_cast<size_t>(i)][static_cast<size_t>(j)];
-        if (fd >= 0) close(fd);
-        fd = -1;
-      }
-    }
-  };
-
   std::fflush(nullptr);  // no buffered bytes may be duplicated into workers
   std::vector<pid_t> pids(static_cast<size_t>(world), -1);
   for (int r = 0; r < world; ++r) {
@@ -148,13 +117,10 @@ int World::run_epoch(int world, int epoch,
       for (int k = 0; k < r; ++k) kill(pids[static_cast<size_t>(k)], SIGKILL);
       for (int k = 0; k < r; ++k)
         waitpid(pids[static_cast<size_t>(k)], nullptr, 0);
-      close_mesh_except_row(-1);
       return 1;
     }
     if (pid == 0) {
-      close_mesh_except_row(r);
-      Communicator comm(cb, slots(), r, world, epoch, cfg_.transport,
-                        mesh[static_cast<size_t>(r)], cfg_.timeout_ms);
+      Communicator comm(cb, slots(), r, world, epoch, cfg_.timeout_ms);
       int code = 70;  // EX_SOFTWARE unless the body says otherwise
       try {
         code = body(comm);
@@ -174,7 +140,6 @@ int World::run_epoch(int world, int epoch,
     }
     pids[static_cast<size_t>(r)] = pid;
   }
-  close_mesh_except_row(-1);
 
   // Monitor: reap exits, watch heartbeats, drive the drain on failure.
   int running = world;

@@ -38,7 +38,7 @@ inline constexpr int kWorkerInterruptedExit = 75;
 
 struct WorldConfig {
   int ranks = 1;                   // 1..kMaxRanks
-  Transport transport = Transport::kShm;
+  Transport transport = Transport::kShm;  // unread; perfbench/ assigns it
   int timeout_ms = 30000;          // heartbeat-stall + drain-grace timeout
   bool shrink_on_failure = false;  // restart with one rank fewer
   int max_restarts = 3;            // world restarts before giving up

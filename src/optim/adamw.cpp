@@ -13,10 +13,11 @@ bool AdamW::save_state(std::FILE* f, const nn::ParamList& params) const {
          core_.save(f, static_cast<int64_t>(params.size()));
 }
 
+// A full load is a merge into cleared state.
 // lint:allow(check-shape-preconditions)
 bool AdamW::load_state(std::FILE* f, const nn::ParamList& params) {
-  return read_pod(f, t_) &&
-         core_.load(f, static_cast<int64_t>(params.size()));
+  core_.reset();
+  return merge_state(f, params);
 }
 
 // Every shard stores the same t_, so re-reading it per shard is harmless.

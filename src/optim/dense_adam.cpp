@@ -54,20 +54,6 @@ bool DenseAdamCore::save(std::FILE* f, int64_t n_slots) const {
   return true;
 }
 
-bool DenseAdamCore::load(std::FILE* f, int64_t n_slots) {
-  states_.clear();
-  states_.resize(static_cast<size_t>(n_slots));
-  for (int64_t i = 0; i < n_slots; ++i) {
-    Matrix m, v;
-    if (!read_matrix(f, m) || !read_matrix(f, v)) return false;
-    if (m.size() == 0) continue;  // slot had no state when saved
-    State& s = states_[static_cast<size_t>(i)];
-    s.m = std::move(m);
-    s.v = std::move(v);
-  }
-  return true;
-}
-
 bool DenseAdamCore::load_merge(std::FILE* f, int64_t n_slots, int rank,
                                int world) {
   if (static_cast<int64_t>(states_.size()) < n_slots)

@@ -42,11 +42,11 @@ class DenseAdamCore {
   // save_state; the record layout matches the old pointer-keyed format, so
   // existing checkpoints stay byte-compatible.
   bool save(std::FILE* f, int64_t n_slots) const;
-  bool load(std::FILE* f, int64_t n_slots);
-  // Shard-merge variant of load: keeps state already merged from other
-  // shards, and of the incoming records keeps only the slots with
+  // Reads what save wrote, keeping state already merged from other shards;
+  // of the incoming records it keeps only the slots with
   // `world <= 1 || slot % world == rank` (this instance's ZeRO-1 shard) so
-  // resident moments stay at 1/R after a full merge pass.
+  // resident moments stay at 1/R after a full merge pass. A full load is
+  // reset() then load_merge.
   bool load_merge(std::FILE* f, int64_t n_slots, int rank, int world);
 
  private:

@@ -71,17 +71,33 @@ inline bool read_string(std::FILE* f, std::string& s, uint32_t max = 4096) {
   return read_bytes(f, s.data(), n);
 }
 
+// Bytes between the read position and the end of `f`, or -1 when the
+// stream cannot seek. Readers check length fields against it before the
+// length sizes an allocation.
+inline int64_t stream_bytes_left(std::FILE* f) {
+  const long at = std::ftell(f);
+  if (at < 0 || std::fseek(f, 0, SEEK_END) != 0) return -1;
+  const long end = std::ftell(f);
+  if (std::fseek(f, at, SEEK_SET) != 0 || end < at) return -1;
+  return end - at;
+}
+
 inline bool write_matrix(std::FILE* f, const Matrix& m) {
   const int64_t r = m.rows(), c = m.cols();
   return write_pod(f, r) && write_pod(f, c) &&
          write_bytes(f, m.data(),
                      static_cast<size_t>(m.size()) * sizeof(float));
 }
+// A shape that needs more floats than the stream has left is refused
+// before `m` is resized, so `m` keeps its old shape on every failure before
+// the payload read. (A stream that cannot seek has no known size: only
+// empty matrices load from it.)
 inline bool read_matrix(std::FILE* f, Matrix& m) {
   int64_t r = 0, c = 0;
-  if (!read_pod(f, r) || !read_pod(f, c) || r < 0 || c < 0 ||
-      r * c > (1ll << 32))
-    return false;
+  if (!read_pod(f, r) || !read_pod(f, c) || r < 0 || c < 0) return false;
+  const int64_t floats_left =
+      stream_bytes_left(f) / static_cast<int64_t>(sizeof(float));
+  if (c != 0 && r > floats_left / c) return false;
   m.reshape_discard(r, c);
   return read_bytes(f, m.data(),
                     static_cast<size_t>(m.size()) * sizeof(float));

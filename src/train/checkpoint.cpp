@@ -4,12 +4,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <fcntl.h>
-#include <memory>
 #include <unistd.h>
 #include <vector>
 
-#include "fault/crc32.h"
 #include "fault/fault_injection.h"
 #include "nn/parameter.h"
 #include "obs/trace.h"
@@ -24,52 +21,20 @@ constexpr char kEndMagic[4] = {'O', 'L', 'P', 'A'};
 constexpr uint32_t kVersion = 3;
 constexpr int kSaveAttempts = 3;
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-struct FreeDeleter {
-  void operator()(void* p) const { std::free(p); }
-};
-
 CheckpointResult fail(const std::string& msg) {
   CheckpointResult r;
   r.error = msg;
   return r;
 }
 
-// CrcWriter / CrcReader (the CRC-32-sectioned stream helpers this file
-// historically owned) live in train/ckpt_io.h so the per-rank shard writer
-// in resilience.cpp shares the exact on-disk section framing.
-
-// Serializes the optimizer state into memory so the section can be
-// length-prefixed and checksummed. Returns false when the optimizer does
-// not support serialization (the caller then writes a weights-only file).
-bool capture_optimizer_blob(const optim::Optimizer& opt,
-                            const nn::ParamList& params,
-                            std::vector<char>* out) {
-  char* buf = nullptr;
-  size_t len = 0;
-  std::FILE* mf = open_memstream(&buf, &len);
-  if (mf == nullptr) return false;
-  const bool supported = opt.save_state(mf, params);
-  std::fclose(mf);
-  std::unique_ptr<char, FreeDeleter> owned(buf);
-  if (!supported) return false;
-  out->assign(owned.get(), owned.get() + len);
-  return true;
-}
-
-// Writes the full v3 payload into an already-open temp file. `step` is
-// forwarded to the fault-injection hooks. Sets *opt_section_off to the file
-// offset where the optimizer section begins (for the bitflip_opt fault).
-CheckpointResult write_payload(std::FILE* f, const std::string& path,
-                               nn::LlamaModel& model, int64_t step,
-                               const optim::Optimizer* opt,
-                               long* opt_section_off) {
+// Writes the full v3 payload into an already-open temp file; returns "" or
+// what failed. `step` is forwarded to the fault-injection hooks. Sets
+// *opt_section_off to the file offset where the optimizer section begins
+// (for the bitflip_opt fault) and *saved_state when that section carries
+// optimizer state.
+std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
+                          const optim::Optimizer* opt, long* opt_section_off,
+                          bool* saved_state) {
   CrcWriter w(f);
   auto params = model.parameters();
   const uint32_t count = static_cast<uint32_t>(params.size());
@@ -79,7 +44,7 @@ CheckpointResult write_payload(std::FILE* f, const std::string& path,
   w.write_pod(step);
   w.write_pod(count);
   w.emit_crc();
-  if (!w.ok()) return fail("write failed (header): " + path);
+  if (!w.ok()) return "write failed (header)";
 
   size_t i = 0;
   for (const nn::Parameter* p : params) {
@@ -100,33 +65,25 @@ CheckpointResult write_payload(std::FILE* f, const std::string& path,
     w.write(p->value.data(),
             static_cast<size_t>(p->value.size()) * sizeof(float));
     w.emit_crc();
-    if (!w.ok()) return fail("write failed (param " + p->name + "): " + path);
+    if (!w.ok()) return "write failed (param " + p->name + ")";
   }
 
   *opt_section_off = std::ftell(f);
-  CheckpointResult r;
   std::vector<char> blob;
-  const bool has_state =
-      opt != nullptr && capture_optimizer_blob(*opt, params, &blob);
-  const uint8_t has_opt = has_state ? 1 : 0;
+  *saved_state = opt != nullptr && capture_optimizer_blob(*opt, params, &blob);
+  const uint8_t has_opt = *saved_state ? 1 : 0;
   w.write_pod(has_opt);
-  if (has_state) {
+  if (*saved_state) {
     const std::string name = opt->name();
     const uint32_t name_len = static_cast<uint32_t>(name.size());
-    const uint64_t blob_len = blob.size();
     w.write_pod(name_len);
     w.write(name.data(), name_len);
-    w.write_pod(blob_len);
-    w.write(blob.data(), blob.size());
-    r.optimizer_state_restored = true;  // saved, symmetrically
+    w.write_blob(blob);
   }
   w.emit_crc();
   w.write_raw(kEndMagic, 4);
-  if (!w.ok()) return fail("write failed (optimizer section): " + path);
-
-  r.ok = true;
-  r.step = step;
-  return r;
+  if (!w.ok()) return "write failed (optimizer section)";
+  return std::string();
 }
 
 void backoff_sleep(int attempt) {
@@ -135,19 +92,6 @@ void backoff_sleep(int attempt) {
   timespec ts{};
   ts.tv_nsec = 10L * 1000 * 1000 << (2 * attempt);
   nanosleep(&ts, nullptr);
-}
-
-// Flushes the renamed file's directory so the rename itself is durable.
-void fsync_parent_dir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 // Post-commit fault hooks: corrupt the just-renamed checkpoint in the ways
@@ -195,51 +139,33 @@ CheckpointResult save_checkpoint(const std::string& path,
                                  nn::LlamaModel& model, int64_t step,
                                  const optim::Optimizer* opt) {
   APOLLO_TRACE_SCOPE("save_checkpoint", "io");
-  const std::string tmp = path + ".tmp";
-  CheckpointResult last;
+  std::string err;
   for (int attempt = 0; attempt < kSaveAttempts; ++attempt) {
     if (attempt > 0) backoff_sleep(attempt - 1);
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) {
-      last = fail("cannot open for writing: " + tmp);
-      continue;
-    }
     long opt_section_off = 0;
-    CheckpointResult r =
-        write_payload(f.get(), tmp, model, step, opt, &opt_section_off);
-    if (!r.ok) {
-      f.reset();
-      std::remove(tmp.c_str());
-      last = std::move(r);
-      continue;
+    bool saved_state = false;
+    err = commit_file(path, [&](std::FILE* f) {
+      return write_payload(f, model, step, opt, &opt_section_off,
+                           &saved_state);
+    });
+    if (err.empty()) {
+      apply_post_commit_faults(path, step, opt_section_off);
+      CheckpointResult r;
+      r.ok = true;
+      r.step = step;
+      r.optimizer_state_restored = saved_state;  // saved, symmetrically
+      return r;
     }
-    // Durability: flush user-space buffers, then the kernel's, then commit
-    // via rename, then make the rename itself durable.
-    if (std::fflush(f.get()) != 0 || ::fsync(::fileno(f.get())) != 0) {
-      f.reset();
-      std::remove(tmp.c_str());
-      last = fail("fsync failed: " + tmp);
-      continue;
-    }
-    f.reset();
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      last = fail("rename failed: " + tmp + " -> " + path);
-      continue;
-    }
-    fsync_parent_dir(path);
-    apply_post_commit_faults(path, step, opt_section_off);
-    return r;
   }
-  last.error += " (after " + std::to_string(kSaveAttempts) + " attempts)";
-  return last;
+  return fail(err + " (after " + std::to_string(kSaveAttempts) +
+              " attempts)");
 }
 
 namespace {
 
-CheckpointResult load_v3(std::FILE* f, const std::string& path,
+// Reads the sections after the header; `rd` continues the header's reader.
+CheckpointResult load_v3(CrcReader& rd, std::FILE* f, const std::string& path,
                          const nn::ParamList& params, optim::Optimizer* opt) {
-  CrcReader rd(f);
   for (nn::Parameter* p : params) {
     uint32_t name_len = 0;
     if (!rd.read_pod(name_len) || name_len > 4096)
@@ -275,14 +201,12 @@ CheckpointResult load_v3(std::FILE* f, const std::string& path,
     if (!rd.read_pod(name_len) || name_len > 4096)
       return fail("truncated optimizer section: " + path);
     opt_name.assign(name_len, '\0');
-    uint64_t blob_len = 0;
-    if (!rd.read(opt_name.data(), name_len) || !rd.read_pod(blob_len))
-      return fail("truncated optimizer section: " + path);
-    if (blob_len > (uint64_t{1} << 33))
-      return fail("corrupt optimizer blob length: " + path);
-    blob.resize(blob_len);
-    if (!rd.read(blob.data(), blob.size()))
-      return fail("truncated optimizer section: " + path);
+    std::string bad_length;
+    if (!rd.read(opt_name.data(), name_len) ||
+        !rd.read_blob(&blob, &bad_length))
+      return fail(bad_length.empty()
+                      ? "truncated optimizer section: " + path
+                      : "optimizer blob " + bad_length + ": " + path);
   }
   if (!rd.check_crc())
     return fail(rd.ok() ? "CRC mismatch in optimizer section: " + path
@@ -329,34 +253,24 @@ CheckpointResult load_checkpoint(const std::string& path,
   if (std::memcmp(magic, kMagic, 4) != 0)
     return fail("bad magic (not an APOLLO checkpoint): " + path);
 
+  // Header section: the CRC covers version|step|count.
+  CrcReader rd(f.get());
   uint32_t version = 0;
-  if (std::fread(&version, 1, sizeof version, f.get()) != sizeof version)
-    return fail("truncated header: " + path);
+  if (!rd.read_pod(version)) return fail("truncated header: " + path);
   if (version != kVersion)
     return fail("unsupported checkpoint version " + std::to_string(version));
-
-  auto params = model.parameters();
   int64_t step = 0;
   uint32_t count = 0;
-  // Header section: CRC covers version|step|count.
-  uint32_t crc =
-      fault::crc32_update(fault::kCrc32Init, &version, sizeof version);
-  if (std::fread(&step, 1, sizeof step, f.get()) != sizeof step ||
-      std::fread(&count, 1, sizeof count, f.get()) != sizeof count)
-    return fail("truncated header: " + path);
-  crc = fault::crc32_update(crc, &step, sizeof step);
-  crc = fault::crc32_update(crc, &count, sizeof count);
-  uint32_t stored = 0;
-  if (std::fread(&stored, 1, sizeof stored, f.get()) != sizeof stored)
-    return fail("truncated header: " + path);
-  if (stored != fault::crc32_final(crc))
-    return fail("CRC mismatch in header: " + path);
+  if (!rd.read_pod(step) || !rd.read_pod(count) || !rd.check_crc())
+    return fail(rd.ok() ? "CRC mismatch in header: " + path
+                        : "truncated header: " + path);
+  auto params = model.parameters();
   if (count != params.size())
     return fail("parameter count mismatch: file has " +
                 std::to_string(count) + ", model has " +
                 std::to_string(params.size()));
 
-  CheckpointResult r = load_v3(f.get(), path, params, opt);
+  CheckpointResult r = load_v3(rd, f.get(), path, params, opt);
   if (r.ok) r.step = step;
   return r;
 }

@@ -1,15 +1,11 @@
 #include "train/resilience.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <memory>
+#include <functional>
 
 #include "nn/llama.h"
 #include "nn/parameter.h"
@@ -121,8 +117,19 @@ CheckpointResult CheckpointRotator::save(nn::LlamaModel& model, int64_t step,
   return r;
 }
 
-ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
-                         optim::Optimizer* opt) {
+namespace {
+
+// Loads the checkpoint at one step for resume_newest_first. Returns true
+// once it is loaded (filling rr->step and rr->optimizer_state_restored), or
+// false with the skip reason in *why. Setting rr->error ends the scan.
+using StepLoader =
+    std::function<bool(int64_t step, ResumeResult* rr, std::string* why)>;
+
+// The newest-first scan behind both resume kinds. Each skip is counted in
+// `ckpt.corrupt_skipped`; `kind` names the files in the final error.
+ResumeResult resume_newest_first(const std::string& dir,
+                                 nn::LlamaModel& model, const char* kind,
+                                 const StepLoader& load_step) {
   ResumeResult rr;
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) return rr;
@@ -138,22 +145,39 @@ ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
   snapshot.reserve(params.size());
   for (const nn::Parameter* p : params) snapshot.push_back(p->value);
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-    const std::string path = CheckpointRotator::path_for(dir, *it);
-    CheckpointResult r = load_checkpoint(path, model, opt);
-    if (r.ok) {
+    std::string why;
+    if (load_step(*it, &rr, &why)) {
       rr.resumed = true;
-      rr.step = r.step;
-      rr.optimizer_state_restored = r.optimizer_state_restored;
       return rr;
     }
+    if (!rr.error.empty()) return rr;
     skipped.add(1);
-    rr.skipped.push_back(path + ": " + r.error);
+    rr.skipped.push_back(std::move(why));
   }
   for (size_t i = 0; i < params.size(); ++i)
     params[i]->value = snapshot[i];
-  rr.error = "no loadable checkpoint among " + std::to_string(steps.size()) +
-             " candidate(s) in " + dir;
+  rr.error = std::string("no loadable ") + kind + " among " +
+             std::to_string(steps.size()) + " candidate(s) in " + dir;
   return rr;
+}
+
+}  // namespace
+
+ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
+                         optim::Optimizer* opt) {
+  return resume_newest_first(
+      dir, model, "checkpoint",
+      [&](int64_t step, ResumeResult* rr, std::string* why) {
+        const std::string path = CheckpointRotator::path_for(dir, step);
+        const CheckpointResult r = load_checkpoint(path, model, opt);
+        if (!r.ok) {
+          *why = path + ": " + r.error;
+          return false;
+        }
+        rr->step = r.step;
+        rr->optimizer_state_restored = r.optimizer_state_restored;
+        return true;
+      });
 }
 
 // --- DDP shard checkpoints -------------------------------------------------
@@ -163,13 +187,6 @@ namespace {
 constexpr char kShardMagic[4] = {'A', 'P', 'S', 'D'};
 constexpr char kShardEndMagic[4] = {'D', 'S', 'P', 'A'};
 constexpr uint32_t kShardVersion = 1;
-
-struct ShardFileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using ShardFilePtr = std::unique_ptr<std::FILE, ShardFileCloser>;
 
 // Parses `ckpt_<step>.shard<rank>of<world>.aplo`; false for anything else.
 bool parse_shard_filename(const std::string& name, int64_t* step, int* rank,
@@ -205,18 +222,6 @@ bool parse_shard_filename(const std::string& name, int64_t* step, int* rank,
   return true;
 }
 
-void shard_fsync_parent_dir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
 }  // namespace
 
 std::string shard_path_for(const std::string& dir, int64_t step, int rank,
@@ -232,54 +237,27 @@ bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
     if (err != nullptr) *err = msg;
     return false;
   };
-  // Capture the optimizer blob in memory so it can be length-prefixed.
-  char* buf = nullptr;
-  size_t len = 0;
-  {
-    std::FILE* mf = open_memstream(&buf, &len);
-    if (mf == nullptr) return fail("open_memstream failed");
-    const bool ok = opt.save_state(mf, params);
-    std::fclose(mf);
-    if (!ok) {
-      std::free(buf);
-      return fail("optimizer '" + opt.name() +
-                  "' does not support state serialization");
-    }
-  }
-  std::unique_ptr<char, decltype(&std::free)> blob(buf, &std::free);
-
-  const std::string tmp = path + ".tmp";
-  ShardFilePtr f(std::fopen(tmp.c_str(), "wb"));
-  if (f == nullptr) return fail("cannot open for write: " + tmp);
-  CrcWriter w(f.get());
-  w.write_raw(kShardMagic, sizeof kShardMagic);
-  w.write_pod(kShardVersion);
-  w.write_pod(step);
-  w.write_pod(static_cast<uint32_t>(rank));
-  w.write_pod(static_cast<uint32_t>(world));
-  const std::string opt_name = opt.name();
-  w.write_pod(static_cast<uint32_t>(opt_name.size()));
-  w.write(opt_name.data(), opt_name.size());
-  w.emit_crc();
-  w.write_pod(static_cast<uint64_t>(len));
-  w.write(blob.get(), len);
-  w.emit_crc();
-  w.write_raw(kShardEndMagic, sizeof kShardEndMagic);
-  if (!w.ok()) {
-    std::remove(tmp.c_str());
-    return fail("write failed: " + tmp);
-  }
-  if (std::fflush(f.get()) != 0 || ::fsync(::fileno(f.get())) != 0) {
-    std::remove(tmp.c_str());
-    return fail("fsync failed: " + tmp);
-  }
-  f.reset();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail("rename failed: " + tmp + " -> " + path);
-  }
-  shard_fsync_parent_dir(path);
-  return true;
+  std::vector<char> blob;
+  if (!capture_optimizer_blob(opt, params, &blob))
+    return fail("optimizer '" + opt.name() +
+                "' does not support state serialization");
+  const std::string e = commit_file(path, [&](std::FILE* f) {
+    CrcWriter w(f);
+    w.write_raw(kShardMagic, sizeof kShardMagic);
+    w.write_pod(kShardVersion);
+    w.write_pod(step);
+    w.write_pod(static_cast<uint32_t>(rank));
+    w.write_pod(static_cast<uint32_t>(world));
+    const std::string opt_name = opt.name();
+    w.write_pod(static_cast<uint32_t>(opt_name.size()));
+    w.write(opt_name.data(), opt_name.size());
+    w.emit_crc();
+    w.write_blob(blob);
+    w.emit_crc();
+    w.write_raw(kShardEndMagic, sizeof kShardEndMagic);
+    return w.ok() ? std::string() : std::string("write failed");
+  });
+  return e.empty() || fail(e);
 }
 
 bool read_state_shard(const std::string& path, int64_t expect_step,
@@ -289,7 +267,7 @@ bool read_state_shard(const std::string& path, int64_t expect_step,
     if (err != nullptr) *err = path + ": " + msg;
     return false;
   };
-  ShardFilePtr f(std::fopen(path.c_str(), "rb"));
+  const FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) return fail("cannot open");
   CrcReader rd(f.get());
   char magic[4] = {};
@@ -311,11 +289,11 @@ bool read_state_shard(const std::string& path, int64_t expect_step,
     return fail("step mismatch: holds " + std::to_string(step));
   if (static_cast<int>(rank) != expect_rank)
     return fail("rank mismatch: holds " + std::to_string(rank));
-  uint64_t blob_len = 0;
-  if (!rd.read_pod(blob_len) || blob_len > (uint64_t{1} << 40))
-    return fail("implausible state blob length");
-  std::vector<char> bytes(static_cast<size_t>(blob_len));
-  if (!rd.read(bytes.data(), bytes.size())) return fail("truncated state blob");
+  std::vector<char> bytes;
+  std::string bad_length;
+  if (!rd.read_blob(&bytes, &bad_length))
+    return fail(bad_length.empty() ? "truncated state blob"
+                                   : "state blob " + bad_length);
   if (!rd.check_crc()) return fail("CRC mismatch in state blob");
   char end[4] = {};
   if (std::fread(end, 1, sizeof end, f.get()) != sizeof end ||
@@ -353,47 +331,32 @@ int shard_world_at(const std::string& dir, int64_t step) {
   return best;
 }
 
+// Every rank builds `weights_` and so sweeps stale temps; concurrent
+// removals are benign (remove with an error_code tolerates a peer getting
+// there first).
 DdpCheckpointRotator::DdpCheckpointRotator(std::string dir, int keep,
                                            int rank, int world)
-    : dir_(std::move(dir)), keep_(std::max(1, keep)), rank_(rank),
-      world_(world) {
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  // Every rank sweeps stale temps; concurrent removals are benign (remove
-  // with an error_code tolerates a peer getting there first).
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0)
-      fs::remove(entry.path(), ec);
-  }
-}
+    : weights_(std::move(dir), keep), rank_(rank), world_(world) {}
 
 bool DdpCheckpointRotator::save(nn::LlamaModel& model, int64_t step,
                                 const optim::Optimizer& opt,
                                 std::string* err) {
   if (rank_ == 0) {
     // Weights-only v3 file: the optimizer state lives in the shards.
-    CheckpointResult r = save_checkpoint(
-        CheckpointRotator::path_for(dir_, step), model, step, nullptr);
+    const CheckpointResult r = weights_.save(model, step, nullptr);
     if (!r.ok) {
       if (err != nullptr) *err = r.error;
       return false;
     }
-    std::vector<int64_t> steps = CheckpointRotator::list_steps(dir_);
-    std::error_code ec;
-    while (static_cast<int>(steps.size()) > keep_) {
-      fs::remove(CheckpointRotator::path_for(dir_, steps.front()), ec);
-      steps.erase(steps.begin());
-    }
   }
-  if (!save_state_shard(shard_path_for(dir_, step, rank_, world_), opt,
+  if (!save_state_shard(shard_path_for(dir(), step, rank_, world_), opt,
                         model.parameters(), step, rank_, world_, err))
     return false;
   // Prune this rank's own shard files (any world width — older epochs of a
-  // shrunk world included), newest keep_ retained.
+  // shrunk world included), newest keep retained.
   std::error_code ec;
   std::vector<std::pair<int64_t, std::string>> mine;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+  for (const auto& entry : fs::directory_iterator(dir(), ec)) {
     int64_t s = 0;
     int r = 0, w = 0;
     if (parse_shard_filename(entry.path().filename().string(), &s, &r, &w) &&
@@ -401,7 +364,7 @@ bool DdpCheckpointRotator::save(nn::LlamaModel& model, int64_t step,
       mine.emplace_back(s, entry.path().string());
   }
   std::sort(mine.begin(), mine.end());
-  while (static_cast<int>(mine.size()) > keep_) {
+  while (static_cast<int>(mine.size()) > weights_.keep()) {
     fs::remove(mine.front().second, ec);
     mine.erase(mine.begin());
   }
@@ -410,73 +373,50 @@ bool DdpCheckpointRotator::save(nn::LlamaModel& model, int64_t step,
 
 ResumeResult auto_resume_ddp(const std::string& dir, nn::LlamaModel& model,
                              optim::Optimizer* opt) {
-  ResumeResult rr;
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) return rr;
-  std::vector<int64_t> steps = CheckpointRotator::list_steps(dir);
-  if (steps.empty()) return rr;
-  obs::Counter& skipped =
-      obs::Registry::instance().counter("ckpt.corrupt_skipped");
-  auto params = model.parameters();
-  std::vector<Matrix> snapshot;
-  snapshot.reserve(params.size());
-  for (const nn::Parameter* p : params) snapshot.push_back(p->value);
-  for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-    const int64_t step = *it;
-    const std::string wpath = CheckpointRotator::path_for(dir, step);
-    const int w = shard_world_at(dir, step);
-    if (w == 0) {
-      skipped.add(1);
-      rr.skipped.push_back(wpath + ": no complete optimizer shard set");
-      continue;
-    }
-    // Validate the whole shard set in memory before touching any state —
-    // a torn set must never leave the optimizer half-merged. The transient
-    // cost is one unsharded optimizer footprint, paid only during resume.
-    std::vector<std::vector<char>> blobs(static_cast<size_t>(w));
-    std::string err;
-    bool set_ok = true;
-    for (int r = 0; r < w && set_ok; ++r) {
-      set_ok = read_state_shard(shard_path_for(dir, step, r, w), step, r,
+  return resume_newest_first(
+      dir, model, "DDP checkpoint",
+      [&](int64_t step, ResumeResult* rr, std::string* why) {
+        const std::string wpath = CheckpointRotator::path_for(dir, step);
+        const int w = shard_world_at(dir, step);
+        if (w == 0) {
+          *why = wpath + ": no complete optimizer shard set";
+          return false;
+        }
+        // Validate the whole shard set in memory before touching any state
+        // — a torn set must never leave the optimizer half-merged. The
+        // transient cost is one unsharded optimizer footprint, paid only
+        // during resume.
+        std::vector<std::vector<char>> blobs(static_cast<size_t>(w));
+        for (int r = 0; r < w; ++r)
+          if (!read_state_shard(shard_path_for(dir, step, r, w), step, r,
                                 nullptr, nullptr,
-                                &blobs[static_cast<size_t>(r)], &err);
-    }
-    if (!set_ok) {
-      skipped.add(1);
-      rr.skipped.push_back(err);
-      continue;
-    }
-    CheckpointResult wres = load_checkpoint(wpath, model, nullptr);
-    if (!wres.ok) {
-      skipped.add(1);
-      rr.skipped.push_back(wpath + ": " + wres.error);
-      continue;
-    }
-    bool merged = opt != nullptr;
-    for (int r = 0; r < w && merged; ++r) {
-      std::vector<char>& blob = blobs[static_cast<size_t>(r)];
-      std::FILE* mf = fmemopen(blob.data(), blob.size(), "rb");
-      merged = mf != nullptr && opt->merge_state(mf, params);
-      if (mf != nullptr) std::fclose(mf);
-    }
-    if (opt != nullptr && !merged) {
-      // CRC-valid bytes failing the structured parse means a writer bug or
-      // an optimizer-family mismatch: resuming older state underneath a
-      // half-merged optimizer would silently corrupt the trajectory.
-      rr.error = "optimizer shard merge failed at step " +
-                 std::to_string(step) + " in " + dir;
-      return rr;
-    }
-    rr.resumed = true;
-    rr.step = wres.step;
-    rr.optimizer_state_restored = opt != nullptr;
-    return rr;
-  }
-  for (size_t i = 0; i < params.size(); ++i)
-    params[i]->value = snapshot[i];
-  rr.error = "no loadable DDP checkpoint among " +
-             std::to_string(steps.size()) + " candidate(s) in " + dir;
-  return rr;
+                                &blobs[static_cast<size_t>(r)], why))
+            return false;
+        const CheckpointResult wres = load_checkpoint(wpath, model, nullptr);
+        if (!wres.ok) {
+          *why = wpath + ": " + wres.error;
+          return false;
+        }
+        const nn::ParamList params = model.parameters();
+        bool merged = opt != nullptr;
+        for (int r = 0; r < w && merged; ++r) {
+          std::vector<char>& blob = blobs[static_cast<size_t>(r)];
+          std::FILE* mf = fmemopen(blob.data(), blob.size(), "rb");
+          merged = mf != nullptr && opt->merge_state(mf, params);
+          if (mf != nullptr) std::fclose(mf);
+        }
+        if (opt != nullptr && !merged) {
+          // CRC-valid bytes failing the structured parse means a writer bug
+          // or an optimizer-family mismatch: resuming older state underneath
+          // a half-merged optimizer would silently corrupt the trajectory.
+          rr->error = "optimizer shard merge failed at step " +
+                      std::to_string(step) + " in " + dir;
+          return false;
+        }
+        rr->step = wres.step;
+        rr->optimizer_state_restored = opt != nullptr;
+        return true;
+      });
 }
 
 }  // namespace apollo::train

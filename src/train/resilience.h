@@ -121,6 +121,7 @@ class CheckpointRotator {
   static std::vector<int64_t> list_steps(const std::string& dir);
 
   const std::string& dir() const { return dir_; }
+  int keep() const { return keep_; }
 
  private:
   std::string dir_;
@@ -148,12 +149,13 @@ ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
 // A DDP checkpoint at step S is a *set* of files in the same directory:
 //   ckpt_S.aplo                 weights only, written by rank 0 (v3 format)
 //   ckpt_S.shard<r>of<W>.aplo   rank r's optimizer-state shard, one per rank
-// Shard files use the same atomic temp+fsync+rename protocol and CRC-32
-// section framing as checkpoint v3 (train/ckpt_io.h). A set is loadable
-// only when the weights file and a complete, mutually consistent shard set
-// 0..W-1 all validate — torn sets (a crash mid-rotation) are skipped, and
-// every rank reaches the same verdict without communicating because all
-// ranks scan the same files.
+// Shard files are committed by the same code as checkpoint v3
+// (train/ckpt_io.h: commit_file) with the same CRC-32 section framing, and
+// their blob length is checked before it sizes an allocation. A set is
+// loadable only when the weights file and a complete, mutually consistent
+// shard set 0..W-1 all validate — torn sets (a crash mid-rotation) are
+// skipped, and every rank reaches the same verdict without communicating
+// because all ranks scan the same files.
 
 std::string shard_path_for(const std::string& dir, int64_t step, int rank,
                            int world);
@@ -177,8 +179,9 @@ bool read_state_shard(const std::string& path, int64_t expect_step,
 // preferring the larger is safe and deterministic.)
 int shard_world_at(const std::string& dir, int64_t step);
 
-// Rotating writer for DDP runs: rank 0 writes the weights file, every rank
-// writes its own shard, and every rank prunes only its own artifacts.
+// Rotating writer for DDP runs, built on CheckpointRotator: rank 0 writes
+// and rotates the weights files through it, every rank writes its own
+// shard, and every rank prunes only its own shards.
 class DdpCheckpointRotator {
  public:
   DdpCheckpointRotator(std::string dir, int keep, int rank, int world);
@@ -186,16 +189,16 @@ class DdpCheckpointRotator {
   bool save(nn::LlamaModel& model, int64_t step, const optim::Optimizer& opt,
             std::string* err);
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return weights_.dir(); }
 
  private:
-  std::string dir_;
-  int keep_;
+  CheckpointRotator weights_;
   int rank_;
   int world_;
 };
 
-// DDP auto-resume: scans newest-to-oldest over the weights steps, requires
+// DDP auto-resume: auto_resume's newest-to-oldest scan over the weights
+// steps (same skip counting and weight restore), where each step requires
 // a fully CRC-valid shard set (validated in memory *before* any state is
 // merged, so a bad set never leaves the optimizer half-merged), loads the
 // weights, then merges every shard in rank order through

@@ -80,55 +80,40 @@ TrainResult Trainer::run() {
 
   std::unique_ptr<CheckpointRotator> rotator;
   std::unique_ptr<DdpCheckpointRotator> ddp_rotator;
-  int start_step = 0;
-  if (rotating && comm_ != nullptr) {
+  if (rotating && comm_ != nullptr)
     ddp_rotator = std::make_unique<DdpCheckpointRotator>(
         rc.ckpt_dir, rc.ckpt_keep, rank, world);
-    if (rc.auto_resume) {
-      ResumeResult rr = auto_resume_ddp(rc.ckpt_dir, model_, &opt_);
-      res.corrupt_checkpoints_skipped = static_cast<int>(rr.skipped.size());
-      for (const std::string& s : rr.skipped)
-        std::fprintf(stderr, "[resume] skipped corrupt checkpoint %s\n",
-                     s.c_str());
-      if (rr.resumed) {
-        start_step = static_cast<int>(rr.step);
-        res.resumed_from_step = rr.step;
-        std::fprintf(stderr, "[resume] rank %d continuing from step %lld%s\n",
-                     rank, static_cast<long long>(rr.step),
-                     rr.optimizer_state_restored ? " with optimizer state"
-                                                 : " (weights only)");
-      } else if (!rr.error.empty()) {
-        res.diverged = true;
-        res.divergence_diagnostics = "auto-resume failed: " + rr.error;
-        return res;
-      }
-    }
-  } else if (rotating) {
+  else if (rotating)
     rotator = std::make_unique<CheckpointRotator>(rc.ckpt_dir, rc.ckpt_keep);
-    if (rc.auto_resume) {
-      ResumeResult rr = auto_resume(rc.ckpt_dir, model_, &opt_);
-      res.corrupt_checkpoints_skipped = static_cast<int>(rr.skipped.size());
-      for (const std::string& s : rr.skipped)
-        std::fprintf(stderr, "[resume] skipped corrupt checkpoint %s\n",
-                     s.c_str());
-      if (rr.resumed) {
-        start_step = static_cast<int>(rr.step);
-        res.resumed_from_step = rr.step;
-        // Checkpoints carry fp32 weights; absorb them back into the INT8
-        // store so the streaming per-slot requantization resumes from the
-        // restored trajectory instead of the construction-time codes.
-        if (qstore_ != nullptr) qstore_->requantize_from_params();
-        std::fprintf(stderr, "[resume] continuing from step %lld%s\n",
-                     static_cast<long long>(rr.step),
-                     rr.optimizer_state_restored ? " with optimizer state"
-                                                 : " (weights only)");
-      } else if (!rr.error.empty()) {
-        // Checkpoints existed but none loaded: starting over silently would
-        // discard the run the checkpoints were protecting.
-        res.diverged = true;
-        res.divergence_diagnostics = "auto-resume failed: " + rr.error;
-        return res;
-      }
+  // Log prefix naming this process under DDP.
+  const std::string who =
+      comm_ != nullptr ? "rank " + std::to_string(rank) + " " : "";
+  int start_step = 0;
+  if (rotating && rc.auto_resume) {
+    ResumeResult rr = comm_ != nullptr
+                          ? auto_resume_ddp(rc.ckpt_dir, model_, &opt_)
+                          : auto_resume(rc.ckpt_dir, model_, &opt_);
+    res.corrupt_checkpoints_skipped = static_cast<int>(rr.skipped.size());
+    for (const std::string& s : rr.skipped)
+      std::fprintf(stderr, "[resume] skipped corrupt checkpoint %s\n",
+                   s.c_str());
+    if (rr.resumed) {
+      start_step = static_cast<int>(rr.step);
+      res.resumed_from_step = rr.step;
+      // Checkpoints carry fp32 weights; absorb them back into the INT8
+      // store so the streaming per-slot requantization resumes from the
+      // restored trajectory instead of the construction-time codes.
+      if (qstore_ != nullptr) qstore_->requantize_from_params();
+      std::fprintf(stderr, "[resume] %scontinuing from step %lld%s\n",
+                   who.c_str(), static_cast<long long>(rr.step),
+                   rr.optimizer_state_restored ? " with optimizer state"
+                                               : " (weights only)");
+    } else if (!rr.error.empty()) {
+      // Checkpoints existed but none loaded: starting over silently would
+      // discard the run the checkpoints were protecting.
+      res.diverged = true;
+      res.divergence_diagnostics = "auto-resume failed: " + rr.error;
+      return res;
     }
   }
 
@@ -172,23 +157,7 @@ TrainResult Trainer::run() {
   // (grad-norm reduction, timing, JSONL write) is never taken.
   const bool telemetry = obs::telemetry_enabled();
   const bool faults = fault::enabled();
-  const bool fused_requested = cfg_.fused_update || fused_env_enabled();
-  // Every in-tree mode now composes with the fused path: gradient
-  // accumulation stashes complete per-micro gradients at leaf-completion,
-  // nan_grad faults inject there, and quantized weights requantize per slot.
-  // The fallback machinery stays for future truly-unsupported combinations:
-  // set `fused_unsupported` to a reason string to divert to the classic loop
-  // with a single warning and a `train.fused_fallback` counter bump.
-  const char* fused_unsupported = nullptr;
-  const bool fused = fused_requested && fused_unsupported == nullptr;
-  if (fused_requested && !fused) {
-    obs::Registry::instance().counter("train.fused_fallback").add(1);
-    std::fprintf(stderr,
-                 "[train] fused update requested but unavailable (%s); "
-                 "falling back to the unfused step\n",
-                 fused_unsupported != nullptr ? fused_unsupported
-                                              : "unsupported mode");
-  }
+  const bool fused = cfg_.fused_update || fused_env_enabled();
 
   // The shared per-leaf update machinery; both branches below drive it.
   UpdatePipeline pipeline(opt_, comm_, qstore_);
@@ -452,24 +421,21 @@ TrainResult Trainer::run() {
     }
 
     if (rotating && (step + 1) % std::max(1, rc.ckpt_every) == 0) {
+      std::string err;
+      bool saved = false;
       if (ddp_rotator != nullptr) {
-        std::string err;
-        if (ddp_rotator->save(model_, step + 1, opt_, &err)) {
-          last_ckpt_step = step + 1;
-          ++res.checkpoints_saved;
-        } else {
-          std::fprintf(stderr, "[ckpt] rank %d save failed at step %d: %s\n",
-                       rank, step + 1, err.c_str());
-        }
+        saved = ddp_rotator->save(model_, step + 1, opt_, &err);
       } else {
-        const CheckpointResult saved = rotator->save(model_, step + 1, &opt_);
-        if (saved.ok) {
-          last_ckpt_step = step + 1;
-          ++res.checkpoints_saved;
-        } else {
-          std::fprintf(stderr, "[ckpt] save failed at step %d: %s\n",
-                       step + 1, saved.error.c_str());
-        }
+        const CheckpointResult r = rotator->save(model_, step + 1, &opt_);
+        saved = r.ok;
+        err = r.error;
+      }
+      if (saved) {
+        last_ckpt_step = step + 1;
+        ++res.checkpoints_saved;
+      } else {
+        std::fprintf(stderr, "[ckpt] %ssave failed at step %d: %s\n",
+                     who.c_str(), step + 1, err.c_str());
       }
     }
 

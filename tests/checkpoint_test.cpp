@@ -3,13 +3,18 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <vector>
 
 #include "core/apollo.h"
+#include "fault/crc32.h"
+#include "optim/adamw.h"
 #include "tensor/rng.h"
+#include "tensor/serialize.h"
 #include "train/checkpoint.h"
+#include "train/resilience.h"
 
 namespace apollo {
 namespace {
@@ -271,6 +276,74 @@ TEST(Checkpoint, ApolloStateRejectsNonBooleanRngFlag) {
   r = fmemopen(blob.data(), static_cast<size_t>(len), "rb");
   EXPECT_FALSE(bad.load_state(r, params));
   std::fclose(r);
+}
+
+// A shape whose payload runs past the end of the stream is refused before
+// the matrix is resized, so a corrupt length field never sizes an
+// allocation — and products that overflow int64 are refused too.
+TEST(Serialize, ReadMatrixRefusesShapesPastTheEndOfTheStream) {
+  const int64_t shapes[][2] = {{3, 5}, {int64_t{1} << 40, int64_t{1} << 30}};
+  for (const auto& shape : shapes) {
+    // One float short of rows x cols for the first shape.
+    std::vector<char> bytes(sizeof(int64_t) * 2 + 14 * sizeof(float));
+    std::memcpy(bytes.data(), shape, sizeof(int64_t) * 2);
+    std::FILE* f = fmemopen(bytes.data(), bytes.size(), "rb");
+    ASSERT_NE(f, nullptr);
+    Matrix m(2, 2);
+    EXPECT_FALSE(read_matrix(f, m));
+    std::fclose(f);
+    EXPECT_EQ(m.rows(), 2);
+    EXPECT_EQ(m.cols(), 2);
+  }
+}
+
+// --- format fingerprints -----------------------------------------------------
+// CRC-32 of three whole files — a v3 checkpoint with optimizer state, a
+// weights-only one, and a shard file — so any drift in either on-disk
+// format fails here even when a save/load round trip still succeeds. The
+// inputs are exactly representable — hand-set weights, and AdamW after one
+// lr-0 step on power-of-two gradients, whose moments are exact products —
+// so the bytes are the same at every ISA and SIMD level.
+
+uint32_t file_crc(const std::string& path) {
+  const std::vector<char> bytes = file_bytes(path);
+  EXPECT_FALSE(bytes.empty()) << path;
+  return fault::crc32(bytes.data(), bytes.size());
+}
+
+struct PinnedAdamW {
+  nn::LlamaModel model{tiny(), 1};
+  optim::AdamW opt;
+
+  PinnedAdamW() {
+    const auto params = model.parameters();
+    int k = 0;
+    for (nn::Parameter* p : params) {
+      for (int64_t i = 0; i < p->value.size(); ++i, ++k) {
+        p->value[i] = static_cast<float>(k % 29 - 14) * 0.125f;
+        p->grad[i] = static_cast<float>(1 << (k % 4)) *
+                     ((k & 1) != 0 ? -0.25f : 0.25f);
+      }
+    }
+    opt.set_lr(0.f);
+    opt.step(params);
+  }
+};
+
+TEST(FormatFingerprint, CheckpointAndShardBytesAreUnchanged) {
+  PinnedAdamW s;
+  const std::string with_state = temp_path("pinned_state.aplo");
+  const std::string weights_only = temp_path("pinned_weights.aplo");
+  const std::string shard = temp_path("pinned.shard0of2.aplo");
+  ASSERT_TRUE(train::save_checkpoint(with_state, s.model, 5, &s.opt).ok);
+  ASSERT_TRUE(train::save_checkpoint(weights_only, s.model, 5).ok);
+  std::string err;
+  ASSERT_TRUE(train::save_state_shard(shard, s.opt, s.model.parameters(), 5,
+                                      0, 2, &err))
+      << err;
+  EXPECT_EQ(file_crc(with_state), 0x6706653fu);
+  EXPECT_EQ(file_crc(weights_only), 0xcf51c8e0u);
+  EXPECT_EQ(file_crc(shard), 0x71b72b67u);
 }
 
 }  // namespace

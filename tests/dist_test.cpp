@@ -2,8 +2,9 @@
 // supervisor's collectives and restart machinery, ZeRO-1 sharded-update
 // equivalence, shard-checkpoint round-trips across width changes, and the
 // end-to-end contracts — a 4-rank world must reproduce the single-process
-// `--grad-accum 4` loss/grad-norm streams bit for bit, and a world that
-// loses a rank (crash or hang) must auto-recover onto the same trajectory.
+// `--grad-accum 4` loss/grad-norm streams bit for bit, a world that loses a
+// rank (crash or hang) must auto-recover onto the same trajectory, and an
+// out-of-range --ranks is refused with a usage error.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -64,65 +65,48 @@ TEST(FaultInjector, RankScopedEventsFireOnlyAtThatRank) {
   fault::set_spec("");
 }
 
-TEST(Dist, TransportNamesRoundTrip) {
-  dist::Transport t;
-  ASSERT_TRUE(dist::parse_transport("shm", &t));
-  EXPECT_EQ(t, dist::Transport::kShm);
-  ASSERT_TRUE(dist::parse_transport("socket", &t));
-  EXPECT_EQ(t, dist::Transport::kSocket);
-  EXPECT_FALSE(dist::parse_transport("tcp", &t));
-  EXPECT_STREQ(dist::transport_name(dist::Transport::kShm), "shm");
-  EXPECT_STREQ(dist::transport_name(dist::Transport::kSocket), "socket");
-}
-
 // --- in-process worlds ------------------------------------------------------
 // Worker bodies run in forked children, so they use plain checks and exit
 // codes instead of gtest macros (a child's assertion would be invisible);
 // the parent asserts on World::run's aggregate exit code.
 
-// Collective correctness over both transports, spanning multiple buckets
+// Collective correctness over shared memory, spanning multiple buckets
 // (kBucketFloats + remainder) plus the scalar loss path. Values are exactly
 // representable so the expected sums are order-independent and exact.
-TEST(DistWorld, CollectivesAreCorrectOnBothTransports) {
-  for (const dist::Transport transport :
-       {dist::Transport::kShm, dist::Transport::kSocket}) {
-    SCOPED_TRACE(dist::transport_name(transport));
-    dist::WorldConfig cfg;
-    cfg.ranks = 4;
-    cfg.transport = transport;
-    cfg.timeout_ms = 20000;
-    dist::World world(cfg);
-    const int code = world.run([](dist::Communicator& comm) -> int {
-      const int w = comm.world();
-      const int64_t n = dist::kBucketFloats + 1234;
-      std::vector<float> v(static_cast<size_t>(n));
-      for (int64_t i = 0; i < n; ++i)
-        v[static_cast<size_t>(i)] = static_cast<float>(comm.rank() + 1) *
-                                    (0.25f + static_cast<float>(i % 7));
-      comm.allreduce_sum(v.data(), n);
-      const float ranks_sum = static_cast<float>(w * (w + 1) / 2);
-      for (int64_t i = 0; i < n; ++i)
-        if (v[static_cast<size_t>(i)] !=
-            ranks_sum * (0.25f + static_cast<float>(i % 7)))
-          return 3;
+TEST(DistWorld, CollectivesAreCorrectOnSharedMemory) {
+  dist::WorldConfig cfg;
+  cfg.ranks = 4;
+  cfg.timeout_ms = 20000;
+  dist::World world(cfg);
+  const int code = world.run([](dist::Communicator& comm) -> int {
+    const int w = comm.world();
+    const int64_t n = dist::kBucketFloats + 1234;
+    std::vector<float> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i)
+      v[static_cast<size_t>(i)] = static_cast<float>(comm.rank() + 1) *
+                                  (0.25f + static_cast<float>(i % 7));
+    comm.allreduce_sum(v.data(), n);
+    const float ranks_sum = static_cast<float>(w * (w + 1) / 2);
+    for (int64_t i = 0; i < n; ++i)
+      if (v[static_cast<size_t>(i)] !=
+          ranks_sum * (0.25f + static_cast<float>(i % 7)))
+        return 3;
 
-      float scalar = static_cast<float>(comm.rank() + 1);
-      comm.allreduce_sum(&scalar, 1);
-      if (scalar != ranks_sum) return 4;
+    float scalar = static_cast<float>(comm.rank() + 1);
+    comm.allreduce_sum(&scalar, 1);
+    if (scalar != ranks_sum) return 4;
 
-      const int root = w - 1;
-      std::vector<float> b(64, comm.rank() == root ? 0.f : -1.f);
-      if (comm.rank() == root)
-        for (size_t i = 0; i < b.size(); ++i)
-          b[i] = static_cast<float>(i % 13);
-      comm.broadcast(b.data(), static_cast<int64_t>(b.size()), root);
-      for (size_t i = 0; i < b.size(); ++i)
-        if (b[i] != static_cast<float>(i % 13)) return 5;
-      comm.barrier();
-      return 0;
-    });
-    EXPECT_EQ(code, 0);
-  }
+    const int root = w - 1;
+    std::vector<float> b(64, comm.rank() == root ? 0.f : -1.f);
+    if (comm.rank() == root)
+      for (size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>(i % 13);
+    comm.broadcast(b.data(), static_cast<int64_t>(b.size()), root);
+    for (size_t i = 0; i < b.size(); ++i)
+      if (b[i] != static_cast<float>(i % 13)) return 5;
+    comm.barrier();
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
 }
 
 // A rank exiting with a restartable code while its peers sit inside a
@@ -433,8 +417,7 @@ std::string metric_stream(const std::string& path, const std::string& key) {
 }
 
 // The acceptance contract: a 4-rank world at the same global batch emits
-// the exact loss and grad-norm streams of `--grad-accum 4`, on every rank,
-// over both transports.
+// the exact loss and grad-norm streams of `--grad-accum 4`, on every rank.
 TEST(DistE2E, FourRanksBitIdenticalToGradAccum) {
   const std::string dir = std::string(::testing::TempDir()) + "dist_bitid";
   std::filesystem::remove_all(dir);
@@ -449,16 +432,12 @@ TEST(DistE2E, FourRanksBitIdenticalToGradAccum) {
   ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=shm.jsonl " + bin + args +
                     " --ranks 4 > shm.log 2>&1"),
             0);
-  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=sock.jsonl " + bin + args +
-                    " --ranks 4 --dist-transport socket > sock.log 2>&1"),
-            0);
 
   for (const char* key : {"loss", "grad_norm"}) {
     SCOPED_TRACE(key);
     const std::string solo = metric_stream(dir + "/solo.jsonl", key);
     EXPECT_EQ(solo, metric_stream(dir + "/shm.jsonl.rank0", key));
     EXPECT_EQ(solo, metric_stream(dir + "/shm.jsonl.rank3", key));
-    EXPECT_EQ(solo, metric_stream(dir + "/sock.jsonl.rank0", key));
   }
   std::filesystem::remove_all(dir);
 }
@@ -513,6 +492,26 @@ TEST(DistE2E, HungRankIsDetectedAndRecovered) {
       << log;
   EXPECT_NE(log.find("restarting world"), std::string::npos) << log;
   EXPECT_TRUE(std::isfinite(final_ppl_from_csv(dir + "/rec.csv")));
+  std::filesystem::remove_all(dir);
+}
+
+// A world size outside [1, kMaxRanks] is a usage error: apollo-train names
+// the range and exits 1 before any World is built (World itself aborts).
+TEST(DistE2E, RanksOutsideRangeIsAUsageError) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_ranks";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bin = APOLLO_TRAIN_BIN;
+  for (const char* ranks : {"17", "0"}) {
+    SCOPED_TRACE(ranks);
+    EXPECT_EQ(run_cmd("cd " + dir + " && " + bin + kShape +
+                      " --steps 2 --ranks " + ranks + " > out.log 2>&1"),
+              1);
+    const std::string log = file_contents(dir + "/out.log");
+    EXPECT_NE(log.find("error: --ranks must be in [1, 16]"),
+              std::string::npos)
+        << log;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -277,5 +277,89 @@ TEST(AutoResume, AllCorruptRestoresOriginalWeightsAndReportsError) {
   fs::remove_all(dir);
 }
 
+// Overwrites the u64 at byte `off` of `path`.
+void patch_u64(const std::string& path, long off, uint64_t v) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr) << path;
+  std::fseek(f, off, SEEK_SET);
+  ASSERT_EQ(std::fwrite(&v, sizeof v, 1, f), 1u);
+  std::fclose(f);
+}
+
+// A v3 checkpoint whose optimizer blob length runs one byte past the end of
+// the file is skipped with a reason naming that length, before the length
+// sizes any allocation, and the scan resumes from the older checkpoint.
+TEST(AutoResume, SkipsOptimizerBlobLengthPastTheEndOfTheFile) {
+  const std::string dir = fresh_dir("resume_blob_len");
+  const FixedBatches data(2);
+  nn::LlamaModel model(tiny(), 1);
+  auto opt = core::Apollo::standard(core::ApolloConfig{});
+  train_steps(model, *opt, data, 0, 2);
+  train::CheckpointRotator rot(dir, 4);
+  ASSERT_TRUE(rot.save(model, 10, opt.get()).ok);
+  ASSERT_TRUE(rot.save(model, 20, opt.get()).ok);
+
+  // Header (magic, version, step, count, CRC), the parameter sections, then
+  // has_opt, the optimizer name and the u64 blob length.
+  long off = 4 + 4 + 8 + 4 + 4;
+  for (const nn::Parameter* p : model.parameters())
+    off += static_cast<long>(4 + p->name.size() + 8 + 8 +
+                             p->value.size() * sizeof(float) + 4);
+  off += static_cast<long>(1 + 4 + opt->name().size());
+  const std::string p20 = train::CheckpointRotator::path_for(dir, 20);
+  const uint64_t bad = fs::file_size(p20) - static_cast<uint64_t>(off) - 8 + 1;
+  patch_u64(p20, off, bad);
+
+  nn::LlamaModel fresh(tiny(), 2);
+  auto fresh_opt = core::Apollo::standard(core::ApolloConfig{});
+  const auto rr = train::auto_resume(dir, fresh, fresh_opt.get());
+  EXPECT_TRUE(rr.resumed) << rr.error;
+  EXPECT_EQ(rr.step, 10);
+  ASSERT_EQ(rr.skipped.size(), 1u);
+  EXPECT_NE(rr.skipped[0].find("blob length " + std::to_string(bad)),
+            std::string::npos)
+      << rr.skipped[0];
+  obs::Registry::instance().reset();
+  fs::remove_all(dir);
+}
+
+// The DDP twin: a shard whose blob length claims 2^39 bytes is skipped
+// without allocating them, and every rank resumes from the older set.
+TEST(AutoResume, DdpSkipsShardBlobLengthPastTheEndOfTheFile) {
+  const std::string dir = fresh_dir("resume_shard_len");
+  const FixedBatches data(2);
+  nn::LlamaModel model(tiny(), 1);
+  core::Apollo opt(core::ApolloConfig{});
+  train_steps(model, opt, data, 0, 2);
+  std::string err;
+  for (const int64_t step : {2, 4}) {
+    for (int r = 0; r < 2; ++r) {
+      train::DdpCheckpointRotator rot(dir, 4, r, 2);
+      opt.set_shard(r, 2);
+      ASSERT_TRUE(rot.save(model, step, opt, &err)) << err;
+    }
+  }
+  // Header section (magic, version, step, rank, world, name length, name,
+  // CRC), then the u64 blob length.
+  const long off = static_cast<long>(4 + 4 + 8 + 4 + 4 + 4 +
+                                     opt.name().size() + 4);
+  patch_u64(train::shard_path_for(dir, 4, 0, 2), off, uint64_t{1} << 39);
+
+  for (int r = 0; r < 2; ++r) {
+    nn::LlamaModel fresh(tiny(), 2);
+    core::Apollo fresh_opt(core::ApolloConfig{});
+    fresh_opt.set_shard(r, 2);
+    const auto rr = train::auto_resume_ddp(dir, fresh, &fresh_opt);
+    EXPECT_TRUE(rr.resumed) << rr.error;
+    EXPECT_EQ(rr.step, 2);
+    ASSERT_EQ(rr.skipped.size(), 1u);
+    EXPECT_NE(rr.skipped[0].find("blob length 549755813888"),
+              std::string::npos)
+        << rr.skipped[0];
+  }
+  obs::Registry::instance().reset();
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace apollo

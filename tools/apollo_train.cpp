@@ -63,7 +63,6 @@ void usage() {
       "                      optimizer-state sharding; the loss/grad-norm\n"
       "                      trajectory is bit-identical to --grad-accum N\n"
       "                      at the same --batch (also APOLLO_RANKS)\n"
-      "  --dist-transport T  shm|socket (default shm; APOLLO_DIST_TRANSPORT)\n"
       "  --dist-timeout-ms N heartbeat-stall / drain-grace timeout, default\n"
       "                      30000 (also APOLLO_DIST_TIMEOUT_MS)\n"
       "  --on-rank-fail P    respawn|shrink — restart a lost world at full\n"
@@ -293,13 +292,8 @@ int main(int argc, char** argv) {
 
   // Distributed launch. Flags override the environment (APOLLO_RANKS &
   // friends let a CI matrix flip modes without editing command lines).
-  const int ranks =
-      static_cast<int>(args.get_int(
-          "ranks", env_long(std::getenv("APOLLO_RANKS"), 1)));
-  const char* env_tr = std::getenv("APOLLO_DIST_TRANSPORT");
-  const std::string transport = args.get(
-      "dist-transport", env_tr != nullptr && env_tr[0] != '\0' ? env_tr
-                                                               : "shm");
+  const long ranks =
+      args.get_int("ranks", env_long(std::getenv("APOLLO_RANKS"), 1));
   const int timeout_ms = static_cast<int>(args.get_int(
       "dist-timeout-ms",
       env_long(std::getenv("APOLLO_DIST_TIMEOUT_MS"), 30000)));
@@ -307,7 +301,12 @@ int main(int argc, char** argv) {
   const int max_restarts =
       static_cast<int>(args.get_int("max-restarts", 3));
 
-  if (ranks <= 1) return run_training(args, nullptr);
+  if (ranks < 1 || ranks > dist::kMaxRanks) {
+    std::fprintf(stderr, "error: --ranks must be in [1, %d]\n",
+                 dist::kMaxRanks);
+    return 1;
+  }
+  if (ranks == 1) return run_training(args, nullptr);
 
   if (args.get_int("grad-accum", 1) > 1) {
     std::fprintf(stderr,
@@ -327,10 +326,6 @@ int main(int argc, char** argv) {
                  "incompatible with --ranks\n");
     return 1;
   }
-  if (transport != "shm" && transport != "socket") {
-    std::fprintf(stderr, "error: --dist-transport must be shm or socket\n");
-    return 1;
-  }
   if (on_fail != "respawn" && on_fail != "shrink") {
     std::fprintf(stderr,
                  "error: --on-rank-fail must be respawn or shrink\n");
@@ -338,9 +333,7 @@ int main(int argc, char** argv) {
   }
 
   dist::WorldConfig wc;
-  wc.ranks = ranks;
-  wc.transport = transport == "socket" ? dist::Transport::kSocket
-                                       : dist::Transport::kShm;
+  wc.ranks = static_cast<int>(ranks);
   wc.timeout_ms = timeout_ms;
   wc.shrink_on_failure = on_fail == "shrink";
   wc.max_restarts = max_restarts;
