@@ -52,12 +52,9 @@ Matrix Tape::take_leaf_grad(Matrix* grad) {
   APOLLO_CHECK(grad != nullptr);
   live_leaf_grad_bytes_ -=
       grad->size() * static_cast<int64_t>(sizeof(float));
-  Matrix out = std::move(*grad);
-  // A moved-from Matrix keeps its dims (only the storage moves), which would
-  // make the leaf look like a live correctly-shaped gradient with null data;
-  // reset it so the next backward re-creates it zero-filled.
-  *grad = Matrix();
-  return out;
+  // A moved-from Matrix is 0×0, so the leaf reads as empty again and the
+  // next backward re-creates it zero-filled.
+  return std::move(*grad);
 }
 
 Var Tape::leaf(const Matrix* value, Matrix* grad) {

@@ -36,8 +36,11 @@ class Tape {
   // Trainable leaf: `value` is read during forward, gradients are
   // *accumulated* into `grad`. The caller either pre-sizes and zeroes
   // `grad` (legacy path) or leaves it empty — an empty grad is sized and
-  // zero-filled on first touch during backward (streaming path), so
-  // parameter-gradient memory is only allocated while a gradient is live.
+  // zero-filled on first touch during backward (streaming path), so a
+  // parameter gradient only counts toward the tape's bytes while it is
+  // live. The accounting is logical: a released gradient's storage goes
+  // to Matrix's per-thread cache, and the next gradient of that size
+  // reuses it.
   Var leaf(const Matrix* value, Matrix* grad);
 
   // Non-trainable input (owned copy, no gradient).

@@ -69,7 +69,7 @@ std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
   }
 
   *opt_section_off = std::ftell(f);
-  std::vector<char> blob;
+  OptimizerBlob blob;
   *saved_state = opt != nullptr && capture_optimizer_blob(*opt, params, &blob);
   const uint8_t has_opt = *saved_state ? 1 : 0;
   w.write_pod(has_opt);
@@ -78,7 +78,7 @@ std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
     const uint32_t name_len = static_cast<uint32_t>(name.size());
     w.write_pod(name_len);
     w.write(name.data(), name_len);
-    w.write_blob(blob);
+    w.write_blob(blob.bytes.get(), blob.size);
   }
   w.emit_crc();
   w.write_raw(kEndMagic, 4);

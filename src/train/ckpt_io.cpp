@@ -5,6 +5,8 @@
 
 #include <cstdlib>
 
+#include "tensor/matrix.h"
+
 namespace apollo::train {
 
 std::string commit_file(const std::string& path,
@@ -40,18 +42,17 @@ std::string commit_file(const std::string& path,
 }
 
 bool capture_optimizer_blob(const optim::Optimizer& opt,
-                            const nn::ParamList& params,
-                            std::vector<char>* out) {
+                            const nn::ParamList& params, OptimizerBlob* out) {
+  trim_matrix_storage_cache();
   char* buf = nullptr;
   size_t len = 0;
   std::FILE* mf = open_memstream(&buf, &len);
   if (mf == nullptr) return false;
   const bool supported = opt.save_state(mf, params);
   std::fclose(mf);
-  const std::unique_ptr<char, decltype(&std::free)> owned(buf, &std::free);
-  if (!supported) return false;
-  out->assign(buf, buf + len);
-  return true;
+  out->bytes.reset(buf);
+  out->size = len;
+  return supported;
 }
 
 }  // namespace apollo::train

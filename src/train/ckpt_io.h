@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,12 +39,24 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 std::string commit_file(const std::string& path,
                         const std::function<std::string(std::FILE*)>& write);
 
+// Optimizer state serialized into memory: the buffer open_memstream grew,
+// freed with the blob.
+struct OptimizerBlob {
+  struct Free {
+    void operator()(char* p) const { std::free(p); }
+  };
+  std::unique_ptr<char, Free> bytes;
+  size_t size = 0;
+};
+
 // Serializes the optimizer state into memory so a section can
 // length-prefix and checksum it. Returns false when the optimizer does not
-// support serialization.
+// support serialization. First gives the thread's cached Matrix storage
+// back to malloc: the blob is the one large allocation of a training step
+// that is not a Matrix, and it should reuse those pages rather than grow
+// the process.
 bool capture_optimizer_blob(const optim::Optimizer& opt,
-                            const nn::ParamList& params,
-                            std::vector<char>* out);
+                            const nn::ParamList& params, OptimizerBlob* out);
 
 // Streams bytes to a FILE* while accumulating a CRC-32 over everything
 // written since the last emit_crc().
@@ -72,9 +85,9 @@ class CrcWriter {
     crc_ = fault::kCrc32Init;
   }
   // A u64 length, then the bytes: the layout CrcReader::read_blob reads.
-  void write_blob(const std::vector<char>& b) {
-    write_pod(static_cast<uint64_t>(b.size()));
-    write(b.data(), b.size());
+  void write_blob(const void* p, size_t n) {
+    write_pod(static_cast<uint64_t>(n));
+    write(p, n);
   }
   // Raw write outside any section (magic bytes).
   void write_raw(const void* p, size_t n) {

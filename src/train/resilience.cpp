@@ -237,7 +237,7 @@ bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
     if (err != nullptr) *err = msg;
     return false;
   };
-  std::vector<char> blob;
+  OptimizerBlob blob;
   if (!capture_optimizer_blob(opt, params, &blob))
     return fail("optimizer '" + opt.name() +
                 "' does not support state serialization");
@@ -252,7 +252,7 @@ bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
     w.write_pod(static_cast<uint32_t>(opt_name.size()));
     w.write(opt_name.data(), opt_name.size());
     w.emit_crc();
-    w.write_blob(blob);
+    w.write_blob(blob.bytes.get(), blob.size);
     w.emit_crc();
     w.write_raw(kShardEndMagic, sizeof kShardEndMagic);
     return w.ok() ? std::string() : std::string("write failed");

@@ -1,16 +1,32 @@
 // Trainer / schedule / fine-tune harness tests.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cmath>
 
 #include "core/apollo.h"
+#include "core/factory.h"
 #include "optim/adamw.h"
 #include "train/finetune.h"
 #include "train/schedule.h"
 #include "train/trainer.h"
 
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define APOLLO_SANITIZED_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define APOLLO_SANITIZED_ALLOCATOR 1
+#endif
+#endif
+
 namespace apollo {
 namespace {
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
 
 TEST(CosineSchedule, WarmupRampsLinearly) {
   train::CosineSchedule s(1.f, 100, 0.1f, 0.1f);
@@ -146,6 +162,46 @@ TEST(Trainer, FusedAccumQuantizedMatchesClassic) {
   // Note: with accum > 1 the fused figures include the live accumulation
   // stash (a full gradient set), so the one-parameter collapse only shows
   // at accum == 1 — the memory-budget bench asserts that shape.
+}
+
+// A steady-state step reuses the previous step's Matrix storage, so it
+// faults in no new pages. Faults are counted, not timed: the difference
+// between two run lengths is the cost of the extra steps alone, since set-up,
+// first-step state and the final eval appear in both runs.
+TEST(Trainer, SteadyStateStepsDoNotPageFault) {
+#ifdef APOLLO_SANITIZED_ALLOCATOR
+  GTEST_SKIP() << "the sanitizer's allocator quarantines freed memory";
+#endif
+  auto faults_for = [](bool fused, int steps) {
+    const long before = minor_faults();
+    const nn::LlamaConfig cfg = nn::llama_7b_proxy();
+    nn::LlamaModel model(cfg, 21);
+    data::CorpusConfig ccfg;
+    ccfg.vocab = cfg.vocab;
+    data::SyntheticCorpus corpus(ccfg);
+    core::FactoryOptions fo;
+    fo.rank = cfg.hidden / 4;
+    auto opt = core::make_optimizer("apollo", fo);
+    train::TrainConfig tc;
+    tc.steps = steps;
+    tc.batch = 8;
+    tc.lr = core::default_lr("apollo");
+    tc.fused_update = fused;
+    train::Trainer t(model, *opt, corpus, tc);
+    t.run();
+    return minor_faults() - before;
+  };
+  constexpr int kShort = 2, kLong = 6;
+  for (bool fused : {false, true}) {
+    faults_for(fused, kShort);  // warm-up: first sight of every shape
+    const long short_run = faults_for(fused, kShort);
+    const long long_run = faults_for(fused, kLong);
+    const double per_step =
+        static_cast<double>(long_run - short_run) / (kLong - kShort);
+    EXPECT_LT(per_step, 16.0) << (fused ? "fused" : "classic") << " update: "
+                              << short_run << " faults in " << kShort
+                              << " steps, " << long_run << " in " << kLong;
+  }
 }
 
 TEST(Finetune, ImprovesTaskAccuracy) {
