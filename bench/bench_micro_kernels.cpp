@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "core/apollo.h"
 #include "data/corpus.h"
@@ -117,6 +118,22 @@ void BM_QuantizeGroup128(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeGroup128);
 
+// Q-APOLLO's per-step requantization of one 7b-proxy MLP weight (344×128,
+// group 128): bulk uniforms, the SIMD group kernel and the error-feedback
+// residuals, as QuantizedWeightStore::requantize_param runs it.
+void BM_RequantizeStochastic(benchmark::State& state) {
+  Matrix m = random_matrix(344, 128, 6);
+  GroupQuantized q = GroupQuantized::quantize(m, 128);
+  std::vector<float> residuals(static_cast<size_t>(q.num_groups()), 0.f);
+  Rng rng(7);
+  for (auto _ : state) {
+    q.requantize_stochastic(m, residuals.data(), rng);
+    benchmark::DoNotOptimize(m.data());
+  }
+  state.SetItemsProcessed(state.iterations() * m.size());
+}
+BENCHMARK(BM_RequantizeStochastic);
+
 void BM_TrainStep350MProxy(benchmark::State& state) {
   nn::LlamaModel model(nn::llama_350m_proxy(), 42);
   data::SyntheticCorpus corpus({});
@@ -168,6 +185,12 @@ bool run_simd_kernel_sweep(bool quick) {
   Matrix y = random_matrix(1, kVec, 13), x = random_matrix(1, kVec, 14);
   Matrix src = random_matrix(1, kRow, 15), w = random_matrix(1, kRow, 16);
   Matrix dst(1, kRow), sig(1, kRow);
+  // requantize_group runs over y in groups of 128 with uniforms u.
+  constexpr int64_t kGroup = 128;
+  std::vector<float> u(static_cast<size_t>(kVec)), err(kGroup);
+  std::vector<int8_t> codes(static_cast<size_t>(kVec));
+  Rng urng(17);
+  urng.fill_floats(u.data(), kVec);
 
   std::printf("\n%-10s %-8s %12s %10s\n", "kernel", "level", "GFLOP/s",
               "GB/s");
@@ -181,6 +204,10 @@ bool run_simd_kernel_sweep(bool quick) {
     const Sample samples[] = {
         {"gemm", secs_per_call([&] {
            kt.gemm(c.data(), N, a.data(), N, false, b.data(), N, 0, N, N, N);
+         }),
+         2. * N * N * N, 16. * N * N},
+        {"gemm_bt", secs_per_call([&] {
+           kt.gemm_bt(c.data(), N, a.data(), N, b.data(), N, 0, N, N, N);
          }),
          2. * N * N * N, 16. * N * N},
         {"axpy",
@@ -202,6 +229,14 @@ bool run_simd_kernel_sweep(bool quick) {
            kt.silu(dst.data(), sig.data(), src.data(), kRow);
          }),
          5. * kRow, 12. * kRow},
+        // Nominal 8 flops per weight (add, mul, floor, sub, compare, add,
+        // mul, sub); bytes are x in and out, u in and one code out.
+        {"requant", secs_per_call([&] {
+           for (int64_t g = 0; g < kVec; g += kGroup)
+             kt.requantize_group(y.data() + g, codes.data() + g, err.data(),
+                                 u.data() + g, 0.f, kGroup);
+         }),
+         8. * kVec, 13. * kVec},
     };
     for (const Sample& s : samples) {
       const double gflops = s.flops / s.secs * 1e-9;

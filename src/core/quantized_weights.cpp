@@ -1,5 +1,6 @@
 #include "core/quantized_weights.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "tensor/check.h"
@@ -61,6 +62,8 @@ void QuantizedWeightStore::requantize_param(int slot) {
 }
 
 void QuantizedWeightStore::requantize_from_params() {
+  for (Slot& s : slots_)
+    std::fill(s.residuals.begin(), s.residuals.end(), 0.f);
   for (int i = 0; i < static_cast<int>(slot_index_.size()); ++i)
     requantize_param(i);
 }

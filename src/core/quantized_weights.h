@@ -17,9 +17,13 @@
 // completion order) and the classic loop (slot order) produce bit-identical
 // codes, scales, and residuals.
 //
-// dequantize_into_params() remains for the cold paths that rebuild the fp32
-// working buffers wholesale: construction, checkpoint rollback, and resume.
-// 1-D gains stay fp32 (they are negligible), exactly as in Q-GaLore.
+// Trainer checkpoints carry the fp32 weights only. Resume and watchdog
+// rollback restore them and call requantize_from_params(), which absorbs
+// them back into the codes from zeroed residuals; the store's own
+// save_state()/load_state() payload is not part of a trainer checkpoint.
+// dequantize_into_params() rebuilds the fp32 working buffers wholesale from
+// the codes (construction). 1-D gains stay fp32 (they are negligible),
+// exactly as in Q-GaLore.
 #pragma once
 
 #include <cstdio>
@@ -36,8 +40,8 @@ class QuantizedWeightStore {
                        int64_t group = 128);
 
   // Write dequantized weights into Parameter::value for forward/backward.
-  // Cold path: construction, rollback, resume. Also resets the per-group
-  // residuals to zero (the store is the new ground truth).
+  // Cold path (construction). Also resets the per-group residuals to zero
+  // (the store is the new ground truth).
   void dequantize_into_params();
 
   // Absorb one parameter's fp32 update back into its INT8 codes in place
@@ -47,9 +51,11 @@ class QuantizedWeightStore {
   // allocation — this is an apollo-analyze hot root.
   void requantize_param(int slot);
 
-  // Classic-loop convenience: requantize_param over every slot in order.
-  // Bit-identical to the fused path's completion-order calls because each
-  // slot's RNG stream is private.
+  // Absorb every slot's Parameter::value into the store, starting from
+  // zeroed residuals. Cold path: after resume and watchdog rollback have
+  // restored fp32 weights from a checkpoint, which carries no residuals.
+  // The residuals of the abandoned steps (NaN, after a NaN gradient reached
+  // the fused path) must not leak into the restored weights.
   void requantize_from_params();
 
   // Whether `slot` is backed by an INT8 group-quantized container.

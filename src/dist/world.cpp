@@ -30,6 +30,11 @@ int64_t ms_since(Clock::time_point t) {
       .count();
 }
 
+// Relaxed stores need no fence here. No worker can read them early:
+// run_epoch reaps every worker (waitpid until none is running) before it
+// returns, so none of the previous epoch is left when the next one resets,
+// and the workers that read these values are forked afterwards. fork()
+// orders the supervisor's earlier stores before anything the child runs.
 void reset_control(ControlBlock* cb, int epoch) {
   cb->command.store(kCommandRun, std::memory_order_relaxed);
   cb->epoch.store(static_cast<uint32_t>(epoch), std::memory_order_relaxed);
@@ -37,7 +42,6 @@ void reset_control(ControlBlock* cb, int epoch) {
   cb->barrier_count.store(0, std::memory_order_relaxed);
   for (int r = 0; r < kMaxRanks; ++r)
     cb->heartbeat[r].store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include "quant/quant.h"
-#include "tensor/check.h"
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "tensor/check.h"
+#include "tensor/simd/simd.h"
 
 namespace apollo {
 
@@ -56,31 +59,50 @@ GroupQuantized GroupQuantized::quantize_impl(const Matrix& m, int64_t group,
 void GroupQuantized::requantize_stochastic(Matrix& m, float* residuals,
                                            Rng& rng) {
   APOLLO_CHECK(m.rows() == rows_ && m.cols() == cols_);
+  const simd::KernelTable& kt = simd::table();
   const int64_t n = m.size();
   const int64_t ngroups = num_groups();
+  // Per-thread scratch, grown once to the largest group seen: this group's
+  // uniforms, the next group's, this group's per-element errors, and the
+  // next group's raw draws.
+  thread_local std::vector<float> scratch;
+  thread_local std::vector<uint64_t> bits;
+  scratch.resize(static_cast<size_t>(3 * group_));  // lint:allow(hot-path-alloc)
+  bits.resize(static_cast<size_t>(group_));  // lint:allow(hot-path-alloc)
+  float* u = scratch.data();
+  float* u_next = u + group_;
+  float* err = u_next + group_;
+  // Every element gets the uniform the per-element next_float() loop gave
+  // it: groups draw in index order, the first through the bulk fill.
+  rng.fill_floats(u, std::min(n, group_));
+  // A local copy whose address never escapes keeps the generator state in
+  // registers across the stores to `bits`.
+  Rng draw = rng;
   for (int64_t g = 0; g < ngroups; ++g) {
-    const int64_t lo = g * group_, hi = std::min(n, lo + group_);
-    const float r = residuals[g];
-    float absmax = 0.f;
-    for (int64_t i = lo; i < hi; ++i)
-      absmax = std::max(absmax, std::fabs(m[i] + r));
-    const float scale = absmax > 0.f ? absmax / 127.f : 1.f;
-    scales_[static_cast<size_t>(g)] = scale;
-    const float inv = 1.f / scale;
+    const int64_t lo = g * group_, len = std::min(n, lo + group_) - lo;
+    scales_[static_cast<size_t>(g)] = kt.requantize_group(
+        m.data() + lo, q_.data() + lo, err, u, residuals[g], len);
+    // The residual is a float sum in index order, one serial chain of adds.
+    // Drawing the next group in the same loop lets the CPU overlap it with
+    // the generator's own serial chain; the draws become floats afterwards,
+    // in a loop the compiler vectorizes.
+    const int64_t next_len =
+        g + 1 < ngroups ? std::min(n, lo + 2 * group_) - (lo + group_) : 0;
+    const int64_t both = std::min(len, next_len);
     float err_sum = 0.f;
-    for (int64_t i = lo; i < hi; ++i) {
-      const float x = (m[i] + r) * inv;
-      const float fl = std::floor(x);
-      const float qf =
-          std::clamp(fl + (rng.next_float() < (x - fl) ? 1.f : 0.f), -127.f,
-                     127.f);
-      q_[static_cast<size_t>(i)] = static_cast<int8_t>(qf);
-      const float d = qf * scale;
-      err_sum += (m[i] + r) - d;
-      m[i] = d;
+    for (int64_t i = 0; i < both; ++i) {
+      err_sum += err[i];
+      bits[static_cast<size_t>(i)] = draw.next_u64();
     }
-    residuals[g] = err_sum / static_cast<float>(hi - lo);
+    for (int64_t i = both; i < len; ++i) err_sum += err[i];
+    for (int64_t i = both; i < next_len; ++i)
+      bits[static_cast<size_t>(i)] = draw.next_u64();
+    for (int64_t i = 0; i < next_len; ++i)
+      u_next[i] = Rng::uniform_float(bits[static_cast<size_t>(i)]);
+    residuals[g] = err_sum / static_cast<float>(len);
+    std::swap(u, u_next);
   }
+  rng = draw;
 }
 
 GroupQuantized GroupQuantized::from_payload(int64_t rows, int64_t cols,

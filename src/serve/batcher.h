@@ -85,9 +85,9 @@ class BatchDecoder {
     Rng rng{1};
   };
 
-  // Pre-transposed (in × out) weight panels so the hot loop can call the
-  // dispatched gemm directly; tensor::matmul_bt would materialize Bᵀ per
-  // call, which the zero-allocation rule forbids.
+  // Pre-transposed (in × out) weight panels for the dispatched gemm. gemm
+  // repacks B on every call too, but gemm_bt's strided pack may cost the
+  // 1–4-row decode GEMMs more; dropping the panels needs its own measurement.
   struct LayerPanels {
     std::vector<float> wq_t, wk_t, wv_t, wo_t;
     std::vector<float> w_gate_t, w_up_t, w_down_t;

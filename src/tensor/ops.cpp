@@ -98,14 +98,6 @@ void matmul_bt(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate) {
   const int64_t m = a.rows(), k = a.cols(), n = b.rows();
   APOLLO_TRACE_SCOPE("matmul_bt", "tensor");
   APOLLO_MATMUL_METRICS("matmul_bt", 2 * m * k * n);
-  // Per-(i,j) dot products serialize on the reduction chain (~6× slower
-  // than the streaming kernel); materializing Bᵀ once and streaming is a
-  // large net win whenever the O(nk) transpose amortizes over O(mnk) work.
-  if (m >= 4 && k >= 16) {
-    Matrix bt = b.transposed();
-    matmul(c, a, bt, accumulate);
-    return;
-  }
   if (!accumulate) {
     if (c.rows() != m || c.cols() != n) c.reshape_discard(m, n);
     c.zero();
@@ -113,6 +105,20 @@ void matmul_bt(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate) {
     APOLLO_CHECK(c.rows() == m && c.cols() == n);
   }
   const simd::KernelTable& kt = simd::table();
+  // Per-(i,j) dot products serialize on the reduction chain (~6× slower
+  // than the streaming kernel), so all but the smallest shapes go through
+  // gemm_bt, which packs Bᵀ's panels straight from B's rows: the same bits
+  // as matmul on a materialized transpose, without building one.
+  if (m >= 4 && k >= 16) {
+    core::parallel_for(
+        m,
+        [&](int64_t i0, int64_t i1) {
+          kt.gemm_bt(c.data(), c.cols(), a.data(), a.cols(), b.data(),
+                     b.cols(), i0, i1, n, k);
+        },
+        row_grain(2 * k * n), kt.gemm_row_align);
+    return;
+  }
   core::parallel_for(
       m,
       [&](int64_t i0, int64_t i1) {

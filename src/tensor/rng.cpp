@@ -5,8 +5,6 @@
 namespace apollo {
 
 namespace {
-inline uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 inline uint64_t splitmix64(uint64_t& x) {
   x += 0x9e3779b97f4a7c15ull;
   uint64_t z = x;
@@ -22,21 +20,21 @@ void Rng::reseed(uint64_t seed) {
   has_cached_ = false;
 }
 
-uint64_t Rng::next_u64() {
-  const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
 double Rng::next_double() {
   // 53 random mantissa bits.
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+}
+
+void Rng::fill_floats(float* out, int64_t n) {
+  // A block at a time: the generator's serial chain first, then a loop the
+  // compiler vectorizes.
+  constexpr int64_t kBlock = 64;
+  uint64_t bits[kBlock];
+  for (int64_t c = 0; c < n; c += kBlock) {
+    const int64_t len = n - c < kBlock ? n - c : kBlock;
+    for (int64_t i = 0; i < len; ++i) bits[i] = next_u64();
+    for (int64_t i = 0; i < len; ++i) out[c + i] = uniform_float(bits[i]);
+  }
 }
 
 uint64_t Rng::next_below(uint64_t n) {

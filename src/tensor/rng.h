@@ -19,12 +19,33 @@ class Rng {
 
   void reseed(uint64_t seed);
 
-  // Uniform 64-bit integer.
-  uint64_t next_u64();
+  // Uniform 64-bit integer. Defined here so bulk loops keep the state in
+  // registers.
+  uint64_t next_u64() {
+    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform in [0, 1).
   double next_double();
   float next_float() { return static_cast<float>(next_double()); }
+  // The float next_float() makes of one next_u64() draw. Converting the top
+  // 53 bits straight to float rounds the same exact value once, as
+  // next_float()'s trip through double does, and the power-of-two scale is
+  // exact, so the two agree bit for bit; this form vectorizes.
+  static float uniform_float(uint64_t bits) {
+    return static_cast<float>(static_cast<int64_t>(bits >> 11)) * 0x1.0p-53f;
+  }
+  // out[0..n) = n successive next_float() draws: same values, same final
+  // state, without a call per draw.
+  void fill_floats(float* out, int64_t n);
 
   // Uniform integer in [0, n).
   uint64_t next_below(uint64_t n);
@@ -49,6 +70,10 @@ class Rng {
   }
 
  private:
+  static uint64_t rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   bool has_cached_ = false;
   double cached_ = 0.0;

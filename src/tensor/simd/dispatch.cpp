@@ -96,6 +96,7 @@ KernelTable make_table(Level level) {
     case Level::kAvx512:
       t.gemm_row_align = 8;
       t.gemm = gemm_avx512;
+      t.gemm_bt = gemm_bt_avx512;
       t.axpy = axpy_avx512;
       t.scale = scale_avx512;
       t.hadamard = hadamard_avx512;
@@ -107,10 +108,12 @@ KernelTable make_table(Level level) {
       t.softmax = softmax_avx512;
       t.rmsnorm_row = rmsnorm_row_avx512;
       t.silu = silu_avx512;
+      t.requantize_group = requantize_group_avx512;
       return t;
     case Level::kAvx2:
       t.gemm_row_align = 6;
       t.gemm = gemm_avx2;
+      t.gemm_bt = gemm_bt_avx2;
       t.axpy = axpy_avx2;
       t.scale = scale_avx2;
       t.hadamard = hadamard_avx2;
@@ -122,12 +125,14 @@ KernelTable make_table(Level level) {
       t.softmax = softmax_avx2;
       t.rmsnorm_row = rmsnorm_row_avx2;
       t.silu = silu_avx2;
+      t.requantize_group = requantize_group_avx2;
       return t;
 #endif
     default:
       t.level = Level::kScalar;
       t.gemm_row_align = 1;
       t.gemm = gemm_scalar;
+      t.gemm_bt = gemm_bt_scalar;
       t.axpy = axpy_scalar;
       t.scale = scale_scalar;
       t.hadamard = hadamard_scalar;
@@ -139,6 +144,7 @@ KernelTable make_table(Level level) {
       t.softmax = softmax_scalar;
       t.rmsnorm_row = rmsnorm_row_scalar;
       t.silu = silu_scalar;
+      t.requantize_group = requantize_group_scalar;
       return t;
   }
 }

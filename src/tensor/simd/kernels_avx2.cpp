@@ -55,6 +55,21 @@ struct VecAvx2 {
   static F round_nearest(F v) {
     return _mm256_round_ps(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   }
+  static F floor(F v) {
+    return _mm256_round_ps(v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  }
+  static F lt_select(F a, F b, F t) {
+    return _mm256_and_ps(_mm256_cmp_ps(a, b, _CMP_LT_OQ), t);
+  }
+  // Lanes hold integers in [-127, 127] or NaN; NaN lanes are zeroed before
+  // the conversion, and the saturating packs are exact in that range.
+  static void store_i8(int8_t* q, F v) {
+    const __m256i vi = _mm256_cvttps_epi32(
+        _mm256_and_ps(_mm256_cmp_ps(v, v, _CMP_ORD_Q), v));
+    const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(vi),
+                                      _mm256_extracti128_si256(vi, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(q), _mm_packs_epi16(w, w));
+  }
   // 2^n for integral-valued n in [-126, 127], via the exponent field.
   static F pow2i(F n) {
     const __m256i e = _mm256_add_epi32(_mm256_cvtps_epi32(n),
@@ -113,6 +128,11 @@ void gemm_avx2(float* c, int64_t ldc, const float* a, int64_t lda,
                int64_t i1, int64_t n, int64_t k) {
   K::gemm(c, ldc, a, lda, a_trans, b, ldb, i0, i1, n, k);
 }
+void gemm_bt_avx2(float* c, int64_t ldc, const float* a, int64_t lda,
+                  const float* b, int64_t ldb, int64_t i0, int64_t i1,
+                  int64_t n, int64_t k) {
+  K::gemm_bt(c, ldc, a, lda, b, ldb, i0, i1, n, k);
+}
 void axpy_avx2(float* y, const float* x, float alpha, int64_t n) {
   K::axpy(y, x, alpha, n);
 }
@@ -138,6 +158,10 @@ float rmsnorm_row_avx2(float* dst, const float* src, const float* w,
 }
 void silu_avx2(float* y, float* sig, const float* x, int64_t n) {
   K::silu(y, sig, x, n);
+}
+float requantize_group_avx2(float* x, int8_t* q, float* err, const float* u,
+                            float r, int64_t n) {
+  return K::requantize_group(x, q, err, u, r, n);
 }
 
 }  // namespace apollo::simd::detail

@@ -47,6 +47,19 @@ struct VecAvx512 {
     return _mm512_roundscale_ps(v, _MM_FROUND_TO_NEAREST_INT |
                                        _MM_FROUND_NO_EXC);
   }
+  static F floor(F v) {
+    return _mm512_roundscale_ps(v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+  }
+  static F lt_select(F a, F b, F t) {
+    return _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(a, b, _CMP_LT_OQ), t);
+  }
+  // Lanes hold integers in [-127, 127] or NaN; NaN lanes are zeroed before
+  // the conversion, and the truncating narrow is exact in that range.
+  static void store_i8(int8_t* q, F v) {
+    const __m512i vi = _mm512_cvttps_epi32(
+        _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(v, v, _CMP_ORD_Q), v));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(q), _mm512_cvtepi32_epi8(vi));
+  }
   // 2^n for integral-valued n in [-126, 127], via the exponent field.
   static F pow2i(F n) {
     const __m512i e =
@@ -105,6 +118,11 @@ void gemm_avx512(float* c, int64_t ldc, const float* a, int64_t lda,
                  int64_t i1, int64_t n, int64_t k) {
   K::gemm(c, ldc, a, lda, a_trans, b, ldb, i0, i1, n, k);
 }
+void gemm_bt_avx512(float* c, int64_t ldc, const float* a, int64_t lda,
+                    const float* b, int64_t ldb, int64_t i0, int64_t i1,
+                    int64_t n, int64_t k) {
+  K::gemm_bt(c, ldc, a, lda, b, ldb, i0, i1, n, k);
+}
 void axpy_avx512(float* y, const float* x, float alpha, int64_t n) {
   K::axpy(y, x, alpha, n);
 }
@@ -132,6 +150,10 @@ float rmsnorm_row_avx512(float* dst, const float* src, const float* w,
 }
 void silu_avx512(float* y, float* sig, const float* x, int64_t n) {
   K::silu(y, sig, x, n);
+}
+float requantize_group_avx512(float* x, int8_t* q, float* err,
+                              const float* u, float r, int64_t n) {
+  return K::requantize_group(x, q, err, u, r, n);
 }
 
 }  // namespace apollo::simd::detail

@@ -10,6 +10,7 @@
 // exactness contract in simd.h).
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "tensor/simd/kernels_decl.h"
 
@@ -45,6 +46,30 @@ void gemm_scalar(float* c, int64_t ldc, const float* a, int64_t lda,
       float* __restrict crow = c + i * ldc;
       for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
+  }
+}
+
+void gemm_bt_scalar(float* c, int64_t ldc, const float* a, int64_t lda,
+                    const float* b, int64_t ldb, int64_t i0, int64_t i1,
+                    int64_t n, int64_t k) {
+  if (i0 >= i1 || n <= 0) return;
+  // Transpose kBlock rows of Bᵀ at a time and stream them through
+  // gemm_scalar: every c[i][j] still accumulates over p ascending, exactly
+  // as gemm_scalar does on the whole materialized transpose.
+  constexpr int64_t kBlock = 64;
+  // Per-thread scratch, grown once to the largest block seen and then
+  // reused; its contents are rewritten for every block.
+  thread_local std::vector<float> bt;
+  bt.resize(static_cast<size_t>(std::min(kBlock, k) * n));  // lint:allow(hot-path-alloc)
+  for (int64_t kb = 0; kb < k; kb += kBlock) {
+    const int64_t kc = std::min(kBlock, k - kb);
+    for (int64_t j = 0; j < n; ++j) {
+      const float* src = b + j * ldb + kb;
+      float* dst = bt.data() + j;
+      for (int64_t p = 0; p < kc; ++p) dst[p * n] = src[p];
+    }
+    gemm_scalar(c, ldc, a + kb, lda, /*a_trans=*/false, bt.data(), n, i0, i1,
+                n, kc);
   }
 }
 
@@ -117,6 +142,20 @@ void silu_scalar(float* y, float* sig, const float* x, int64_t n) {
     sig[i] = s;
     y[i] = x[i] * s;
   }
+}
+
+float requantize_group_scalar(float* x, int8_t* q, float* err, const float* u,
+                              float r, int64_t n) {
+  // std::max keeps its first argument when the second is NaN, so NaN
+  // elements never reach the scale.
+  float absmax = 0.f;
+  for (int64_t i = 0; i < n; ++i)
+    absmax = std::max(absmax, std::fabs(x[i] + r));
+  const float scale = absmax > 0.f ? absmax / 127.f : 1.f;
+  const float inv = 1.f / scale;
+  for (int64_t i = 0; i < n; ++i)
+    requantize_element(x + i, q + i, err + i, u[i], r, scale, inv);
+  return scale;
 }
 
 }  // namespace apollo::simd::detail

@@ -10,7 +10,9 @@
 //   DAcc                        a double accumulator covering kWidth lanes
 //   zero() load(p) store(p,v) load_partial(p,m) store_partial(p,v,m)
 //   bcast(x) add sub mul div min max fmadd(a,b,c)  abs(v)
-//   round_nearest(v) pow2i(v)   (v integral, in [-127, 127])
+//   round_nearest(v) floor(v) pow2i(v)   (v integral, in [-127, 127])
+//   lt_select(a,b,t)            t where a < b (ordered), +0 elsewhere
+//   store_i8(q,v)               W int8 codes of integral lanes, NaN → 0
 //   dzero() dadd_f(acc,v) dfma_f(acc,a,b) dreduce_ordered(acc)
 //   reduce_add_ordered(v) reduce_max(v)
 //
@@ -25,6 +27,8 @@
 #include <cmath>
 #include <cstdint>
 #include <vector>
+
+#include "tensor/simd/kernels_decl.h"
 
 namespace apollo::simd::detail {
 
@@ -215,6 +219,45 @@ struct Kern {
     return std::ldexp(y, static_cast<int>(n));
   }
 
+  // ---- INT8 requantization (bit-exact vs scalar: no fma) -----------------
+
+  static float requantize_group(float* x, int8_t* q, float* err,
+                                const float* u, float r, int64_t n) {
+    const F vr = V::bcast(r);
+    float absmax = 0.f;
+    int64_t i = 0;
+    if (n >= W) {
+      // max(v, acc) returns acc when v is NaN: the same skip as std::max.
+      F vm = V::zero();
+      for (; i + W <= n; i += W)
+        vm = V::max(V::abs(V::add(V::load(x + i), vr)), vm);
+      absmax = V::reduce_max(vm);
+    }
+    for (; i < n; ++i) absmax = std::max(absmax, std::fabs(x[i] + r));
+    const float scale = absmax > 0.f ? absmax / 127.f : 1.f;
+    const float inv = 1.f / scale;
+    const F vinv = V::bcast(inv), vscale = V::bcast(scale);
+    const F one = V::bcast(1.f), lo = V::bcast(-127.f), hi = V::bcast(127.f);
+    for (i = 0; i + W <= n; i += W) {
+      const F v = V::add(V::load(x + i), vr);
+      const F s = V::mul(v, vinv);
+      const F fl = V::floor(s);
+      // Adding +0 (not a masked add) turns a −0 floor into +0, as scalar.
+      F qf = V::add(fl, V::lt_select(V::load(u + i), V::sub(s, fl), one));
+      // max/min return their second operand for NaN, so NaN passes through
+      // the clamp as it does through std::clamp.
+      qf = V::min(hi, V::max(lo, qf));
+      V::store_i8(q + i, qf);
+      // Two uses of d keep it out of any fma contraction, as in scalar.
+      const F d = V::mul(qf, vscale);
+      V::store(x + i, d);
+      V::store(err + i, V::sub(v, d));
+    }
+    for (; i < n; ++i)
+      requantize_element(x + i, q + i, err + i, u[i], r, scale, inv);
+    return scale;
+  }
+
   // ---- GEMM --------------------------------------------------------------
 
   // Register-tiled micro-kernel: kMr rows × NR columns of C accumulate in
@@ -300,6 +343,27 @@ struct Kern {
     }
   }
 
+  // pack_b's panels for the kc×nc block of Bᵀ, read from B stored nc×kc
+  // (row stride ldb): the same floats in the same places, so everything
+  // downstream of the pack is bit-identical to gemm on a materialized Bᵀ.
+  static void pack_bt(std::vector<float>& buf, const float* b, int64_t ldb,
+                      int64_t kc, int64_t nc) {
+    const int64_t panels = (nc + NR - 1) / NR;
+    // Same caller-owned thread-local scratch as pack_b.
+    buf.resize(static_cast<size_t>(panels * kc * NR));  // lint:allow(hot-path-alloc)
+    for (int64_t pan = 0; pan < panels; ++pan) {
+      const int64_t j0 = pan * NR;
+      const int64_t w = std::min<int64_t>(NR, nc - j0);
+      float* dst = buf.data() + pan * kc * NR;
+      for (int64_t j = 0; j < w; ++j) {
+        const float* src = b + (j0 + j) * ldb;
+        for (int64_t p = 0; p < kc; ++p) dst[p * NR + j] = src[p];
+      }
+      for (int64_t p = 0; p < kc; ++p)
+        for (int64_t j = w; j < NR; ++j) dst[p * NR + j] = 0.f;
+    }
+  }
+
   // Pack mr rows of the transposed-A operand (element (i+r, p) at
   // a[p*lda + r]) into a p-major tile with stride mr, so the micro-kernel
   // broadcasts from contiguous memory instead of striding by lda.
@@ -314,19 +378,46 @@ struct Kern {
     }
   }
 
+  // Per-thread pack scratch shared by gemm and gemm_bt: contents are fully
+  // rewritten per block, so results never depend on which worker ran which
+  // band.
+  struct PackScratch {
+    std::vector<float> b, a;
+  };
+  static PackScratch& pack_scratch() {
+    thread_local PackScratch scratch;
+    return scratch;
+  }
+
   static void gemm(float* c, int64_t ldc, const float* a, int64_t lda,
                    bool a_trans, const float* b, int64_t ldb, int64_t i0,
                    int64_t i1, int64_t n, int64_t k) {
+    blocked<false>(c, ldc, a, lda, a_trans, b, ldb, i0, i1, n, k);
+  }
+
+  static void gemm_bt(float* c, int64_t ldc, const float* a, int64_t lda,
+                      const float* b, int64_t ldb, int64_t i0, int64_t i1,
+                      int64_t n, int64_t k) {
+    blocked<true>(c, ldc, a, lda, /*a_trans=*/false, b, ldb, i0, i1, n, k);
+  }
+
+  // The blocked GEMM; kBTrans selects B stored n×k (packed by pack_bt)
+  // instead of k×n (pack_b).
+  template <bool kBTrans>
+  static void blocked(float* c, int64_t ldc, const float* a, int64_t lda,
+                      bool a_trans, const float* b, int64_t ldb, int64_t i0,
+                      int64_t i1, int64_t n, int64_t k) {
     if (i0 >= i1 || n <= 0 || k <= 0) return;
-    // Per-thread pack scratch: contents are fully rewritten per block, so
-    // results never depend on which worker ran which band.
-    thread_local std::vector<float> bpack;
-    thread_local std::vector<float> apack;
+    std::vector<float>& bpack = pack_scratch().b;
+    std::vector<float>& apack = pack_scratch().a;
     for (int64_t jc = 0; jc < n; jc += NC) {
       const int64_t nc = std::min(NC, n - jc);
       for (int64_t kb = 0; kb < k; kb += KC) {
         const int64_t kc = std::min(KC, k - kb);
-        pack_b(bpack, b + kb * ldb + jc, ldb, kc, nc);
+        if constexpr (kBTrans)
+          pack_bt(bpack, b + jc * ldb + kb, ldb, kc, nc);
+        else
+          pack_b(bpack, b + kb * ldb + jc, ldb, kc, nc);
         for (int64_t i = i0; i < i1; i += MR) {
           const int64_t mr = std::min<int64_t>(MR, i1 - i);
           const float* abase;

@@ -1,11 +1,11 @@
 // Runtime-dispatched SIMD kernel layer (DESIGN.md §12).
 //
 // Every dense hot-loop primitive in the repo — GEMM, elementwise updates,
-// whole-tensor reductions, softmax, RMSNorm, SiLU — is reachable through a
-// per-level KernelTable: a portable scalar reference, an AVX2+FMA backend,
-// and an AVX-512 backend. The level is chosen once at startup from cpuid,
-// overridable with APOLLO_SIMD=scalar|avx2|avx512 (docs/ENVVARS.md) and, for
-// tests and benches, with set_level().
+// whole-tensor reductions, softmax, RMSNorm, SiLU, INT8 requantization — is
+// reachable through a per-level KernelTable: a portable scalar reference,
+// an AVX2+FMA backend, and an AVX-512 backend. The level is chosen once at
+// startup from cpuid, overridable with APOLLO_SIMD=scalar|avx2|avx512
+// (docs/ENVVARS.md) and, for tests and benches, with set_level().
 //
 // Determinism contract:
 //   * For a FIXED level, every kernel is bit-identical run-to-run and for
@@ -17,7 +17,8 @@
 //     lane order, then a sequential scalar tail.
 //   * ACROSS levels, elementwise kernels (axpy/scale/hadamard/add/sub) are
 //     bit-exact — both sides pin the accumulate to a single rounding via
-//     fma. GEMM, reductions, softmax, RMSNorm and SiLU reorder their
+//     fma — and so is requantize_group, which uses no fma at all. GEMM,
+//     reductions, softmax, RMSNorm and SiLU reorder their
 //     contractions per level (and use a polynomial exp), so cross-level
 //     agreement is bounded-ULP, asserted by tests/simd_conformance_test.cpp.
 //
@@ -70,6 +71,13 @@ struct KernelTable {
   void (*gemm)(float* c, int64_t ldc, const float* a, int64_t lda,
                bool a_trans, const float* b, int64_t ldb, int64_t i0,
                int64_t i1, int64_t n, int64_t k);
+  // C[i0..i1) += A·Bᵀ with A m×k row-major and B stored n×k row-major
+  // (element (j,p) at b[j*ldb + p]). Bᵀ is packed straight from B's rows
+  // into the panels gemm would pack from a materialized k×n transpose, so
+  // the result equals that gemm call bit for bit at every level.
+  void (*gemm_bt)(float* c, int64_t ldc, const float* a, int64_t lda,
+                  const float* b, int64_t ldb, int64_t i0, int64_t i1,
+                  int64_t n, int64_t k);
 
   // y[i] = fma(alpha, x[i], y[i]) — single rounding, exact at every level.
   void (*axpy)(float* y, const float* x, float alpha, int64_t n);
@@ -103,6 +111,17 @@ struct KernelTable {
                        int64_t n, float eps);
   // SiLU: sig[i] = σ(x[i]), y[i] = x[i]·sig[i].
   void (*silu)(float* y, float* sig, const float* x, int64_t n);
+
+  // One group of stochastic INT8 requantization with error feedback
+  // (GroupQuantized::requantize_stochastic). With v[i] = x[i] + r, the
+  // scale is max|v|/127 (1 when that is 0; NaN elements are skipped) and
+  // s[i] = v[i]·(1/scale). Per element: f = floor(s), the code is
+  // qf = clamp(f + (u[i] < s − f ? 1 : 0), −127, 127), q[i] = qf (0 when qf
+  // is NaN), x[i] = qf·scale and err[i] = v[i] − x[i]. Returns the scale.
+  // Built from single IEEE operations with no fma, so every level is
+  // bit-exact with scalar.
+  float (*requantize_group)(float* x, int8_t* q, float* err, const float* u,
+                            float r, int64_t n);
 };
 
 // Kernel table for the active level / an explicit level. Requesting an

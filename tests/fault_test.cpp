@@ -9,10 +9,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "core/apollo.h"
+#include "core/quantized_weights.h"
 #include "data/corpus.h"
 #include "fault/fault_injection.h"
 #include "obs/metrics.h"
@@ -91,7 +93,7 @@ TEST(FaultInjector, CheckpointEventsRipen) {
 // --- in-process recovery ----------------------------------------------------
 
 train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
-                            bool fused = false) {
+                            bool fused = false, bool quantized = false) {
   nn::LlamaConfig cfg;
   cfg.vocab = 64;
   cfg.hidden = 16;
@@ -118,7 +120,10 @@ train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
     tc.resilience.ckpt_keep = 3;
     tc.resilience.watchdog = true;
   }
+  std::optional<core::QuantizedWeightStore> qstore;
+  if (quantized) qstore.emplace(model.parameters(), 17);
   train::Trainer t(model, opt, corpus, tc);
+  if (qstore) t.set_quantized_weights(&*qstore);
   return t.run();
 }
 
@@ -151,6 +156,25 @@ TEST(FaultInjector, NanGradRecoversOnFusedPath) {
   const auto res = run_tiny(dir, 12, /*fused=*/true);
   EXPECT_FALSE(res.diverged) << res.divergence_diagnostics;
   EXPECT_GE(res.rollbacks, 1);
+  EXPECT_TRUE(std::isfinite(res.final_perplexity));
+  EXPECT_EQ(obs::Registry::instance().counter("fault.injected").value(), 1);
+  obs::Registry::instance().reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FaultInjector, NanGradRecoversOnQuantizedFusedPath) {
+  // The fused path requantizes each leaf before the post-hoc norm check, so
+  // the NaN reaches the INT8 store's per-group residuals. Checkpoints carry
+  // fp32 weights only; rollback must re-absorb them from zeroed residuals,
+  // or every retry replays the NaN and the run diverges.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "fault_nan_qfused_ckpts";
+  std::filesystem::remove_all(dir);
+  obs::Registry::instance().reset();
+  FaultGuard guard("nan_grad@6");
+  const auto res = run_tiny(dir, 12, /*fused=*/true, /*quantized=*/true);
+  EXPECT_FALSE(res.diverged) << res.divergence_diagnostics;
+  EXPECT_EQ(res.rollbacks, 1);
   EXPECT_TRUE(std::isfinite(res.final_perplexity));
   EXPECT_EQ(obs::Registry::instance().counter("fault.injected").value(), 1);
   obs::Registry::instance().reset();

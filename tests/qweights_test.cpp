@@ -1,10 +1,15 @@
 // QuantizedWeightStore (Q-APOLLO weight path) tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iterator>
+
 #include "core/quantized_weights.h"
+#include "fault/crc32.h"
 #include "linalg/svd.h"
 #include "optim/galore.h"
 #include "tensor/ops.h"
+#include "tensor/simd/simd.h"
 
 namespace apollo {
 namespace {
@@ -143,6 +148,57 @@ TEST(QuantizedWeightStore, SaveLoadRoundTripIsDeterministic) {
     dst.requantize_param(0);
     EXPECT_TRUE(p0->value == p1->value);
   }
+}
+
+// 7b-proxy weight shapes (attention 128×128, MLP 344×128 and 128×344,
+// embedding 256×128) after 20 perturb-and-requantize steps: one CRC-32 over
+// the save_state payload (codes, scales, residuals and RNG states) and the
+// live weights. Each perturbation is a uniform scaled by a power of two, so
+// its product is exact and the sum rounds the same whether or not the
+// compiler fuses it into an fma (builds with and without -march=native).
+uint32_t requantization_fingerprint() {
+  const int64_t shapes[][2] = {{128, 128}, {344, 128}, {128, 344}, {256, 128}};
+  std::vector<std::unique_ptr<nn::Parameter>> owned;
+  nn::ParamList params;
+  for (size_t i = 0; i < std::size(shapes); ++i) {
+    owned.push_back(make_param(shapes[i][0], shapes[i][1], 40 + i));
+    params.push_back(owned.back().get());
+  }
+  core::QuantizedWeightStore store(params, 0x5eed);
+  Rng noise(41);
+  for (int step = 0; step < 20; ++step) {
+    for (nn::Parameter* p : params)
+      for (int64_t i = 0; i < p->value.size(); ++i)
+        p->value[i] += (noise.next_float() - 0.5f) * 0x1p-8f;
+    for (int slot = 0; slot < static_cast<int>(params.size()); ++slot)
+      store.requantize_param(slot);
+  }
+  std::FILE* f = std::tmpfile();
+  if (f == nullptr) return 0;
+  store.save_state(f);
+  std::vector<unsigned char> payload(static_cast<size_t>(std::ftell(f)));
+  std::rewind(f);
+  const size_t got = std::fread(payload.data(), 1, payload.size(), f);
+  std::fclose(f);
+  if (got != payload.size()) return 0;
+  uint32_t crc = fault::crc32_update(fault::kCrc32Init, payload.data(),
+                                     payload.size());
+  for (const nn::Parameter* p : params)
+    crc = fault::crc32_update(crc, p->value.data(),
+                              static_cast<size_t>(p->value.size()) * 4);
+  return fault::crc32_final(crc);
+}
+
+TEST(QuantizedWeightStore, RequantizationGoldenFingerprint) {
+  // Pins the exact bits of stochastic requantization with error feedback.
+  // The value was recorded with the original scalar loop, before the SIMD
+  // kernel existed; every dispatch level must reproduce it.
+  for (simd::Level lv : simd::available_levels()) {
+    ASSERT_TRUE(simd::set_level(lv));
+    EXPECT_EQ(requantization_fingerprint(), 0x74907954u)
+        << "level " << simd::level_name(lv);
+  }
+  simd::clear_level_override();
 }
 
 TEST(QuantizedWeightStore, LoadStateRejectsTruncatedPayload) {

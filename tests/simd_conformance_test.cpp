@@ -375,4 +375,196 @@ TEST(SimdConformance, GemmBandComposition) {
   }
 }
 
+// ---------- GEMM with Bᵀ packed in the kernel: bit-exact vs gemm -----------
+
+// gemm_bt on B (n×k) must equal gemm on the materialized transpose (k×n) bit
+// for bit at every level, including the scalar reference, for every row
+// band: odd n, k past one (and two) 256-deep panels, n past the 1024-wide
+// panel cap, padded strides, and bands that start off a register tile.
+TEST(SimdConformance, GemmBtEqualsGemmOnMaterializedTranspose) {
+  struct Case {
+    int64_t m, n, k, pad;
+    bool accumulate;
+  };
+  const Case cases[] = {
+      {4, 16, 16, 0, false},   {7, 33, 17, 1, true},   {13, 1, 300, 0, false},
+      {64, 344, 128, 0, false}, {64, 128, 344, 0, true}, {37, 65, 513, 3, true},
+      {9, 1031, 21, 2, false},  {23, 37, 19, 0, false},  {5, 2, 257, 1, true},
+  };
+  Rng rng(0xb7b7u);
+  for (simd::Level lv : simd::available_levels()) {
+    const simd::KernelTable& kt = simd::table(lv);
+    for (const Case& tc : cases) {
+      const int64_t m = tc.m, n = tc.n, k = tc.k;
+      const int64_t lda = k + tc.pad, ldb = k + tc.pad, ldt = n + tc.pad,
+                    ldc = n + tc.pad;
+      const std::vector<float> a = rand_vec(rng, m * lda);
+      const std::vector<float> b = rand_vec(rng, n * ldb);
+      std::vector<float> bt(static_cast<size_t>(k * ldt), 0.f);
+      for (int64_t j = 0; j < n; ++j)
+        for (int64_t p = 0; p < k; ++p)
+          bt[static_cast<size_t>(p * ldt + j)] =
+              b[static_cast<size_t>(j * ldb + p)];
+      const std::vector<float> c0 =
+          tc.accumulate ? rand_vec(rng, m * ldc)
+                        : std::vector<float>(static_cast<size_t>(m * ldc), 0.f);
+      // Whole range, then bands split off the tile boundary.
+      const int64_t splits[] = {0, 1, 3, 5, m / 2, m - 1};
+      for (int64_t split : splits) {
+        if (split < 0 || split > m) continue;
+        std::vector<float> want = c0, got = c0;
+        kt.gemm(want.data(), ldc, a.data(), lda, false, bt.data(), ldt, 0, m,
+                n, k);
+        kt.gemm_bt(got.data(), ldc, a.data(), lda, b.data(), ldb, 0, split,
+                   n, k);
+        kt.gemm_bt(got.data(), ldc, a.data(), lda, b.data(), ldb, split, m,
+                   n, k);
+        ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * 4), 0)
+            << "gemm_bt level=" << simd::level_name(lv) << " m=" << m
+            << " n=" << n << " k=" << k << " pad=" << tc.pad
+            << " split=" << split;
+      }
+    }
+  }
+}
+
+// ---------- INT8 requantization: bit-exact across levels --------------------
+
+bool same_bits_or_both_nan(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+// Runs requantize_group at `lv` and at scalar on copies of the same group;
+// returns the first difference, or nullopt.
+std::optional<std::string> requantize_mismatch(simd::Level lv,
+                                               const std::vector<float>& x0,
+                                               const std::vector<float>& u,
+                                               float r) {
+  const int64_t n = static_cast<int64_t>(x0.size());
+  std::vector<float> xa = x0, xb = x0, ea(x0.size()), eb(x0.size());
+  std::vector<int8_t> qa(x0.size()), qb(x0.size());
+  const float sa = simd::table(simd::Level::kScalar)
+                       .requantize_group(xa.data(), qa.data(), ea.data(),
+                                         u.data(), r, n);
+  const float sb = simd::table(lv).requantize_group(xb.data(), qb.data(),
+                                                    eb.data(), u.data(), r, n);
+  std::ostringstream os;
+  if (!same_bits_or_both_nan(sa, sb)) {
+    os << "scale " << sa << " vs " << sb;
+    return os.str();
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    const size_t k = static_cast<size_t>(i);
+    if (qa[k] != qb[k] || qb[k] < -127 ||
+        !same_bits_or_both_nan(xa[k], xb[k]) ||
+        !same_bits_or_both_nan(ea[k], eb[k])) {
+      os << "i=" << i << " x0=" << x0[k] << " u=" << u[k] << ": code "
+         << int{qa[k]} << " vs " << int{qb[k]} << ", x " << xa[k] << " vs "
+         << xb[k] << ", err " << ea[k] << " vs " << eb[k];
+      return os.str();
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(SimdConformance, RequantizeGroupBitExact) {
+  Rng rng(0x9a9au);
+  for (simd::Level lv : vector_levels()) {
+    // Random groups of every tail class, with and without a residual.
+    for (int64_t n : kLens) {
+      for (float r : {0.f, 3e-3f}) {
+        const std::vector<float> x = rand_vec(rng, n, 0.1f);
+        std::vector<float> u(static_cast<size_t>(n));
+        rng.fill_floats(u.data(), n);
+        const auto bad = requantize_mismatch(lv, x, u, r);
+        ASSERT_FALSE(bad.has_value())
+            << "level=" << simd::level_name(lv) << " n=" << n << " r=" << r
+            << ": " << *bad;
+      }
+    }
+    // Exact .5 fractions: absmax 127 gives scale 1, so s = x exactly; a
+    // uniform equal to the fraction must not round up, one ulp below must.
+    {
+      std::vector<float> x = {127.f, 2.5f, -3.5f, 0.5f,  -0.5f, 10.5f,
+                              -0.f,  0.f,  4.5f,  -4.5f, 1.5f,  -1.5f,
+                              6.5f,  7.5f, -8.5f, 9.5f,  0.25f, -0.75f};
+      std::vector<float> u(x.size());
+      for (size_t i = 0; i < u.size(); ++i)
+        u[i] = i % 3 == 0 ? 0.5f
+                          : i % 3 == 1 ? std::nextafter(0.5f, 0.f)
+                                       : std::nextafter(0.5f, 1.f);
+      const auto bad = requantize_mismatch(lv, x, u, 0.f);
+      ASSERT_FALSE(bad.has_value())
+          << "halves level=" << simd::level_name(lv) << ": " << *bad;
+    }
+    // ±127 clamps: with absmax 0.3, scale and 1/scale round so that ±0.3
+    // lands at ±127.000008, whose floor or round-up is ±128 before the
+    // clamp; uniforms of 0 and 1 push the rounding both ways.
+    for (float um : {0.f, 1.f, 0.5f}) {
+      std::vector<float> x(40);
+      for (size_t i = 0; i < x.size(); ++i)
+        x[i] = i % 2 == 0 ? 0.3f : -0.3f;
+      std::vector<float> u(x.size(), um);
+      const auto bad = requantize_mismatch(lv, x, u, 0.f);
+      ASSERT_FALSE(bad.has_value())
+          << "clamp level=" << simd::level_name(lv) << " u=" << um << ": "
+          << *bad;
+    }
+    // Non-finite and extreme inputs: NaN elements, a NaN residual, an
+    // infinite element, a subnormal absmax whose scale underflows to 0, and
+    // a huge absmax that scales a tiny negative element to −0 (whose floor
+    // is −0 and whose code must come out +0, as scalar's +0.f add gives).
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    for (int which = 0; which < 5; ++which) {
+      for (int64_t n : {int64_t{7}, int64_t{33}, int64_t{128}}) {
+        std::vector<float> x = rand_vec(rng, n, which == 3 ? 1e-44f : 0.1f);
+        std::vector<float> u(static_cast<size_t>(n));
+        rng.fill_floats(u.data(), n);
+        float r = 0.f;
+        if (which == 0) {
+          // Also at lane 0 of the last full vector of each width, where a
+          // NaN that reached the running max would survive into the scale.
+          x[0] = x[static_cast<size_t>(n - 1)] = nan;
+          for (int64_t w : {int64_t{8}, int64_t{16}})
+            if (n >= w) x[static_cast<size_t>((n / w - 1) * w)] = nan;
+        }
+        if (which == 1) r = nan;
+        if (which == 2) x[static_cast<size_t>(n / 2)] = -inf;
+        if (which == 4) {
+          x[0] = 1e38f;
+          for (size_t i = 1; i < x.size(); ++i) x[i] = -1e-45f;
+        }
+        const auto bad = requantize_mismatch(lv, x, u, r);
+        ASSERT_FALSE(bad.has_value())
+            << "case " << which << " level=" << simd::level_name(lv)
+            << " n=" << n << ": " << *bad;
+      }
+    }
+  }
+}
+
+// Defined results at every level: a NaN element gets code 0 (no float→int
+// conversion of NaN), keeps a NaN weight and error, and the rest of the
+// group is scaled as if it were absent; ±0.3 at absmax 0.3 clamps to ±127.
+TEST(SimdConformance, RequantizeGroupNanAndClampCodes) {
+  for (simd::Level lv : simd::available_levels()) {
+    std::vector<float> x(19, 0.1f), err(19);
+    x[3] = std::numeric_limits<float>::quiet_NaN();
+    x[16] = 0.3f;
+    x[17] = -0.3f;
+    std::vector<int8_t> q(19, 99);
+    const std::vector<float> u(19, 0.f);
+    const float scale = simd::table(lv).requantize_group(
+        x.data(), q.data(), err.data(), u.data(), 0.f, 19);
+    EXPECT_EQ(scale, 0.3f / 127.f) << simd::level_name(lv);
+    EXPECT_EQ(q[3], 0) << simd::level_name(lv);
+    EXPECT_TRUE(std::isnan(x[3]) && std::isnan(err[3]))
+        << simd::level_name(lv);
+    EXPECT_EQ(q[16], 127) << simd::level_name(lv);
+    EXPECT_EQ(q[17], -127) << simd::level_name(lv);
+  }
+}
+
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -404,6 +405,40 @@ TEST(Rng, GaussianMoments) {
   }
   EXPECT_NEAR(s1 / n, 0.0, 0.02);
   EXPECT_NEAR(s2 / n, 1.0, 0.03);
+}
+
+TEST(Rng, FillFloatsMatchesNextFloat) {
+  // Same values and the same final state as one next_float() per element,
+  // for lengths below, at and across the fill's 64-draw block.
+  for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{63}, int64_t{64},
+                    int64_t{1000}}) {
+    Rng bulk(11), one(11);
+    std::vector<float> got(static_cast<size_t>(n));
+    bulk.fill_floats(got.data(), n);
+    for (int64_t i = 0; i < n; ++i)
+      ASSERT_EQ(got[static_cast<size_t>(i)], one.next_float()) << n << " " << i;
+    EXPECT_EQ(bulk.next_u64(), one.next_u64()) << n;
+  }
+}
+
+TEST(Rng, UniformFloatRoundsLikeNextFloat) {
+  // Round-to-nearest-even ties at float precision (the top 53 bits hold a
+  // 53-bit integer whose ulp at float precision is 2^29 near 2^52), the
+  // all-ones draw that rounds up to 1.0f, and the smallest draws.
+  const uint64_t top[] = {0,
+                          1,
+                          (uint64_t{1} << 52) + (uint64_t{1} << 28),
+                          (uint64_t{1} << 52) + (uint64_t{3} << 28),
+                          (uint64_t{1} << 52) + (uint64_t{1} << 28) + 1,
+                          (uint64_t{1} << 53) - 1,
+                          (uint64_t{1} << 30) + (uint64_t{1} << 6)};
+  for (uint64_t t : top) {
+    const uint64_t bits = (t << 11) | 0x7ff;  // low bits are discarded
+    const float want =
+        static_cast<float>(static_cast<double>(bits >> 11) * 0x1.0p-53);
+    EXPECT_EQ(Rng::uniform_float(bits), want) << t;
+  }
+  EXPECT_EQ(Rng::uniform_float(~uint64_t{0}), 1.f);
 }
 
 TEST(Rng, SplitStreamsIndependentish) {
