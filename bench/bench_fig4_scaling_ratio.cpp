@@ -93,9 +93,10 @@ int main() {
       groups;
   for (size_t i = 0; i < params.size(); ++i) {
     if (!params[i]->matrix_shaped) continue;
-    const auto* sg = golden.last_scaling(params[i]);
-    const auto* s4 = apollo4->last_scaling(s4list[i]);
-    const auto* s8 = apollo8->last_scaling(s8list[i]);
+    const int slot = static_cast<int>(i);
+    const auto* sg = golden.last_scaling(slot);
+    const auto* s4 = apollo4->last_scaling(slot);
+    const auto* s8 = apollo8->last_scaling(slot);
     if (sg == nullptr || s4 == nullptr || s8 == nullptr) continue;
 
     std::string bucket = "embed/head";

@@ -92,7 +92,6 @@ class Tape {
   const Matrix* grad_if_ready(Var v) const;
   bool requires_grad(Var v) const;
 
-  size_t node_count() const { return nodes_.size(); }
   // Total bytes held by forward values + saved attention probabilities —
   // feeds the activation-memory sanity checks. Under gradient release this
   // is the *current* footprint (it shrinks during backward); use

@@ -6,11 +6,10 @@
 #include "tensor/serialize.h"
 
 #include "core/threadpool.h"
-#include "linalg/svd.h"
+#include "linalg/projection.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
-#include "tensor/ops.h"
+#include "optim/norm_limiter.h"
 
 namespace apollo::core {
 
@@ -31,26 +30,15 @@ void Apollo::begin_step(const nn::ParamList& params) {
   if (states_.size() < params.size()) states_.resize(params.size());
   telemetry_ = obs::telemetry_enabled();
   stats_ = StepStats{};
-  // Everything order-sensitive happens here, iterating params in slot
-  // order: seeder_ draws, refresh decisions, local step counters. This
-  // keeps the RNG stream identical whether step_param() is later called in
-  // slot order (compat step()) or in backward-completion order (fused).
   for (size_t i = 0; i < params.size(); ++i) {
-    nn::Parameter* p = params[i];
-    slot_of_[p] = i;
-    if (!projected(*p)) continue;  // dense fallback: no per-slot decisions
+    const nn::Parameter& p = *params[i];
+    if (!projected(p)) continue;  // dense fallback: no per-slot decisions
     State& s = states_[i];
-    if (s.local_t == 0) {
-      s.side = natural_side(p->value.rows(), p->value.cols());
-      s.proj_seed = seeder_.split();
-    }
-    s.refresh = s.local_t % cfg_.update_freq == 0;
-    ++s.local_t;
-    if (s.refresh && obs::trace_enabled())
-      obs::trace_instant("proj_refresh", "optim");
-    // Random projection seeds are re-drawn every update_freq steps.
-    if (cfg_.proj == optim::ProjKind::kRandom && s.refresh && s.local_t > 1)
-      s.proj_seed = seeder_.split();
+    // A fresh slot's limiter starts at the configured γ (merge_state sets
+    // resumed slots', tighten_norm_limiter every slot's).
+    if (s.local_t == 0) s.limiter.set_gamma(cfg_.nl_gamma);
+    optim::advance_slot(s, p.value.rows(), p.value.cols(), cfg_.proj,
+                        cfg_.update_freq, /*random_after=*/-1, seeder_);
   }
 }
 
@@ -83,73 +71,22 @@ void Apollo::update_matrix_param(nn::Parameter* p, State& s,
                                  StepStats* stats) {
   APOLLO_CHECK_SAME_SHAPE(p->value, p->grad);
   const Matrix& g = p->grad;
-  const int64_t r = cfg_.rank;
 
   // Step 1: project the gradient into the rank-r auxiliary space. The
   // refresh decision and any seed re-draw already happened in begin_step().
-  Matrix rg;
-  if (cfg_.proj == optim::ProjKind::kRandom) {
-    const int64_t small_dim =
-        s.side == ProjectionSide::kLeft ? g.rows() : g.cols();
-    // Regenerated from the seed every step — never stored.
-    Matrix proj = gaussian_projection(r, small_dim, s.proj_seed);
-    rg = project(g, proj, s.side);
-  } else {
-    if (s.refresh) {
-      s.svd_projector = s.side == ProjectionSide::kLeft
-                            ? svd_left_projector(g, r)
-                            : svd_right_projector(g, r);
-    }
-    rg = project(g, s.svd_projector, s.side);
-  }
+  Matrix scratch;
+  const Matrix rg =
+      project(g, optim::slot_projector(s, g, cfg_.rank, scratch), s.side);
 
   // Step 2: AdamW moments in the auxiliary space only.
-  if (s.m.size() == 0) {
-    s.m.reshape_discard(rg.rows(), rg.cols());
-    s.v.reshape_discard(rg.rows(), rg.cols());
-  }
-  const float b1 = cfg_.hyper.beta1, b2 = cfg_.hyper.beta2;
-  const optim::BiasCorrection bc = optim::bias_correction(cfg_.hyper, s.local_t);
-  const float bc1 = bc.c1, bc2 = bc.c2;
-  Matrix rtilde(rg.rows(), rg.cols());
-  core::parallel_for(
-      rg.size(),
-      [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          s.m[i] = b1 * s.m[i] + (1.f - b1) * rg[i];
-          s.v[i] = b2 * s.v[i] + (1.f - b2) * rg[i] * rg[i];
-          rtilde[i] =
-              (s.m[i] / bc1) / (std::sqrt(s.v[i] / bc2) + cfg_.hyper.eps);
-        }
-      },
-      /*grain=*/1 << 13);
+  const Matrix rtilde = optim::subspace_adam(s, rg, cfg_.hyper);
 
-  // Step 3: structured scaling factors from the compressed space.
+  // Step 3: structured scaling factors from the compressed space, applied
+  // to the raw full-rank gradient.
   Matrix update = g;
-  if (cfg_.granularity == ScalingGranularity::kChannel) {
-    std::vector<float> num, den;
-    if (s.side == ProjectionSide::kLeft) {
-      num = col_norms(rtilde);
-      den = col_norms(rg);
-    } else {
-      num = row_norms(rtilde);
-      den = row_norms(rg);
-    }
-    std::vector<float>& sf = s.last_scaling;
-    sf.resize(num.size());
-    for (size_t j = 0; j < sf.size(); ++j)
-      sf[j] = den[j] > 1e-30f ? num[j] / den[j] : 0.f;
-    if (s.side == ProjectionSide::kLeft)
-      scale_cols_inplace(update, sf);
-    else
-      scale_rows_inplace(update, sf);
-  } else {
-    const double num = frobenius_norm(rtilde);
-    const double den = frobenius_norm(rg);
-    const float sf = den > 1e-30 ? static_cast<float>(num / den) : 0.f;
-    s.last_scaling.assign(1, sf);
-    scale_inplace(update, sf);
-  }
+  apply_structured_scaling(update, rtilde, rg, s.side,
+                           cfg_.granularity == ScalingGranularity::kTensor,
+                           s.last_scaling);
 
   const bool clipped = cfg_.use_norm_limiter ? s.limiter.apply(update) : false;
   if (stats != nullptr) {
@@ -176,15 +113,9 @@ void Apollo::update_matrix_param(nn::Parameter* p, State& s,
 
 int64_t Apollo::state_bytes() const {
   int64_t b = dense_.state_bytes();
-  for (const State& s : states_) {
-    if (s.local_t == 0) continue;  // slot never projected (dense or unseen)
-    b += (s.m.size() + s.v.size()) * static_cast<int64_t>(sizeof(float));
-    b += s.svd_projector.size() * static_cast<int64_t>(sizeof(float));
-    b += 8;  // projection seed
-    if (cfg_.use_norm_limiter)
-      b += optim::NormGrowthLimiter::state_floats() *
-           static_cast<int64_t>(sizeof(float));
-  }
+  for (const State& s : states_)
+    // Slots never projected (dense or unseen) hold nothing.
+    if (s.local_t > 0) b += optim::slot_bytes(s, cfg_.use_norm_limiter);
   return b;
 }
 
@@ -292,14 +223,12 @@ bool Apollo::tighten_norm_limiter(float factor) {
   return true;
 }
 
-// Read-only instrumentation lookup; unknown pointers return nullptr.
+// Read-only instrumentation lookup; unknown slots return nullptr.
 // lint:allow(check-shape-preconditions)
-const std::vector<float>* Apollo::last_scaling(
-    const nn::Parameter* p) const {
-  auto it = slot_of_.find(p);
-  if (it == slot_of_.end() || it->second >= states_.size()) return nullptr;
-  const State& s = states_[it->second];
-  return s.last_scaling.empty() ? nullptr : &s.last_scaling;
+const std::vector<float>* Apollo::last_scaling(int slot) const {
+  if (slot < 0 || static_cast<size_t>(slot) >= states_.size()) return nullptr;
+  const std::vector<float>& s = states_[static_cast<size_t>(slot)].last_scaling;
+  return s.empty() ? nullptr : &s;
 }
 
 }  // namespace apollo::core

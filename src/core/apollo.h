@@ -26,16 +26,13 @@
 #include <cmath>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "linalg/projection.h"
 #include "nn/parameter.h"
 #include "optim/dense_adam.h"
-#include "optim/galore.h"  // ProjKind
-#include "optim/norm_limiter.h"
 #include "optim/optimizer.h"
-#include "tensor/matrix.h"
+#include "optim/subspace.h"
+#include "tensor/rng.h"
 
 namespace apollo::core {
 
@@ -89,10 +86,10 @@ class Apollo : public optim::Optimizer {
   int64_t reseed_projection(uint64_t salt) override;
   bool tighten_norm_limiter(float factor) override;
 
-  // Instrumentation for the Fig. 4 / Fig. 8 reproduction: the channel-wise
-  // scaling factors computed at the most recent step for `p` (empty until
-  // the first step, or if `p` took the dense fallback).
-  const std::vector<float>* last_scaling(const nn::Parameter* p) const;
+  // Instrumentation for the Fig. 4 / Fig. 8 reproduction: the scaling
+  // factors computed at the most recent step for the parameter in `slot`
+  // (nullptr until its first step, or if it took the dense fallback).
+  const std::vector<float>* last_scaling(int slot) const;
 
   static std::unique_ptr<Apollo> standard(ApolloConfig cfg) {
     return std::make_unique<Apollo>(cfg, "APOLLO");
@@ -111,15 +108,8 @@ class Apollo : public optim::Optimizer {
   const char* step_trace_name() const override { return "Apollo::step"; }
 
  private:
-  struct State {
-    ProjectionSide side = ProjectionSide::kLeft;
-    uint64_t proj_seed = 0;
-    Matrix svd_projector;  // only for the kSvd ablation
-    Matrix m, v;           // auxiliary low-rank moments
-    int64_t local_t = 0;
-    optim::NormGrowthLimiter limiter;
+  struct State : optim::SubspaceSlot {
     std::vector<float> last_scaling;  // instrumentation
-    bool refresh = false;  // decided in begin_step() for the current step
   };
 
   // Per-step telemetry aggregated across matrix parameters (only filled
@@ -146,9 +136,6 @@ class Apollo : public optim::Optimizer {
   std::string display_name_;
   optim::DenseAdamCore dense_;  // 1-D fallback (norm gains)
   std::vector<State> states_;   // indexed by slot
-  // Pointer → slot translation for the last_scaling() instrumentation API
-  // (rebuilt every begin_step; cheap for the param counts we run).
-  std::unordered_map<const nn::Parameter*, size_t> slot_of_;
   Rng seeder_;
   StepStats stats_;         // current-step aggregation
   bool telemetry_ = false;  // snapshot of telemetry_enabled() for this step

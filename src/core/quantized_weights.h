@@ -58,12 +58,6 @@ class QuantizedWeightStore {
   // the fused path) must not leak into the restored weights.
   void requantize_from_params();
 
-  // Whether `slot` is backed by an INT8 group-quantized container.
-  bool has_slot(int slot) const {
-    return slot >= 0 && slot < static_cast<int>(slot_index_.size()) &&
-           slot_index_[static_cast<size_t>(slot)] >= 0;
-  }
-
   // Serialize / restore the full store state (codes, scales, residuals, and
   // per-slot RNG streams) for exact-resume round trips. load_state returns
   // false on a malformed or shape-mismatched payload and leaves the store

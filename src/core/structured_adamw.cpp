@@ -1,11 +1,11 @@
 #include "core/structured_adamw.h"
 
-#include <cmath>
+#include <utility>
 
+#include "linalg/projection.h"
 #include "nn/parameter.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
-#include "tensor/ops.h"
 
 namespace apollo::core {
 
@@ -21,12 +21,10 @@ std::string StructuredAdamW::name() const {
 void StructuredAdamW::begin_step(const nn::ParamList& params) {
   Optimizer::begin_step(params);
   if (states_.size() < params.size()) states_.resize(params.size());
-  for (size_t i = 0; i < params.size(); ++i) slot_of_[params[i]] = i;
 }
 
 void StructuredAdamW::step_param(nn::Parameter& p, int slot) {
   APOLLO_CHECK_SAME_SHAPE(p.value, p.grad);
-  const float b1 = cfg_.hyper.beta1, b2 = cfg_.hyper.beta2;
   State& s = states_[static_cast<size_t>(slot)];
   const Matrix& g = p.grad;
   if (s.m.size() == 0) {
@@ -36,50 +34,23 @@ void StructuredAdamW::step_param(nn::Parameter& p, int slot) {
   ++s.local_t;
   const optim::BiasCorrection bc =
       optim::bias_correction(cfg_.hyper, s.local_t);
-  const float bc1 = bc.c1, bc2 = bc.c2;
 
-  // Full-rank moments and the element-wise normalized gradient G̃.
-  Matrix gtilde(g.rows(), g.cols());
-  for (int64_t i = 0; i < g.size(); ++i) {
-    s.m[i] = b1 * s.m[i] + (1.f - b1) * g[i];
-    s.v[i] = b2 * s.v[i] + (1.f - b2) * g[i] * g[i];
-    gtilde[i] =
-        (s.m[i] / bc1) / (std::sqrt(s.v[i] / bc2) + cfg_.hyper.eps);
+  // Full-rank moments and the element-wise normalized gradient G̃, which is
+  // the update itself at element granularity.
+  Matrix update(g.rows(), g.cols());
+  for (int64_t i = 0; i < g.size(); ++i)
+    update[i] = optim::adam_direction(s.m[i], s.v[i], g[i], cfg_.hyper, bc);
+
+  if (p.matrix_shaped && cfg_.granularity != LrGranularity::kElement) {
+    // Coarsened: the raw gradient scaled by G̃'s channel (or tensor) norms,
+    // channels along the larger dimension (paper convention m ≤ n).
+    const Matrix gtilde = std::exchange(update, g);
+    apply_structured_scaling(update, gtilde, g,
+                             natural_side(g.rows(), g.cols()),
+                             cfg_.granularity == LrGranularity::kTensor,
+                             s.last_scaling);
+    if (cfg_.use_norm_limiter) s.limiter.apply(update);
   }
-
-  Matrix update;
-  const bool coarsen =
-      p.matrix_shaped && cfg_.granularity != LrGranularity::kElement;
-  if (!coarsen) {
-    update = std::move(gtilde);
-  } else if (cfg_.granularity == LrGranularity::kChannel) {
-    // Channels along the larger dimension (paper convention m ≤ n).
-    const bool cols_are_channels = g.rows() <= g.cols();
-    std::vector<float> num =
-        cols_are_channels ? col_norms(gtilde) : row_norms(gtilde);
-    std::vector<float> den =
-        cols_are_channels ? col_norms(g) : row_norms(g);
-    std::vector<float>& sf = s.last_scaling;
-    // Sized once per parameter (shape is fixed); no-op after the first step.
-    sf.resize(num.size());  // lint:allow(hot-path-alloc)
-    for (size_t j = 0; j < sf.size(); ++j)
-      sf[j] = den[j] > 1e-30f ? num[j] / den[j] : 0.f;
-    update = g;
-    if (cols_are_channels)
-      scale_cols_inplace(update, sf);
-    else
-      scale_rows_inplace(update, sf);
-  } else {
-    const double num = frobenius_norm(gtilde);
-    const double den = frobenius_norm(g);
-    const float sf = den > 1e-30 ? static_cast<float>(num / den) : 0.f;
-    // One-element diagnostic record; capacity persists across steps.
-    s.last_scaling.assign(1, sf);  // lint:allow(hot-path-alloc)
-    update = g;
-    scale_inplace(update, sf);
-  }
-
-  if (coarsen && cfg_.use_norm_limiter) s.limiter.apply(update);
 
   const float wd = cfg_.hyper.weight_decay;
   for (int64_t i = 0; i < p.value.size(); ++i)
@@ -93,14 +64,12 @@ int64_t StructuredAdamW::state_bytes() const {
   return b;
 }
 
-// Read-only instrumentation lookup; unknown pointers return nullptr.
+// Read-only instrumentation lookup; unknown slots return nullptr.
 // lint:allow(check-shape-preconditions)
-const std::vector<float>* StructuredAdamW::last_scaling(
-    const nn::Parameter* p) const {
-  auto it = slot_of_.find(p);
-  if (it == slot_of_.end() || it->second >= states_.size()) return nullptr;
-  const State& s = states_[it->second];
-  return s.last_scaling.empty() ? nullptr : &s.last_scaling;
+const std::vector<float>* StructuredAdamW::last_scaling(int slot) const {
+  if (slot < 0 || static_cast<size_t>(slot) >= states_.size()) return nullptr;
+  const std::vector<float>& s = states_[static_cast<size_t>(slot)].last_scaling;
+  return s.empty() ? nullptr : &s;
 }
 
 }  // namespace apollo::core

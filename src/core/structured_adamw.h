@@ -13,7 +13,6 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nn/parameter.h"
@@ -28,7 +27,6 @@ enum class LrGranularity { kElement, kChannel, kTensor };
 struct StructuredAdamWConfig {
   LrGranularity granularity = LrGranularity::kChannel;
   bool use_norm_limiter = true;
-  float nl_gamma = 1.01f;
   optim::AdamHyper hyper;
 };
 
@@ -41,8 +39,9 @@ class StructuredAdamW : public optim::Optimizer {
   std::string name() const override;
   int64_t state_bytes() const override;
 
-  // Full-rank channel scaling factors from the latest step (Fig. 4 golden).
-  const std::vector<float>* last_scaling(const nn::Parameter* p) const;
+  // Full-rank scaling factors from the latest step for the parameter in
+  // `slot` (Fig. 4 golden); nullptr before its first coarsened step.
+  const std::vector<float>* last_scaling(int slot) const;
 
  protected:
   const char* step_trace_name() const override {
@@ -59,8 +58,6 @@ class StructuredAdamW : public optim::Optimizer {
 
   StructuredAdamWConfig cfg_;
   std::vector<State> states_;  // indexed by slot
-  // Pointer → slot translation for the last_scaling() instrumentation API.
-  std::unordered_map<const nn::Parameter*, size_t> slot_of_;
 };
 
 }  // namespace apollo::core

@@ -176,10 +176,6 @@ void set_rank(int rank) {
   Injector::instance().rank.store(rank, std::memory_order_release);
 }
 
-int current_rank() {
-  return Injector::instance().rank.load(std::memory_order_acquire);
-}
-
 bool take_at(Kind kind, int64_t step) {
   return take_matching(kind, step, /*at_or_after=*/false);
 }

@@ -90,7 +90,6 @@ void set_spec(const char* spec);
 // default of -1 means "no declared rank", under which rank-scoped events
 // never fire.
 void set_rank(int rank);
-int current_rank();
 
 // Consumes (at most once) the first unfired event of `kind` whose step is
 // exactly `step`. Used for the trainer-loop faults (nan_grad, crash).

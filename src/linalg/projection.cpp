@@ -47,4 +47,30 @@ int64_t channel_count(int64_t rows, int64_t cols, ProjectionSide side) {
   return side == ProjectionSide::kLeft ? cols : rows;
 }
 
+void apply_structured_scaling(Matrix& x, const Matrix& num, const Matrix& den,
+                              ProjectionSide side, bool tensor_wise,
+                              std::vector<float>& s) {
+  APOLLO_CHECK_SAME_SHAPE(num, den);
+  if (tensor_wise) {
+    const double n = frobenius_norm(num);
+    const double d = frobenius_norm(den);
+    const float f = d > 1e-30 ? static_cast<float>(n / d) : 0.f;
+    // One-element record; its capacity persists across steps.
+    s.assign(1, f);  // lint:allow(hot-path-alloc)
+    scale_inplace(x, f);
+    return;
+  }
+  const bool left = side == ProjectionSide::kLeft;
+  const std::vector<float> n = left ? col_norms(num) : row_norms(num);
+  const std::vector<float> d = left ? col_norms(den) : row_norms(den);
+  // Sized once per weight (the shape is fixed); a no-op after that.
+  s.resize(n.size());  // lint:allow(hot-path-alloc)
+  for (size_t j = 0; j < s.size(); ++j)
+    s[j] = d[j] > 1e-30f ? n[j] / d[j] : 0.f;
+  if (left)
+    scale_cols_inplace(x, s);
+  else
+    scale_rows_inplace(x, s);
+}
+
 }  // namespace apollo

@@ -4,7 +4,6 @@
 // quantized, so persistent state is ~1 byte/element per moment.
 #pragma once
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -28,7 +27,6 @@ class Adam8bit : public Optimizer {
 
   void step_param(nn::Parameter& p, int slot) override {
     APOLLO_CHECK_SAME_SHAPE(p.value, p.grad);
-    const float b1 = hp_.beta1, b2 = hp_.beta2;
     State& s = states_[static_cast<size_t>(slot)];
     const Matrix& g = p.grad;
     if (!s.m) {
@@ -54,10 +52,7 @@ class Adam8bit : public Optimizer {
       const int64_t len = s.m->block_len(b);
       for (int64_t k = 0; k < len; ++k) {
         const int64_t i = lo + k;
-        m[k] = b1 * m[k] + (1.f - b1) * g[i];
-        v[k] = b2 * v[k] + (1.f - b2) * g[i] * g[i];
-        p.value[i] -= lr_ * ((m[k] / bc_.c1) /
-                                 (std::sqrt(v[k] / bc_.c2) + hp_.eps) +
+        p.value[i] -= lr_ * (adam_direction(m[k], v[k], g[i], hp_, bc_) +
                              hp_.weight_decay * p.value[i]);
       }
       s.m->store_block(b, m);

@@ -5,7 +5,6 @@
 // bench_ablation_precision.
 #pragma once
 
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -29,7 +28,6 @@ class AdamWBf16 : public Optimizer {
 
   void step_param(nn::Parameter& p, int slot) override {
     APOLLO_CHECK_SAME_SHAPE(p.value, p.grad);
-    const float b1 = hp_.beta1, b2 = hp_.beta2;
     State& s = states_[static_cast<size_t>(slot)];
     const Matrix& g = p.grad;
     if (!s.m) {
@@ -41,13 +39,9 @@ class AdamWBf16 : public Optimizer {
     }
     Matrix m = s.m->load();
     Matrix v = s.v->load();
-    for (int64_t i = 0; i < g.size(); ++i) {
-      m[i] = b1 * m[i] + (1.f - b1) * g[i];
-      v[i] = b2 * v[i] + (1.f - b2) * g[i] * g[i];
-      p.value[i] -= lr_ * ((m[i] / bc_.c1) /
-                               (std::sqrt(v[i] / bc_.c2) + hp_.eps) +
+    for (int64_t i = 0; i < g.size(); ++i)
+      p.value[i] -= lr_ * (adam_direction(m[i], v[i], g[i], hp_, bc_) +
                            hp_.weight_decay * p.value[i]);
-    }
     s.m->store(m);
     s.v->store(v);
   }

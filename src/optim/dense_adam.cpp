@@ -1,7 +1,5 @@
 #include "optim/dense_adam.h"
 
-#include <cmath>
-
 #include "core/threadpool.h"
 #include "tensor/check.h"
 #include "tensor/serialize.h"
@@ -22,23 +20,14 @@ void DenseAdamCore::update(int64_t slot, Matrix& value,
     s.m.reshape_discard(grad.rows(), grad.cols());
     s.v.reshape_discard(grad.rows(), grad.cols());
   }
-  const float b1 = hp_.beta1, b2 = hp_.beta2;
   const BiasCorrection bc = bias_correction(hp_, t);
-  const float bc1 = bc.c1;
-  const float bc2 = bc.c2;
   // Element-disjoint update: safe to fan out over the deterministic pool.
   core::parallel_for(
       grad.size(),
       [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const float g = grad[i];
-          s.m[i] = b1 * s.m[i] + (1.f - b1) * g;
-          s.v[i] = b2 * s.v[i] + (1.f - b2) * g * g;
-          const float mhat = s.m[i] / bc1;
-          const float vhat = s.v[i] / bc2;
-          value[i] -= lr * (mhat / (std::sqrt(vhat) + hp_.eps) +
+        for (int64_t i = i0; i < i1; ++i)
+          value[i] -= lr * (adam_direction(s.m[i], s.v[i], grad[i], hp_, bc) +
                             hp_.weight_decay * value[i]);
-        }
       },
       /*grain=*/1 << 13);
 }

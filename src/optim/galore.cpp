@@ -1,13 +1,9 @@
 #include "optim/galore.h"
 
-#include <cmath>
-
 #include "core/threadpool.h"
-#include "linalg/svd.h"
 #include "nn/parameter.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -23,38 +19,16 @@ GaLore::GaLore(const GaloreConfig& cfg, std::string display_name)
 void GaLore::begin_step(const nn::ParamList& params) {
   Optimizer::begin_step(params);
   if (states_.size() < params.size()) states_.resize(params.size());
-  // Everything order-sensitive happens here, iterating params in slot
-  // order: seeder_ draws, refresh decisions, local step counters. This
-  // keeps the RNG stream identical whether step_param() is later called
-  // in slot order (compat step()) or in backward-completion order (fused).
   for (size_t i = 0; i < params.size(); ++i) {
-    nn::Parameter* p = params[i];
-    if (!projected(*p)) continue;  // dense fallback: no per-slot decisions
-    State& s = states_[i];
-    if (s.local_t == 0) {
-      s.side = natural_side(p->value.rows(), p->value.cols());
-      s.proj_seed = seeder_.split();
-    }
-    s.refresh = s.local_t % cfg_.update_freq == 0;
-    ++s.local_t;
-    if (s.refresh) {
-      if (obs::trace_enabled()) obs::trace_instant("proj_refresh", "optim");
-      if (obs::telemetry_enabled())
-        obs::Registry::instance()
-            .counter("optim.galore.proj_refreshes")
-            .add(1);
-    }
-    // GoLore mode: fall back to random projections once the switch point
-    // is reached (gradient noise dominates late; random projections
-    // provably suffice there — He et al., 2024).
-    s.kind = (cfg_.switch_to_random_after >= 0 &&
-              s.local_t > cfg_.switch_to_random_after)
-                 ? ProjKind::kRandom
-                 : cfg_.proj;
-    // Random projector seeds are re-drawn every update_freq steps (new
-    // subspace directions).
-    if (s.kind == ProjKind::kRandom && s.refresh && s.local_t > 1)
-      s.proj_seed = seeder_.split();
+    const nn::Parameter& p = *params[i];
+    if (!projected(p)) continue;  // dense fallback: no per-slot decisions
+    if (advance_slot(states_[i], p.value.rows(), p.value.cols(), cfg_.proj,
+                     cfg_.update_freq, cfg_.switch_to_random_after,
+                     seeder_) &&
+        obs::telemetry_enabled())
+      obs::Registry::instance()
+          .counter("optim.galore.proj_refreshes")
+          .add(1);
   }
 }
 
@@ -72,58 +46,22 @@ void GaLore::step_param(nn::Parameter& p, int slot) {
 void GaLore::update_matrix_param(nn::Parameter* p, State& s) {
   APOLLO_CHECK_SAME_SHAPE(p->value, p->grad);
   const Matrix& g = p->grad;
-  const int64_t r = cfg_.rank;
-
-  // --- projector ----------------------------------------------------------
-  // Refresh/seed/kind decisions were made in begin_step(); only the
-  // (possibly expensive) projector materialization happens here.
-  Matrix proj;  // the projector used this step
-  if (s.kind == ProjKind::kSvd) {
-    if (s.refresh) {
-      s.projector = s.side == ProjectionSide::kLeft
-                        ? svd_left_projector(g, r)
-                        : svd_right_projector(g, r);
-    }
-    proj = s.projector;
-  } else {
-    // Random projector: never stored — regenerated from the seed.
-    s.projector.reshape_discard(0, 0);  // drop any stored SVD projector
-    const int64_t small_dim =
-        s.side == ProjectionSide::kLeft ? g.rows() : g.cols();
-    proj = gaussian_projection(r, small_dim, s.proj_seed);
-  }
+  Matrix scratch;
+  const Matrix& proj = slot_projector(s, g, cfg_.rank, scratch);
 
   // --- subspace AdamW ------------------------------------------------------
-  Matrix rg = project(g, proj, s.side);
-  if (s.m.size() == 0) {
-    s.m.reshape_discard(rg.rows(), rg.cols());
-    s.v.reshape_discard(rg.rows(), rg.cols());
-    if (cfg_.quantize_states) {
+  const Matrix rg = project(g, proj, s.side);
+  if (cfg_.quantize_states) {
+    // Created once; the moments live block-quantized between steps and are
+    // updated in fp32 below.
+    if (!s.qm) {
       s.qm = std::make_unique<BlockQuantized>(rg.rows(), rg.cols(), true);
       s.qv = std::make_unique<BlockQuantized>(rg.rows(), rg.cols(), false);
     }
-  }
-  if (cfg_.quantize_states) {
-    // Dequantize moments, update in fp32 below, requantize at the end.
     s.m = s.qm->load();
     s.v = s.qv->load();
   }
-
-  const float b1 = cfg_.hyper.beta1, b2 = cfg_.hyper.beta2;
-  const BiasCorrection bc = bias_correction(cfg_.hyper, s.local_t);
-  const float bc1 = bc.c1, bc2 = bc.c2;
-  Matrix norm_update(rg.rows(), rg.cols());
-  core::parallel_for(
-      rg.size(),
-      [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          s.m[i] = b1 * s.m[i] + (1.f - b1) * rg[i];
-          s.v[i] = b2 * s.v[i] + (1.f - b2) * rg[i] * rg[i];
-          norm_update[i] = (s.m[i] / bc1) /
-                           (std::sqrt(s.v[i] / bc2) + cfg_.hyper.eps);
-        }
-      },
-      /*grain=*/1 << 13);
+  const Matrix norm_update = subspace_adam(s, rg, cfg_.hyper);
   if (cfg_.quantize_states) {
     s.qm->store(s.m);
     s.qv->store(s.v);
@@ -140,21 +78,9 @@ void GaLore::update_matrix_param(nn::Parameter* p, State& s) {
     // guarded by the norm-growth limiter.
     Matrix residual = g;
     sub_inplace(residual, project_back(rg, proj, s.side));
-    std::vector<float> nn_norm, rr_norm;
-    if (s.side == ProjectionSide::kLeft) {
-      nn_norm = col_norms(norm_update);
-      rr_norm = col_norms(rg);
-    } else {
-      nn_norm = row_norms(norm_update);
-      rr_norm = row_norms(rg);
-    }
-    std::vector<float> phi(nn_norm.size());
-    for (size_t j = 0; j < phi.size(); ++j)
-      phi[j] = rr_norm[j] > 1e-30f ? nn_norm[j] / rr_norm[j] : 0.f;
-    if (s.side == ProjectionSide::kLeft)
-      scale_cols_inplace(residual, phi);
-    else
-      scale_rows_inplace(residual, phi);
+    std::vector<float> phi;
+    apply_structured_scaling(residual, norm_update, rg, s.side,
+                             /*tensor_wise=*/false, phi);
     const bool clipped = s.limiter.apply(residual);
     if (clipped && obs::telemetry_enabled())
       obs::Registry::instance().counter("optim.fira.limiter_clips").add(1);
@@ -176,13 +102,8 @@ int64_t GaLore::state_bytes() const {
   int64_t b = dense_.state_bytes();
   for (const State& s : states_) {
     if (s.local_t == 0) continue;  // slot never projected (dense or unseen)
-    b += s.projector.size() * static_cast<int64_t>(sizeof(float));
-    b += (s.m.size() + s.v.size()) * static_cast<int64_t>(sizeof(float));
+    b += slot_bytes(s, cfg_.fira_residual);
     if (s.qm) b += s.qm->bytes() + s.qv->bytes();
-    b += 8;  // projection seed
-    if (cfg_.fira_residual)
-      b += NormGrowthLimiter::state_floats() *
-           static_cast<int64_t>(sizeof(float));
   }
   return b;
 }

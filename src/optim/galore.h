@@ -19,17 +19,13 @@
 #include <memory>
 #include <vector>
 
-#include "linalg/projection.h"
 #include "nn/parameter.h"
 #include "optim/dense_adam.h"
-#include "optim/norm_limiter.h"
 #include "optim/optimizer.h"
+#include "optim/subspace.h"
 #include "quant/quant.h"
-#include "tensor/matrix.h"
 
 namespace apollo::optim {
-
-enum class ProjKind { kSvd, kRandom };
 
 struct GaloreConfig {
   int64_t rank = 4;
@@ -39,13 +35,10 @@ struct GaloreConfig {
   // GoLore (He et al., 2024): SVD projectors early in training, cheap
   // random projections once gradients stabilize. <0 disables switching.
   int64_t switch_to_random_after = -1;
-  bool fira_residual = false;   // add Fira's scaled error residual
-  bool quantize_states = true;  // 8-bit subspace moments? (default off)
-  float nl_gamma = 1.01f;       // limiter for the Fira residual
+  bool fira_residual = false;    // add Fira's scaled error residual
+  bool quantize_states = false;  // 8-bit subspace moments
   AdamHyper hyper;
   uint64_t seed = 1234;
-
-  GaloreConfig() { quantize_states = false; }
 };
 
 class GaLore : public Optimizer {
@@ -99,17 +92,10 @@ class GaLore : public Optimizer {
   const char* step_trace_name() const override { return "GaLore::step"; }
 
  private:
-  struct State {
-    ProjectionSide side = ProjectionSide::kLeft;
-    Matrix projector;       // stored only for SVD projectors
-    uint64_t proj_seed = 0; // random projectors are regenerated from this
-    Matrix m, v;            // subspace moments (fp32 path)
-    std::unique_ptr<BlockQuantized> qm, qv;  // 8-bit path
-    int64_t local_t = 0;
-    NormGrowthLimiter limiter;
-    // Decided in begin_step() for the current step:
-    bool refresh = false;
-    ProjKind kind = ProjKind::kSvd;
+  // The 8-bit variant keeps the moments in qm/qv between steps; m and v are
+  // then only the step's fp32 working copy.
+  struct State : SubspaceSlot {
+    std::unique_ptr<BlockQuantized> qm, qv;
   };
 
   // Pure routing predicate — nothing shape-dependent to verify.

@@ -17,7 +17,7 @@
 // order — the shared step-counter increment, RNG draws for projection seeds,
 // state-slot allocation — so the per-parameter updates are order-independent
 // and mathematically independent. That independence is what lets the fused
-// trainer path (train/update_pipeline.h, APOLLO_FUSED_UPDATE=1) apply
+// trainer path (train/update_pipeline.h, --fused-update) apply
 // step_param inside Tape::backward the moment a layer's gradient is final,
 // keeping peak gradient memory at O(largest layer) instead of O(all
 // parameters) — the paper's layer-wise gradient update (§5.4, Lv et al.
@@ -91,8 +91,6 @@ class Optimizer {
   // seed draws, refresh decisions) stays identical across ranks. The
   // default unsharded configuration (world = 1) owns everything.
   void set_shard(int rank, int world);
-  int shard_rank() const { return shard_rank_; }
-  int shard_world() const { return shard_world_; }
   bool owns_slot(int slot) const {
     return shard_world_ <= 1 || slot % shard_world_ == shard_rank_;
   }
@@ -159,6 +157,17 @@ struct BiasCorrection {
 inline BiasCorrection bias_correction(const AdamHyper& hp, int64_t t) {
   return {1.f - std::pow(hp.beta1, static_cast<float>(t)),
           1.f - std::pow(hp.beta2, static_cast<float>(t))};
+}
+
+// The one Adam moment update: advances m and v by the gradient element g and
+// returns the normalized direction m̂/(√v̂+ε). Dense, 8-bit, bf16, structured
+// and subspace AdamW all run their moments through it (Adam-mini's per-row V
+// is a different algorithm and keeps its own loop).
+inline float adam_direction(float& m, float& v, float g, const AdamHyper& hp,
+                            const BiasCorrection& bc) {
+  m = hp.beta1 * m + (1.f - hp.beta1) * g;
+  v = hp.beta2 * v + (1.f - hp.beta2) * g * g;
+  return (m / bc.c1) / (std::sqrt(v / bc.c2) + hp.eps);
 }
 
 }  // namespace apollo::optim

@@ -182,11 +182,6 @@ void Matrix::fill_gaussian(Rng& rng, float mean, float stddev) {
     *p = mean + stddev * static_cast<float>(rng.next_gaussian());
 }
 
-void Matrix::fill_uniform(Rng& rng, float lo, float hi) {
-  for (float *p = data_, *end = data_ + size(); p != end; ++p)
-    *p = lo + (hi - lo) * rng.next_float();
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (int64_t r = 0; r < rows_; ++r)

@@ -77,7 +77,6 @@ class Matrix {
 
   // In-place element access helpers used by samplers.
   void fill_gaussian(Rng& rng, float mean = 0.f, float stddev = 1.f);
-  void fill_uniform(Rng& rng, float lo, float hi);
 
   Matrix transposed() const;
 

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <string>
 #include <type_traits>
 
 #include "tensor/matrix.h"
@@ -58,17 +57,6 @@ inline bool read_rng_state(std::FILE* f, Rng::State& st) {
     return false;
   st.has_cached = flag == 1;
   return true;
-}
-
-inline bool write_string(std::FILE* f, const std::string& s) {
-  const uint32_t n = static_cast<uint32_t>(s.size());
-  return write_pod(f, n) && write_bytes(f, s.data(), n);
-}
-inline bool read_string(std::FILE* f, std::string& s, uint32_t max = 4096) {
-  uint32_t n = 0;
-  if (!read_pod(f, n) || n > max) return false;
-  s.resize(n);
-  return read_bytes(f, s.data(), n);
 }
 
 // Bytes between the read position and the end of `f`, or -1 when the

@@ -34,11 +34,6 @@ void skip_batches(data::BatchLoader& loader, int64_t n) {
   for (int64_t i = 0; i < n; ++i) loader.next(ids, targets);
 }
 
-bool fused_env_enabled() {
-  const char* e = std::getenv("APOLLO_FUSED_UPDATE");
-  return e != nullptr && e[0] != '\0' && e[0] != '0';
-}
-
 }  // namespace
 
 double validation_loss(nn::LlamaModel& model, const data::ValidationSet& vs) {
@@ -157,7 +152,7 @@ TrainResult Trainer::run() {
   // (grad-norm reduction, timing, JSONL write) is never taken.
   const bool telemetry = obs::telemetry_enabled();
   const bool faults = fault::enabled();
-  const bool fused = cfg_.fused_update || fused_env_enabled();
+  const bool fused = cfg_.fused_update;
 
   // The shared per-leaf update machinery; both branches below drive it.
   UpdatePipeline pipeline(opt_, comm_, qstore_);

@@ -49,7 +49,7 @@ struct TrainConfig {
   // gradients at leaf-completion; the final micro applies the update),
   // quantized weights (per-slot in-place requantization), and fault
   // injection (nan_grad injects at leaf-completion) — see
-  // train/update_pipeline.h. Also enabled by APOLLO_FUSED_UPDATE=1.
+  // train/update_pipeline.h.
   bool fused_update = false;
   // Fault tolerance: rotating checkpoints, auto-resume, divergence
   // watchdog. Default-disabled (empty ckpt_dir, watchdog off).

@@ -89,7 +89,7 @@ TEST(StructuredAdamW, FirstStepChannelFactorIsOne) {
   core::StructuredAdamW opt(cfg);
   opt.set_lr(0.1f);
   opt.step({p.get()});
-  const auto* s = opt.last_scaling(p.get());
+  const auto* s = opt.last_scaling(0);
   ASSERT_NE(s, nullptr);
   EXPECT_NEAR((*s)[5], 1.f / (0.25f), 0.01f);  // ‖G̃‖=1, ‖G‖=0.25
 }
@@ -317,6 +317,30 @@ TEST(Apollo, NormLimiterCapsSpikes) {
   EXPECT_LE(step2, norm1 * 1.02 + 1e-9);
 }
 
+TEST(Apollo, NlGammaReachesFreshSlots) {
+  // The configured γ governs the limiter from a slot's first step: with a
+  // γ no update here grows past, the run equals the limiter-off run, while
+  // the default γ = 1.01 clips and ends elsewhere.
+  const auto run = [](bool limiter, float gamma) {
+    auto p = make_param(16, 64, 21);
+    core::ApolloConfig cfg;
+    cfg.rank = 4;
+    cfg.use_norm_limiter = limiter;
+    cfg.nl_gamma = gamma;
+    auto opt = core::Apollo::standard(cfg);
+    opt->set_lr(0.01f);
+    Rng rng(22);
+    for (int s = 0; s < 6; ++s) {
+      p->grad.fill_gaussian(rng, 0.f, 0.1f);
+      opt->step({p.get()});
+    }
+    return p->value;
+  };
+  const Matrix off = run(false, 1.01f);
+  EXPECT_EQ(run(true, 1.5f), off);
+  EXPECT_GT(max_abs_diff(run(true, 1.01f), off), 1e-4f);
+}
+
 TEST(Apollo, SvdVariantRuns) {
   auto p = make_param(8, 24, 16);
   core::ApolloConfig cfg;
@@ -343,10 +367,10 @@ TEST(Apollo, LastScalingExposed) {
   core::ApolloConfig cfg;
   cfg.rank = 4;
   auto opt = core::Apollo::standard(cfg);
-  EXPECT_EQ(opt->last_scaling(p.get()), nullptr);
+  EXPECT_EQ(opt->last_scaling(0), nullptr);
   opt->set_lr(0.01f);
   opt->step({p.get()});
-  const auto* s = opt->last_scaling(p.get());
+  const auto* s = opt->last_scaling(0);
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->size(), 24u);  // one factor per channel (larger dim)
   for (float v : *s) EXPECT_GT(v, 0.f);

@@ -515,6 +515,20 @@ TEST(DistE2E, RanksOutsideRangeIsAUsageError) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DistE2E, UnknownModelSizeIsAUsageError) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_model";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(run_cmd("cd " + dir + " && " + APOLLO_TRAIN_BIN +
+                    " --model 70m --steps 2 > out.log 2>&1"),
+            1);
+  const std::string log = file_contents(dir + "/out.log");
+  EXPECT_NE(log.find("error: --model must be one of 60m, 130m, 350m, 1b, 7b"),
+            std::string::npos)
+      << log;
+  std::filesystem::remove_all(dir);
+}
+
 #endif  // APOLLO_TRAIN_BIN
 
 }  // namespace

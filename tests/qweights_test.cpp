@@ -244,20 +244,23 @@ TEST(Fira, SvdResidualOrthogonalToSubspace) {
 TEST(GaLore8bit, StateBytesBelowFp32GaLore) {
   auto p1 = make_param(32, 128, 12);
   auto p2 = make_param(32, 128, 12);
-  Rng rng(13);
-  p1->grad.fill_gaussian(rng, 0.f, 0.1f);
-  p2->grad = p1->grad;
   optim::GaloreConfig cfg;
   cfg.rank = 8;
   auto fp = optim::GaLore::galore(cfg);
   auto q8 = optim::GaLore::galore_8bit(cfg);
   fp->set_lr(1e-3f);
   q8->set_lr(1e-3f);
-  fp->step({p1.get()});
-  q8->step({p2.get()});
+  Rng rng(13);
+  for (int s = 0; s < 10; ++s) {
+    p1->grad.fill_gaussian(rng, 0.f, 0.1f);
+    p2->grad = p1->grad;
+    fp->step({p1.get()});
+    q8->step({p2.get()});
+  }
   EXPECT_LT(q8->state_bytes(), fp->state_bytes());
-  // And the 8-bit step still tracks the fp32 one at coarse resolution.
-  EXPECT_LT(max_abs_diff(p1->value, p2->value), 5e-3f);
+  // The 8-bit moments persist across steps, so the 8-bit run tracks the
+  // fp32 one (which moves ~2e-3 over these steps) to quantization error.
+  EXPECT_LT(max_abs_diff(p1->value, p2->value), 2e-4f);
 }
 
 TEST(GaLore8bit, TrainsOnRepeatedSteps) {

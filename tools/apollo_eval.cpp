@@ -18,28 +18,9 @@
 #include "train/trainer.h"
 
 #include "args.h"
+#include "model_args.h"
 
 using namespace apollo;
-
-namespace {
-
-nn::LlamaConfig model_config(const tools::Args& args) {
-  const std::string size = args.get("model", "130m");
-  nn::LlamaConfig cfg = nn::llama_130m_proxy();
-  if (size == "60m") cfg = nn::llama_60m_proxy();
-  else if (size == "350m") cfg = nn::llama_350m_proxy();
-  else if (size == "1b") cfg = nn::llama_1b_proxy();
-  else if (size == "7b") cfg = nn::llama_7b_proxy();
-  cfg.hidden = static_cast<int>(args.get_int("hidden", cfg.hidden));
-  cfg.n_layers = static_cast<int>(args.get_int("layers", cfg.n_layers));
-  cfg.n_heads = static_cast<int>(args.get_int("heads", cfg.n_heads));
-  cfg.intermediate = static_cast<int>(args.get_int("inter", cfg.intermediate));
-  cfg.vocab = static_cast<int>(args.get_int("vocab", cfg.vocab));
-  cfg.seq_len = static_cast<int>(args.get_int("seq", cfg.seq_len));
-  return cfg;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   tools::Args args(argc, argv);
@@ -60,7 +41,8 @@ int main(int argc, char** argv) {
     return load_path.empty() && !args.has("help") ? 1 : 0;
   }
 
-  nn::LlamaConfig cfg = model_config(args);
+  nn::LlamaConfig cfg;
+  if (!tools::model_config(args, cfg)) return 1;
   const std::string data_path = args.get("data", "");
   if (!data_path.empty()) cfg.vocab = 256;
 

@@ -19,26 +19,11 @@
 #include "train/checkpoint.h"
 
 #include "args.h"
+#include "model_args.h"
 
 using namespace apollo;
 
 namespace {
-
-nn::LlamaConfig model_config(const tools::Args& args) {
-  const std::string size = args.get("model", "130m");
-  nn::LlamaConfig cfg = nn::llama_130m_proxy();
-  if (size == "60m") cfg = nn::llama_60m_proxy();
-  else if (size == "350m") cfg = nn::llama_350m_proxy();
-  else if (size == "1b") cfg = nn::llama_1b_proxy();
-  else if (size == "7b") cfg = nn::llama_7b_proxy();
-  cfg.hidden = static_cast<int>(args.get_int("hidden", cfg.hidden));
-  cfg.n_layers = static_cast<int>(args.get_int("layers", cfg.n_layers));
-  cfg.n_heads = static_cast<int>(args.get_int("heads", cfg.n_heads));
-  cfg.intermediate = static_cast<int>(args.get_int("inter", cfg.intermediate));
-  cfg.vocab = static_cast<int>(args.get_int("vocab", cfg.vocab));
-  cfg.seq_len = static_cast<int>(args.get_int("seq", cfg.seq_len));
-  return cfg;
-}
 
 // The docdrift analyzer pass matches literal getenv("APOLLO_*") sites, so
 // each knob reads its own variable by name and only the parsing is shared.
@@ -76,7 +61,8 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  nn::LlamaConfig cfg = model_config(args);
+  nn::LlamaConfig cfg;
+  if (!tools::model_config(args, cfg)) return 1;
   const std::string load_path = args.get("load", "");
   const std::string port_file = args.get("port-file", "");
   if (!load_path.empty() && !args.has("vocab")) cfg.vocab = 256;

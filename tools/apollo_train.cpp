@@ -30,6 +30,7 @@
 #include "train/trainer.h"
 
 #include "args.h"
+#include "model_args.h"
 
 using namespace apollo;
 
@@ -48,11 +49,10 @@ void usage() {
       "  --steps N --batch N --grad-accum N   (default 400 / 4 / 1)\n"
       "  --weight-decay F    decoupled weight decay (default 0)\n"
       "  --data PATH         byte-level text file (default: synthetic C4)\n"
-      "  --quantize-weights  INT8 weight store (Q- variants; also via\n"
-      "                      APOLLO_QUANT_WEIGHTS=1)\n"
+      "  --quantize-weights  INT8 weight store (Q- variants)\n"
       "  --fused-update      apply optimizer updates inside backward and\n"
       "                      free each gradient immediately (bit-identical\n"
-      "                      trajectory; also via APOLLO_FUSED_UPDATE=1)\n"
+      "                      trajectory)\n"
       "  --eval-every N      validation cadence (default steps/10)\n"
       "  --csv PATH          write the eval curve as CSV\n"
       "  --save PATH         write a checkpoint after training\n"
@@ -84,36 +84,13 @@ void usage() {
       "  rank with :R) for recovery testing — see docs/RESILIENCE.md.\n");
 }
 
-// Env-var twin of --quantize-weights (docs/ENVVARS.md), mirroring the
-// APOLLO_FUSED_UPDATE convention: any value other than empty/"0" enables.
-bool quant_weights_env_enabled() {
-  const char* e = std::getenv("APOLLO_QUANT_WEIGHTS");
-  return e != nullptr && e[0] != '\0' && e[0] != '0';
-}
-
-nn::LlamaConfig model_config(const tools::Args& args) {
-  const std::string size = args.get("model", "130m");
-  nn::LlamaConfig cfg = nn::llama_130m_proxy();
-  if (size == "60m") cfg = nn::llama_60m_proxy();
-  else if (size == "350m") cfg = nn::llama_350m_proxy();
-  else if (size == "1b") cfg = nn::llama_1b_proxy();
-  else if (size == "7b") cfg = nn::llama_7b_proxy();
-  cfg.hidden = static_cast<int>(args.get_int("hidden", cfg.hidden));
-  cfg.n_layers = static_cast<int>(args.get_int("layers", cfg.n_layers));
-  cfg.n_heads = static_cast<int>(args.get_int("heads", cfg.n_heads));
-  cfg.intermediate = static_cast<int>(args.get_int("inter", cfg.intermediate));
-  cfg.vocab = static_cast<int>(args.get_int("vocab", cfg.vocab));
-  cfg.seq_len = static_cast<int>(args.get_int("seq", cfg.seq_len));
-  return cfg;
-}
-
-// One full training job. In distributed mode this runs inside each forked
-// worker (comm != nullptr): the model and optimizer are built post-fork so
-// the supervisor process stays tiny, and only rank 0 writes the CSV curve
-// and the final --save checkpoint.
-int run_training(const tools::Args& args, dist::Communicator* comm) {
+// One full training job of model shape `cfg`. In distributed mode this runs
+// inside each forked worker (comm != nullptr): the model and optimizer are
+// built post-fork so the supervisor process stays tiny, and only rank 0
+// writes the CSV curve and the final --save checkpoint.
+int run_training(const tools::Args& args, nn::LlamaConfig cfg,
+                 dist::Communicator* comm) {
   const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 42));
-  nn::LlamaConfig cfg = model_config(args);
 
   // Data source.
   std::unique_ptr<data::TokenSource> source;
@@ -188,8 +165,7 @@ int run_training(const tools::Args& args, dist::Communicator* comm) {
   const std::string load_path = args.get("load", "");
   std::string save_path = args.get("save", "");
   std::string csv_path = args.get("csv", "");
-  const bool quantize =
-      args.has("quantize-weights") || quant_weights_env_enabled();
+  const bool quantize = args.has("quantize-weights");
   for (const auto& flag : args.unknown())
     std::fprintf(stderr, "warning: unrecognized flag %s\n", flag.c_str());
   if (comm != nullptr && comm->rank() != 0) {
@@ -290,6 +266,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  nn::LlamaConfig cfg;
+  if (!tools::model_config(args, cfg)) return 1;
+
   // Distributed launch. Flags override the environment (APOLLO_RANKS &
   // friends let a CI matrix flip modes without editing command lines).
   const long ranks =
@@ -306,7 +285,7 @@ int main(int argc, char** argv) {
                  dist::kMaxRanks);
     return 1;
   }
-  if (ranks == 1) return run_training(args, nullptr);
+  if (ranks == 1) return run_training(args, cfg, nullptr);
 
   if (args.get_int("grad-accum", 1) > 1) {
     std::fprintf(stderr,
@@ -320,10 +299,9 @@ int main(int argc, char** argv) {
                  "recovery already rewinds to the newest checkpoint)\n");
     return 1;
   }
-  if (args.has("quantize-weights") || quant_weights_env_enabled()) {
+  if (args.has("quantize-weights")) {
     std::fprintf(stderr,
-                 "error: --quantize-weights / APOLLO_QUANT_WEIGHTS is "
-                 "incompatible with --ranks\n");
+                 "error: --quantize-weights is incompatible with --ranks\n");
     return 1;
   }
   if (on_fail != "respawn" && on_fail != "shrink") {
@@ -360,7 +338,7 @@ int main(int argc, char** argv) {
       std::FILE* sink = freopen("/dev/null", "w", stdout);
       (void)sink;
     }
-    const int rc = run_training(args, &comm);
+    const int rc = run_training(args, cfg, &comm);
     // Workers leave via _Exit (no atexit hooks), so the telemetry file is
     // finalized by hand before the wrapper exits.
     obs::Telemetry::instance().finalize();
