@@ -4,11 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/json_writer.h"
 
 namespace apollo::obs {
 
@@ -27,7 +28,6 @@ struct Event {
 struct TraceState {
   std::mutex mu;
   std::vector<Event> events;
-  std::deque<std::string> interned;  // deque: stable addresses
   std::string path;
   Clock::time_point t0 = Clock::now();
   bool atexit_registered = false;
@@ -74,14 +74,6 @@ void record(const char* name, const char* cat, char ph) {
   s.events.push_back(Event{name, cat, ph, ts_us, tid});
 }
 
-void append_escaped(std::string& out, const char* str) {
-  for (; *str != '\0'; ++str) {
-    const char c = *str;
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
 }  // namespace
 
 bool trace_enabled() {
@@ -101,13 +93,6 @@ void trace_set_path(const char* path) {
     return;
   }
   configure(path);
-}
-
-const char* trace_intern(const char* s) {
-  TraceState& st = state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  st.interned.emplace_back(s);
-  return st.interned.back().c_str();
 }
 
 void trace_begin(const char* name, const char* cat) { record(name, cat, 'B'); }
@@ -131,11 +116,11 @@ void trace_flush() {
   for (size_t i = 0; i < s.events.size(); ++i) {
     const Event& e = s.events[i];
     line.clear();
-    line += "{\"name\":\"";
-    append_escaped(line, e.name);
-    line += "\",\"cat\":\"";
-    append_escaped(line, e.cat);
-    line += "\",\"ph\":\"";
+    line += "{\"name\":";
+    json_append_escaped(line, e.name);
+    line += ",\"cat\":";
+    json_append_escaped(line, e.cat);
+    line += ",\"ph\":\"";
     line.push_back(e.ph);
     line += "\"";
     if (e.ph == 'i') line += ",\"s\":\"t\"";  // thread-scoped instant

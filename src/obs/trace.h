@@ -15,8 +15,7 @@
 // thousand steps — not servers).
 //
 // Scope/instant names must be string literals or otherwise outlive the
-// process (they are stored as const char*); dynamic names go through
-// trace_intern().
+// process (they are stored as const char*).
 #pragma once
 
 namespace apollo::obs {
@@ -33,9 +32,6 @@ void trace_set_path(const char* path);
 // Write all buffered events to the configured path (full rewrite — safe to
 // call repeatedly; also registered atexit when tracing is enabled).
 void trace_flush();
-
-// Copy `s` into process-lifetime storage (for dynamic scope names).
-const char* trace_intern(const char* s);
 
 void trace_begin(const char* name, const char* cat);
 void trace_end(const char* name, const char* cat);

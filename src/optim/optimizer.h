@@ -121,7 +121,6 @@ class Optimizer {
 
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
-  int64_t steps_taken() const { return t_; }
 
   // Public view of the step trace label so train::UpdatePipeline's
   // begin/step_param/end sequence traces under the same slice name as the

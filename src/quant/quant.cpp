@@ -2,58 +2,68 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "tensor/check.h"
 #include "tensor/simd/simd.h"
 
 namespace apollo {
+namespace {
+
+// The one symmetric INT8 code: scale = absmax/127 (1 for an all-zero run;
+// NaN elements are skipped), code = clamp(round(x/scale), ±127), and NaN
+// gets code 0, as requantize_group gives it. `round` maps x/scale to an
+// integral float: nearbyint, or a stochastic rounding.
+template <class Round>
+float encode_symmetric(const float* x, int64_t n, int8_t* q, Round round) {
+  float absmax = 0.f;
+  for (int64_t i = 0; i < n; ++i) absmax = std::max(absmax, std::fabs(x[i]));
+  const float scale = absmax > 0.f ? absmax / 127.f : 1.f;
+  const float inv = 1.f / scale;
+  for (int64_t i = 0; i < n; ++i) {
+    const float qf = std::clamp(round(x[i] * inv), -127.f, 127.f);
+    q[i] = std::isnan(qf) ? int8_t{0} : static_cast<int8_t>(qf);
+  }
+  return scale;
+}
+
+void decode_symmetric(const int8_t* q, float scale, int64_t n, float* out) {
+  for (int64_t i = 0; i < n; ++i) out[i] = static_cast<float>(q[i]) * scale;
+}
+
+constexpr auto kRoundNearest = [](float x) { return std::nearbyint(x); };
+
+template <class Round>
+GroupQuantized quantize_groups(const Matrix& m, int64_t group, Round round) {
+  APOLLO_CHECK(group >= 1);
+  const int64_t n = m.size();
+  std::vector<int8_t> codes(static_cast<size_t>(n));
+  std::vector<float> scales(static_cast<size_t>((n + group - 1) / group));
+  for (size_t g = 0; g < scales.size(); ++g) {
+    const int64_t lo = static_cast<int64_t>(g) * group;
+    scales[g] = encode_symmetric(m.data() + lo, std::min(group, n - lo),
+                                 codes.data() + lo, round);
+  }
+  return GroupQuantized::from_payload(m.rows(), m.cols(), group,
+                                      std::move(codes), std::move(scales));
+}
+
+}  // namespace
 
 GroupQuantized GroupQuantized::quantize(const Matrix& m, int64_t group) {
-  return quantize_impl(m, group, Rounding::kNearest, nullptr);
+  return quantize_groups(m, group, kRoundNearest);
 }
 
 GroupQuantized GroupQuantized::quantize_stochastic(const Matrix& m, Rng& rng,
                                                    int64_t group) {
-  return quantize_impl(m, group, Rounding::kStochastic, &rng);
-}
-
-GroupQuantized GroupQuantized::quantize_impl(const Matrix& m, int64_t group,
-                                             Rounding mode, Rng* rng) {
-  APOLLO_CHECK(group >= 1);
-  GroupQuantized out;
-  out.rows_ = m.rows();
-  out.cols_ = m.cols();
-  out.group_ = group;
-  const int64_t n = m.size();
-  const int64_t ngroups = (n + group - 1) / group;
-  out.q_.resize(static_cast<size_t>(n));
-  out.scales_.resize(static_cast<size_t>(ngroups));
-
-  for (int64_t g = 0; g < ngroups; ++g) {
-    const int64_t lo = g * group, hi = std::min(n, lo + group);
-    float absmax = 0.f;
-    for (int64_t i = lo; i < hi; ++i)
-      absmax = std::max(absmax, std::fabs(m[i]));
-    const float scale = absmax > 0.f ? absmax / 127.f : 1.f;
-    out.scales_[static_cast<size_t>(g)] = scale;
-    const float inv = 1.f / scale;
-    for (int64_t i = lo; i < hi; ++i) {
-      const float x = m[i] * inv;
-      float qf;
-      if (mode == Rounding::kNearest) {
-        qf = std::nearbyint(x);
-      } else {
-        // Stochastic rounding: round up with probability = fractional part,
-        // so E[q] = x and repeated requantization stays unbiased.
-        const float fl = std::floor(x);
-        qf = fl + (rng->next_float() < (x - fl) ? 1.f : 0.f);
-      }
-      out.q_[static_cast<size_t>(i)] =
-          static_cast<int8_t>(std::clamp(qf, -127.f, 127.f));
-    }
-  }
-  return out;
+  // Round up with probability equal to the fractional part, so E[q] = x and
+  // repeated requantization stays unbiased.
+  return quantize_groups(m, group, [&rng](float x) {
+    const float fl = std::floor(x);
+    return fl + (rng.next_float() < (x - fl) ? 1.f : 0.f);
+  });
 }
 
 void GroupQuantized::requantize_stochastic(Matrix& m, float* residuals,
@@ -125,9 +135,11 @@ GroupQuantized GroupQuantized::from_payload(int64_t rows, int64_t cols,
 Matrix GroupQuantized::dequantize() const {
   Matrix m(rows_, cols_);
   const int64_t n = m.size();
-  for (int64_t i = 0; i < n; ++i)
-    m[i] = static_cast<float>(q_[static_cast<size_t>(i)]) *
-           scales_[static_cast<size_t>(i / group_)];
+  for (int64_t g = 0; g < num_groups(); ++g) {
+    const int64_t lo = g * group_;
+    decode_symmetric(q_.data() + lo, scales_[static_cast<size_t>(g)],
+                     std::min(n, lo + group_) - lo, m.data() + lo);
+  }
   return m;
 }
 
@@ -141,105 +153,57 @@ BlockQuantized::BlockQuantized(int64_t rows, int64_t cols, bool signed_values,
 
 void BlockQuantized::store(const Matrix& m) {
   APOLLO_CHECK(m.rows() == rows_ && m.cols() == cols_);
-  const int64_t n = m.size();
-  const int64_t nblocks = static_cast<int64_t>(scales_.size());
-  for (int64_t b = 0; b < nblocks; ++b) {
-    const int64_t lo = b * block_, hi = std::min(n, lo + block_);
-    if (signed_) {
-      float mx = 0.f;
-      for (int64_t i = lo; i < hi; ++i) mx = std::max(mx, std::fabs(m[i]));
-      const float scale = mx > 0.f ? mx / 127.f : 1.f;
-      scales_[static_cast<size_t>(b)] = scale;
-      const float inv = 1.f / scale;
-      for (int64_t i = lo; i < hi; ++i)
-        q_[static_cast<size_t>(i)] = static_cast<int8_t>(
-            std::clamp(std::nearbyint(m[i] * inv), -127.f, 127.f));
-    } else {
-      // Non-negative moments (Adam's V) use a square-root code: the stored
-      // 8-bit value quantizes √x, so dequantized spacing is quadratic and
-      // small second-moment entries keep far better relative precision —
-      // the same motivation as bitsandbytes' dynamic 8-bit code.
-      float mx = 0.f;
-      for (int64_t i = lo; i < hi; ++i)
-        mx = std::max(mx, std::sqrt(std::max(0.f, m[i])));
-      const float scale = mx > 0.f ? mx / 255.f : 1.f;
-      scales_[static_cast<size_t>(b)] = scale;
-      const float inv = 1.f / scale;
-      for (int64_t i = lo; i < hi; ++i) {
-        const float root = std::sqrt(std::max(0.f, m[i]));
-        const float qf =
-            std::clamp(std::nearbyint(root * inv), 0.f, 255.f);
-        // Stored with an offset of −128 to fit int8.
-        q_[static_cast<size_t>(i)] =
-            static_cast<int8_t>(static_cast<int>(qf) - 128);
-      }
-    }
-  }
+  for (int64_t b = 0; b < num_blocks(); ++b)
+    store_block(b, m.data() + b * block_);
+}
+
+Matrix BlockQuantized::load() const {
+  Matrix m(rows_, cols_);
+  for (int64_t b = 0; b < num_blocks(); ++b)
+    load_block(b, m.data() + b * block_);
+  return m;
 }
 
 void BlockQuantized::load_block(int64_t b, float* out) const {
   APOLLO_CHECK(b >= 0 && b < num_blocks());
-  const int64_t lo = b * block_;
+  const int8_t* q = q_.data() + b * block_;
   const int64_t len = block_len(b);
   const float scale = scales_[static_cast<size_t>(b)];
+  if (signed_) {
+    decode_symmetric(q, scale, len, out);
+    return;
+  }
   for (int64_t k = 0; k < len; ++k) {
-    if (signed_) {
-      out[k] = static_cast<float>(q_[static_cast<size_t>(lo + k)]) * scale;
-    } else {
-      const float root =
-          static_cast<float>(
-              static_cast<int>(q_[static_cast<size_t>(lo + k)]) + 128) *
-          scale;
-      out[k] = root * root;  // square-root code (see store())
-    }
+    const float root = static_cast<float>(static_cast<int>(q[k]) + 128) * scale;
+    out[k] = root * root;  // square-root code (see store_block())
   }
 }
 
 void BlockQuantized::store_block(int64_t b, const float* in) {
   APOLLO_CHECK(b >= 0 && b < num_blocks());
-  const int64_t lo = b * block_;
+  int8_t* q = q_.data() + b * block_;
   const int64_t len = block_len(b);
+  float& scale = scales_[static_cast<size_t>(b)];
   if (signed_) {
-    float mx = 0.f;
-    for (int64_t k = 0; k < len; ++k) mx = std::max(mx, std::fabs(in[k]));
-    const float scale = mx > 0.f ? mx / 127.f : 1.f;
-    scales_[static_cast<size_t>(b)] = scale;
-    const float inv = 1.f / scale;
-    for (int64_t k = 0; k < len; ++k)
-      q_[static_cast<size_t>(lo + k)] = static_cast<int8_t>(
-          std::clamp(std::nearbyint(in[k] * inv), -127.f, 127.f));
-  } else {
-    float mx = 0.f;
-    for (int64_t k = 0; k < len; ++k)
-      mx = std::max(mx, std::sqrt(std::max(0.f, in[k])));
-    const float scale = mx > 0.f ? mx / 255.f : 1.f;
-    scales_[static_cast<size_t>(b)] = scale;
-    const float inv = 1.f / scale;
-    for (int64_t k = 0; k < len; ++k) {
-      const float root = std::sqrt(std::max(0.f, in[k]));
-      const float qf = std::clamp(std::nearbyint(root * inv), 0.f, 255.f);
-      q_[static_cast<size_t>(lo + k)] =
-          static_cast<int8_t>(static_cast<int>(qf) - 128);
-    }
+    scale = encode_symmetric(in, len, q, kRoundNearest);
+    return;
   }
-}
-
-Matrix BlockQuantized::load() const {
-  Matrix m(rows_, cols_);
-  const int64_t n = m.size();
-  for (int64_t i = 0; i < n; ++i) {
-    const float scale = scales_[static_cast<size_t>(i / block_)];
-    if (signed_) {
-      m[i] = static_cast<float>(q_[static_cast<size_t>(i)]) * scale;
-    } else {
-      const float root =
-          static_cast<float>(static_cast<int>(q_[static_cast<size_t>(i)]) +
-                             128) *
-          scale;
-      m[i] = root * root;  // square-root code (see store())
-    }
+  // Non-negative moments (Adam's V) use a square-root code: the stored
+  // 8-bit value quantizes √x, so dequantized spacing is quadratic and small
+  // second-moment entries keep far better relative precision — the same
+  // motivation as bitsandbytes' dynamic 8-bit code. std::max(0.f, NaN) is 0,
+  // so NaN gets the code of 0.
+  float mx = 0.f;
+  for (int64_t k = 0; k < len; ++k)
+    mx = std::max(mx, std::sqrt(std::max(0.f, in[k])));
+  scale = mx > 0.f ? mx / 255.f : 1.f;
+  const float inv = 1.f / scale;
+  for (int64_t k = 0; k < len; ++k) {
+    const float root = std::sqrt(std::max(0.f, in[k]));
+    const float qf = std::clamp(std::nearbyint(root * inv), 0.f, 255.f);
+    // Stored with an offset of −128 to fit int8.
+    q[k] = static_cast<int8_t>(static_cast<int>(qf) - 128);
   }
-  return m;
 }
 
 }  // namespace apollo

@@ -65,10 +65,6 @@ class GroupQuantized {
   }
 
  private:
-  enum class Rounding { kNearest, kStochastic };
-  static GroupQuantized quantize_impl(const Matrix& m, int64_t group,
-                                      Rounding mode, Rng* rng);
-
   int64_t rows_ = 0, cols_ = 0, group_ = 128;
   std::vector<int8_t> q_;
   std::vector<float> scales_;
@@ -83,14 +79,15 @@ class BlockQuantized {
   BlockQuantized(int64_t rows, int64_t cols, bool signed_values,
                  int64_t block = 128);
 
-  // Overwrite contents from a float matrix (round-to-nearest).
+  // Overwrite contents from a float matrix (round-to-nearest). NaN gets
+  // code 0 in both codes.
   void store(const Matrix& m);
   Matrix load() const;
 
   // Streaming per-block access for optimizer hot paths (Adam8bit): decode or
-  // encode one block into a caller-owned stack buffer of `block()` floats,
-  // with arithmetic identical to load()/store(), so block-at-a-time updates
-  // are bit-for-bit the same as full-matrix round trips — without ever
+  // encode one block into a caller-owned stack buffer of `block()` floats.
+  // store() and load() are loops over these, so block-at-a-time updates are
+  // bit-for-bit the same as full-matrix round trips — without ever
   // materialising a full-size fp32 temporary.
   void load_block(int64_t b, float* out) const;
   void store_block(int64_t b, const float* in);

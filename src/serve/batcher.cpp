@@ -131,12 +131,6 @@ void BatchDecoder::release(int lane) {
   --active_;
 }
 
-int BatchDecoder::prefill_remaining(int lane) const {
-  const Lane& ln = lanes_[static_cast<size_t>(lane)];
-  if (!ln.occupied) return 0;
-  return static_cast<int>(ln.prompt.size() - ln.prompt_pos);
-}
-
 void BatchDecoder::gemm_rows(float* c, const float* a, const float* bt,
                              int64_t rows, int64_t n, int64_t k) const {
   std::fill(c, c + rows * n, 0.f);

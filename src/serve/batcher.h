@@ -56,10 +56,6 @@ class BatchDecoder {
 
   bool lane_active(int lane) const { return lanes_[static_cast<size_t>(lane)].occupied; }
 
-  // How many decode steps this lane still needs before its first emission
-  // (remaining prompt tokens). Zero once it is generating.
-  int prefill_remaining(int lane) const;
-
   const DecodeOut& output(int lane) const {
     return outputs_[static_cast<size_t>(lane)];
   }
@@ -85,9 +81,13 @@ class BatchDecoder {
     Rng rng{1};
   };
 
-  // Pre-transposed (in × out) weight panels for the dispatched gemm. gemm
-  // repacks B on every call too, but gemm_bt's strided pack may cost the
-  // 1–4-row decode GEMMs more; dropping the panels needs its own measurement.
+  // Pre-transposed (in × out) weight panels for the dispatched gemm. Both
+  // gemm and gemm_bt repack B on every call, and gemm_bt on the weight rows
+  // gives the same bits, but its pack_bt is a scalar scatter: at the 7b
+  // proxy on one AVX-512 core, the 43 GEMMs of a 1–4-row decode step take
+  // 0.37–0.54 ms here and 0.85–1.11 ms through gemm_bt, about as long as a
+  // whole decode_step (0.58–0.72 ms). Dropping the panels waits for a
+  // vectorized pack_bt.
   struct LayerPanels {
     std::vector<float> wq_t, wk_t, wv_t, wo_t;
     std::vector<float> w_gate_t, w_up_t, w_down_t;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <mutex>
 
 #include "tensor/check.h"
@@ -40,17 +41,11 @@ Level max_level_cached() {
 }
 
 bool parse_level(const char* s, Level* out) {
-  if (std::strcmp(s, "scalar") == 0) {
-    *out = Level::kScalar;
-    return true;
-  }
-  if (std::strcmp(s, "avx2") == 0) {
-    *out = Level::kAvx2;
-    return true;
-  }
-  if (std::strcmp(s, "avx512") == 0) {
-    *out = Level::kAvx512;
-    return true;
+  for (Level lv : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
+    if (std::strcmp(s, level_name(lv)) == 0) {
+      *out = lv;
+      return true;
+    }
   }
   return false;
 }
@@ -86,68 +81,6 @@ Level env_or_cpuid_level() {
 
 // set_level() override; kLevelNone means "no override".
 std::atomic<int> g_override{kLevelNone};
-
-KernelTable make_table(Level level) {
-  using namespace detail;
-  KernelTable t;
-  t.level = level;
-  switch (level) {
-#if defined(__x86_64__) || defined(_M_X64)
-    case Level::kAvx512:
-      t.gemm_row_align = 8;
-      t.gemm = gemm_avx512;
-      t.gemm_bt = gemm_bt_avx512;
-      t.axpy = axpy_avx512;
-      t.scale = scale_avx512;
-      t.hadamard = hadamard_avx512;
-      t.sum = sum_avx512;
-      t.sumsq = sumsq_avx512;
-      t.dot = dot_avx512;
-      t.abs_max = abs_max_avx512;
-      t.exp = exp_avx512;
-      t.softmax = softmax_avx512;
-      t.rmsnorm_row = rmsnorm_row_avx512;
-      t.silu = silu_avx512;
-      t.requantize_group = requantize_group_avx512;
-      return t;
-    case Level::kAvx2:
-      t.gemm_row_align = 6;
-      t.gemm = gemm_avx2;
-      t.gemm_bt = gemm_bt_avx2;
-      t.axpy = axpy_avx2;
-      t.scale = scale_avx2;
-      t.hadamard = hadamard_avx2;
-      t.sum = sum_avx2;
-      t.sumsq = sumsq_avx2;
-      t.dot = dot_avx2;
-      t.abs_max = abs_max_avx2;
-      t.exp = exp_avx2;
-      t.softmax = softmax_avx2;
-      t.rmsnorm_row = rmsnorm_row_avx2;
-      t.silu = silu_avx2;
-      t.requantize_group = requantize_group_avx2;
-      return t;
-#endif
-    default:
-      t.level = Level::kScalar;
-      t.gemm_row_align = 1;
-      t.gemm = gemm_scalar;
-      t.gemm_bt = gemm_bt_scalar;
-      t.axpy = axpy_scalar;
-      t.scale = scale_scalar;
-      t.hadamard = hadamard_scalar;
-      t.sum = sum_scalar;
-      t.sumsq = sumsq_scalar;
-      t.dot = dot_scalar;
-      t.abs_max = abs_max_scalar;
-      t.exp = exp_scalar;
-      t.softmax = softmax_scalar;
-      t.rmsnorm_row = rmsnorm_row_scalar;
-      t.silu = silu_scalar;
-      t.requantize_group = requantize_group_scalar;
-      return t;
-  }
-}
 
 }  // namespace
 
@@ -191,22 +124,11 @@ void clear_level_override() {
 const KernelTable& table(Level level) {
   APOLLO_CHECK_MSG(level <= max_level_cached(),
                    "requested SIMD level unsupported on this CPU");
-  static const KernelTable kScalarTable = make_table(Level::kScalar);
 #if defined(__x86_64__) || defined(_M_X64)
-  static const KernelTable kAvx2Table =
-      make_table(max_level_cached() >= Level::kAvx2 ? Level::kAvx2
-                                                    : Level::kScalar);
-  static const KernelTable kAvx512Table =
-      make_table(max_level_cached() >= Level::kAvx512 ? Level::kAvx512
-                                                      : Level::kScalar);
-  switch (level) {
-    case Level::kAvx512: return kAvx512Table;
-    case Level::kAvx2: return kAvx2Table;
-    default: return kScalarTable;
-  }
-#else
-  return kScalarTable;
+  if (level == Level::kAvx512) return detail::kAvx512Kernels;
+  if (level == Level::kAvx2) return detail::kAvx2Kernels;
 #endif
+  return detail::kScalarKernels;
 }
 
 const KernelTable& table() { return table(active_level()); }

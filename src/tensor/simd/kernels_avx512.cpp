@@ -7,6 +7,7 @@
 
 #include "tensor/simd/kernels_decl.h"
 #include "tensor/simd/kernels_tmpl.h"
+#include "tensor/simd/simd.h"
 
 namespace apollo::simd::detail {
 namespace {
@@ -109,51 +110,9 @@ struct VecAvx512 {
   }
 };
 
-using K = Kern<VecAvx512>;
-
 }  // namespace
 
-void gemm_avx512(float* c, int64_t ldc, const float* a, int64_t lda,
-                 bool a_trans, const float* b, int64_t ldb, int64_t i0,
-                 int64_t i1, int64_t n, int64_t k) {
-  K::gemm(c, ldc, a, lda, a_trans, b, ldb, i0, i1, n, k);
-}
-void gemm_bt_avx512(float* c, int64_t ldc, const float* a, int64_t lda,
-                    const float* b, int64_t ldb, int64_t i0, int64_t i1,
-                    int64_t n, int64_t k) {
-  K::gemm_bt(c, ldc, a, lda, b, ldb, i0, i1, n, k);
-}
-void axpy_avx512(float* y, const float* x, float alpha, int64_t n) {
-  K::axpy(y, x, alpha, n);
-}
-void scale_avx512(float* y, float alpha, int64_t n) {
-  K::scale(y, alpha, n);
-}
-void hadamard_avx512(float* y, const float* x, int64_t n) {
-  K::hadamard(y, x, n);
-}
-double sum_avx512(const float* x, int64_t n) { return K::sum(x, n); }
-double sumsq_avx512(const float* x, int64_t n) { return K::sumsq(x, n); }
-float dot_avx512(const float* a, const float* b, int64_t n) {
-  return K::dot(a, b, n);
-}
-float abs_max_avx512(const float* x, int64_t n) { return K::abs_max(x, n); }
-void exp_avx512(float* dst, const float* src, int64_t n) {
-  K::vexp_buf(dst, src, n);
-}
-void softmax_avx512(float* dst, const float* src, int64_t n) {
-  K::softmax(dst, src, n);
-}
-float rmsnorm_row_avx512(float* dst, const float* src, const float* w,
-                         int64_t n, float eps) {
-  return K::rmsnorm_row(dst, src, w, n, eps);
-}
-void silu_avx512(float* y, float* sig, const float* x, int64_t n) {
-  K::silu(y, sig, x, n);
-}
-float requantize_group_avx512(float* x, int8_t* q, float* err,
-                              const float* u, float r, int64_t n) {
-  return K::requantize_group(x, q, err, u, r, n);
-}
+constinit const KernelTable kAvx512Kernels =
+    Kern<VecAvx512>::table(Level::kAvx512);
 
 }  // namespace apollo::simd::detail

@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "tensor/simd/kernels_decl.h"
+#include "tensor/simd/simd.h"
 
 namespace apollo::simd::detail {
+namespace {
 
 void gemm_scalar(float* c, int64_t ldc, const float* a, int64_t lda,
                  bool a_trans, const float* b, int64_t ldb, int64_t i0,
@@ -157,5 +159,15 @@ float requantize_group_scalar(float* x, int8_t* q, float* err, const float* u,
     requantize_element(x + i, q + i, err + i, u[i], r, scale, inv);
   return scale;
 }
+
+}  // namespace
+
+constinit const KernelTable kScalarKernels = {
+    .level = Level::kScalar, .gemm_row_align = 1, .gemm = gemm_scalar,
+    .gemm_bt = gemm_bt_scalar, .axpy = axpy_scalar, .scale = scale_scalar,
+    .hadamard = hadamard_scalar, .sum = sum_scalar, .sumsq = sumsq_scalar,
+    .dot = dot_scalar, .abs_max = abs_max_scalar, .exp = exp_scalar,
+    .softmax = softmax_scalar, .rmsnorm_row = rmsnorm_row_scalar,
+    .silu = silu_scalar, .requantize_group = requantize_group_scalar};
 
 }  // namespace apollo::simd::detail

@@ -5,7 +5,8 @@
 //
 // V must provide:
 //   kWidth                      f32 lanes per vector
-//   kGemmMr                     GEMM micro-kernel row-tile height
+//   kGemmMr                     GEMM micro-kernel row-tile height (the
+//                               table's gemm_row_align)
 //   F                           the f32 vector type
 //   DAcc                        a double accumulator covering kWidth lanes
 //   zero() load(p) store(p,v) load_partial(p,m) store_partial(p,v,m)
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "tensor/simd/kernels_decl.h"
+#include "tensor/simd/simd.h"
 
 namespace apollo::simd::detail {
 
@@ -41,6 +43,17 @@ struct Kern {
   static constexpr int64_t NR = 2 * W;  // micro-kernel column width
   static constexpr int64_t KC = 256;    // k-blocking: B panel depth
   static constexpr int64_t NC = 1024;   // n-blocking: B panel width cap
+
+  // This backend's kernel table; its definition constant-initializes from
+  // it, so building the table runs no code.
+  static constexpr KernelTable table(Level level) {
+    return {.level = level, .gemm_row_align = MR, .gemm = gemm,
+            .gemm_bt = gemm_bt, .axpy = axpy, .scale = scale,
+            .hadamard = hadamard, .sum = sum, .sumsq = sumsq, .dot = dot,
+            .abs_max = abs_max, .exp = vexp_buf, .softmax = softmax,
+            .rmsnorm_row = rmsnorm_row, .silu = silu,
+            .requantize_group = requantize_group};
+  }
 
   // ---- elementwise (bit-exact vs the fma-pinned scalar reference) --------
 

@@ -3,7 +3,10 @@
 // Every dense hot-loop primitive in the repo — GEMM, elementwise updates,
 // whole-tensor reductions, softmax, RMSNorm, SiLU, INT8 requantization — is
 // reachable through a per-level KernelTable: a portable scalar reference,
-// an AVX2+FMA backend, and an AVX-512 backend. The level is chosen once at
+// an AVX2+FMA backend, and an AVX-512 backend. Each table is a constant
+// defined in the backend's own translation unit (kernels_decl.h), so a new
+// kernel is a field here, its scalar and template bodies, and one entry in
+// the scalar table and in Kern<V>::table. The level is chosen once at
 // startup from cpuid, overridable with APOLLO_SIMD=scalar|avx2|avx512
 // (docs/ENVVARS.md) and, for tests and benches, with set_level().
 //

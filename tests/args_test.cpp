@@ -55,5 +55,42 @@ TEST(Args, NegativeNumbersAsValues) {
   EXPECT_EQ(a.get_int("rank", 0), -1);
 }
 
+TEST(Args, WellFormedValuesLeaveNoError) {
+  auto a = parse({"--steps", "100", "--lr", "1e-3", "--rank", "-1"});
+  EXPECT_EQ(a.get_int("steps", 5), 100);
+  EXPECT_DOUBLE_EQ(a.get_double("lr", 1.0), 1e-3);
+  EXPECT_EQ(a.get_int("rank", 0), -1);
+  EXPECT_EQ(a.error(), "");
+}
+
+TEST(Args, IntegerWithExponentIsAnError) {
+  auto a = parse({"--steps", "1e3"});
+  EXPECT_EQ(a.get_int("steps", 400), 400);
+  EXPECT_EQ(a.error(), "--steps expects an integer, got '1e3'");
+}
+
+TEST(Args, NumberWithTrailingCharactersIsAnError) {
+  auto a = parse({"--lr", "1e-3x"});
+  EXPECT_DOUBLE_EQ(a.get_double("lr", 0.5), 0.5);
+  EXPECT_EQ(a.error(), "--lr expects a number, got '1e-3x'");
+}
+
+TEST(Args, EmptyValueIsAnError) {
+  // A bare --steps followed by another flag has the empty value.
+  auto a = parse({"--steps", "--batch", "2"});
+  EXPECT_EQ(a.get_int("steps", 400), 400);
+  EXPECT_EQ(a.get_int("batch", 4), 2);
+  EXPECT_EQ(a.error(), "--steps expects an integer, got ''");
+}
+
+TEST(Args, OutOfRangeIntegerIsAnError) {
+  auto a = parse({"--seed", "99999999999999999999", "--lr", "1e999"});
+  EXPECT_EQ(a.get_int("seed", 42), 42);
+  EXPECT_DOUBLE_EQ(a.get_double("lr", 0.5), 0.5);
+  // The first failure is the one reported.
+  EXPECT_EQ(a.error(),
+            "--seed expects an integer, got '99999999999999999999'");
+}
+
 }  // namespace
 }  // namespace apollo::tools

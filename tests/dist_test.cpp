@@ -529,6 +529,21 @@ TEST(DistE2E, UnknownModelSizeIsAUsageError) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(DistE2E, MalformedNumberIsAUsageError) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_number";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(run_cmd("cd " + dir + " && " + APOLLO_TRAIN_BIN +
+                    " --model 60m --steps 1e3 --batch 1 --eval-every 0"
+                    " > out.log 2>&1"),
+            1);
+  const std::string log = file_contents(dir + "/out.log");
+  EXPECT_NE(log.find("error: --steps expects an integer, got '1e3'"),
+            std::string::npos)
+      << log;
+  std::filesystem::remove_all(dir);
+}
+
 #endif  // APOLLO_TRAIN_BIN
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "fault/crc32.h"
 #include "quant/quant.h"
 #include "tensor/ops.h"
 
@@ -156,32 +158,46 @@ TEST(GroupQuantized, RequantizeUnbiasedAcrossSeeds) {
   EXPECT_NEAR(sum / trials, 0.503, 0.002);
 }
 
-TEST(BlockQuantized, BlockStreamingMatchesFullStoreLoad) {
-  // Per-block store/load (the Adam8bit streaming hot path) must reproduce
-  // the whole-matrix store()/load() arithmetic bit for bit, for both the
-  // signed (M) and square-root-coded unsigned (V) variants.
-  for (const bool is_signed : {true, false}) {
-    Matrix m = random_matrix(3, 100, is_signed ? 23 : 24);  // partial block
-    if (!is_signed)
-      for (int64_t i = 0; i < m.size(); ++i) m[i] = m[i] * m[i];
-    BlockQuantized full(3, 100, is_signed, 128);
-    BlockQuantized streamed(3, 100, is_signed, 128);
-    full.store(m);
-    float buf[128];
-    for (int64_t b = 0; b < streamed.num_blocks(); ++b) {
-      const int64_t lo = b * streamed.block();
-      for (int64_t k = 0; k < streamed.block_len(b); ++k) buf[k] = m[lo + k];
-      streamed.store_block(b, buf);
-    }
-    const Matrix ref = full.load();
-    Matrix out(3, 100);
-    for (int64_t b = 0; b < streamed.num_blocks(); ++b) {
-      streamed.load_block(b, buf);
-      const int64_t lo = b * streamed.block();
-      for (int64_t k = 0; k < streamed.block_len(b); ++k) out[lo + k] = buf[k];
-    }
-    for (int64_t i = 0; i < ref.size(); ++i) EXPECT_FLOAT_EQ(out[i], ref[i]);
-  }
+TEST(Int8Codec, RoundTripGoldenFingerprint) {
+  // One CRC-32 over the round trips of the three INT8 codes: BlockQuantized's
+  // signed (Adam's M) and square-root (V) codes, and GroupQuantized's
+  // round-to-nearest weights. Recorded when BlockQuantized still had a
+  // whole-matrix copy of its per-block codec; the codec does no multiply-add,
+  // so fma contraction cannot move these bits in any build.
+  const Matrix m = random_matrix(3, 300, 23);  // a partial last block
+  Matrix sq = m;
+  for (int64_t i = 0; i < sq.size(); ++i) sq[i] = m[i] * m[i];
+  BlockQuantized s(3, 300, /*signed=*/true, 128);
+  BlockQuantized u(3, 300, /*signed=*/false, 128);
+  s.store(m);
+  u.store(sq);
+  const Matrix outs[] = {s.load(), u.load(),
+                         GroupQuantized::quantize(m, 128).dequantize()};
+  uint32_t crc = fault::kCrc32Init;
+  for (const Matrix& out : outs)
+    crc = fault::crc32_update(crc, out.data(),
+                              static_cast<size_t>(out.size()) * sizeof(float));
+  EXPECT_EQ(fault::crc32_final(crc), 0x49793cd0u);
+}
+
+TEST(Int8Codec, NanEncodesAsZero) {
+  // A NaN gets code 0 (converting it to int8_t is undefined), is skipped by
+  // the block's absmax, and leaves every other code as it was.
+  const Matrix m = random_matrix(1, 100, 25);
+  Matrix with_nan = m;
+  with_nan[17] = std::nanf("");
+  BlockQuantized ref(1, 100, /*signed=*/true), b(1, 100, /*signed=*/true);
+  ref.store(m);
+  b.store(with_nan);
+  const Matrix want = ref.load(), got = b.load();
+  for (int64_t i = 0; i < m.size(); ++i)
+    EXPECT_EQ(got[i], i == 17 ? 0.f : want[i]) << "element " << i;
+
+  const GroupQuantized gref = GroupQuantized::quantize(m, 128);
+  const GroupQuantized g = GroupQuantized::quantize(with_nan, 128);
+  for (size_t i = 0; i < g.codes().size(); ++i)
+    EXPECT_EQ(g.codes()[i], i == 17 ? 0 : gref.codes()[i]) << "element " << i;
+  EXPECT_EQ(g.scales(), gref.scales());
 }
 
 TEST(BlockQuantized, RepeatedStoreLoadStable) {

@@ -6,15 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/factory.h"
 #include "core/threadpool.h"
 #include "data/corpus.h"
+#include "fault/crc32.h"
 #include "nn/llama.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -78,6 +81,90 @@ OpsFingerprint run_ops() {
   fp.total = sum(fp.mat);
   fp.rnorms = row_norms(fp.mbt);
   return fp;
+}
+
+// Appends the bytes of n values to a running CRC-32.
+template <class T>
+uint32_t crc_add(uint32_t crc, const T* p, int64_t n) {
+  return fault::crc32_update(crc, p, static_cast<size_t>(n) * sizeof(T));
+}
+
+// Calls every KernelTable entry once on fixed odd-sized inputs and returns
+// one CRC-32 over all of their outputs. The inputs take partial register
+// tiles, partial column panels, a second k-block and masked lane tails.
+uint32_t kernel_table_crc(const simd::KernelTable& kt) {
+  constexpr int64_t m = 13, n = 37, k = 263, len = 301;
+  const Matrix a = random_matrix(m, k, 31);
+  const Matrix at = random_matrix(k, m, 32);
+  const Matrix b = random_matrix(k, n, 33);
+  const Matrix bt = random_matrix(n, k, 34);
+  const Matrix x = random_matrix(1, len, 35);
+  const Matrix w = random_matrix(1, len, 36);
+  uint32_t crc = fault::kCrc32Init;
+
+  Matrix c(m, n);
+  kt.gemm(c.data(), n, a.data(), k, /*a_trans=*/false, b.data(), n, 0, m, n,
+          k);
+  kt.gemm(c.data(), n, at.data(), m, /*a_trans=*/true, b.data(), n, 0, m, n,
+          k);
+  kt.gemm_bt(c.data(), n, a.data(), k, bt.data(), k, 0, m, n, k);
+  crc = crc_add(crc, c.data(), c.size());
+
+  Matrix y = random_matrix(1, len, 37);
+  kt.axpy(y.data(), x.data(), 0.37f, len);
+  kt.scale(y.data(), 1.01f, len);
+  kt.hadamard(y.data(), x.data(), len);
+  crc = crc_add(crc, y.data(), len);
+
+  const double sums[] = {kt.sum(x.data(), len), kt.sumsq(x.data(), len)};
+  const float reds[] = {kt.dot(x.data(), w.data(), len),
+                        kt.abs_max(x.data(), len)};
+  crc = crc_add(crc, sums, 2);
+  crc = crc_add(crc, reds, 2);
+
+  // A wide spread of exp inputs, two of them past the vector clamps.
+  Matrix big(1, len);
+  for (int64_t i = 0; i < len; ++i) big[i] = 9.f * x[i];
+  big[0] = 100.f;
+  big[1] = -100.f;
+  Matrix e(1, len), sm(1, len), rn(1, len), sl(1, len), sig(1, len);
+  kt.exp(e.data(), big.data(), len);
+  kt.softmax(sm.data(), big.data(), len);
+  const float ir = kt.rmsnorm_row(rn.data(), x.data(), w.data(), len, 1e-6f);
+  kt.silu(sl.data(), sig.data(), big.data(), len);
+  for (const Matrix* out : {&e, &sm, &rn, &sl, &sig})
+    crc = crc_add(crc, out->data(), len);
+  crc = crc_add(crc, &ir, 1);
+
+  Matrix q = x, err(1, len), u(1, len);
+  Rng rng(38);
+  rng.fill_floats(u.data(), len);
+  int8_t codes[len];
+  const float qscale =
+      kt.requantize_group(q.data(), codes, err.data(), u.data(), 0.05f, len);
+  crc = crc_add(crc, q.data(), len);
+  crc = crc_add(crc, err.data(), len);
+  crc = crc_add(crc, codes, len);
+  crc = crc_add(crc, &qscale, 1);
+  return fault::crc32_final(crc);
+}
+
+// Pins every vector level's kernel bits across commits; the other tests
+// here compare runs inside one process. The values were recorded before the
+// per-level tables became constants, and read the same in the native and
+// the portable (APOLLO_NATIVE=OFF) build. The scalar level is left out: its
+// plain C++ loops contract into fma only where the build targets a CPU
+// with fma, so its bits follow the build.
+TEST(SimdDeterminism, KernelTableGoldenFingerprints) {
+  const std::pair<simd::Level, uint32_t> golden[] = {
+      {simd::Level::kAvx2, 0x3045631au},
+      {simd::Level::kAvx512, 0xa0e16191u},
+  };
+  for (const auto& [lv, want] : golden) {
+    if (lv > simd::max_supported_level()) continue;
+    EXPECT_EQ(kernel_table_crc(simd::table(lv)), want)
+        << "kernel bits moved at level " << simd::level_name(lv);
+  }
 }
 
 TEST(SimdDeterminism, KernelsBitIdenticalAcrossThreadsAndRuns) {

@@ -45,6 +45,16 @@ int main(int argc, char** argv) {
   if (!tools::model_config(args, cfg)) return 1;
   const std::string data_path = args.get("data", "");
   if (!data_path.empty()) cfg.vocab = 256;
+  const int eval_batches =
+      static_cast<int>(args.get_int("eval-batches", 16));
+  serve::GenParams gp;
+  gp.max_tokens = static_cast<int>(args.get_int("generate", 0));
+  gp.temperature = static_cast<float>(args.get_double("temperature", 0.8));
+  gp.top_k = static_cast<int>(args.get_int("top-k", 40));
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
+  }
 
   nn::LlamaModel model(cfg, 0);
   auto r = train::load_checkpoint(load_path, model);
@@ -74,8 +84,6 @@ int main(int argc, char** argv) {
     ccfg.vocab = cfg.vocab;
     source = std::make_unique<data::SyntheticCorpus>(ccfg);
   }
-  const int eval_batches =
-      static_cast<int>(args.get_int("eval-batches", 16));
   auto vs = data::make_validation_set(*source, eval_batches, 4, cfg.seq_len,
                                       991);
   const double loss = train::validation_loss(model, vs);
@@ -83,12 +91,6 @@ int main(int argc, char** argv) {
               std::exp(loss));
 
   // Optional sampling.
-  // Read every sampling flag before the unknown-flag check, so a given
-  // --temperature/--top-k is not reported as unrecognized.
-  serve::GenParams gp;
-  gp.max_tokens = static_cast<int>(args.get_int("generate", 0));
-  gp.temperature = static_cast<float>(args.get_double("temperature", 0.8));
-  gp.top_k = static_cast<int>(args.get_int("top-k", 40));
   const std::string prompt_str = args.get("prompt", "");
   for (const auto& flag : args.unknown())
     std::fprintf(stderr, "warning: unrecognized flag %s\n", flag.c_str());

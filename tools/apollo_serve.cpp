@@ -6,11 +6,8 @@
 // Serves POST /v1/generate as a chunked JSONL token stream, with
 // continuous batching across concurrent requests (docs/SERVING.md).
 // GET /healthz and /metrics report state; POST /admin/shutdown drains.
-//
-// Defaults come from the environment (APOLLO_SERVE_PORT, _MAX_BATCH,
-// _MAX_QUEUE, _KV_BUDGET — docs/ENVVARS.md); flags override.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "nn/llama.h"
@@ -23,23 +20,6 @@
 
 using namespace apollo;
 
-namespace {
-
-// The docdrift analyzer pass matches literal getenv("APOLLO_*") sites, so
-// each knob reads its own variable by name and only the parsing is shared.
-int64_t env_int(const char* name, const char* v, int64_t dflt) {
-  if (v == nullptr || v[0] == '\0') return dflt;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0') {
-    std::fprintf(stderr, "warning: ignoring malformed %s=%s\n", name, v);
-    return dflt;
-  }
-  return parsed;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   tools::Args args(argc, argv);
   if (args.has("help")) {
@@ -48,15 +28,12 @@ int main(int argc, char** argv) {
         "  --load PATH         checkpoint to serve (omit: random weights)\n"
         "  --model SIZE        architecture (default 130m)\n"
         "  --hidden/--layers/--heads/--inter/--vocab/--seq  custom shape\n"
-        "  --port N            listen port, 0 = ephemeral "
-        "(APOLLO_SERVE_PORT, default 8080)\n"
+        "  --port N            listen port, 0 = ephemeral (default 8080)\n"
         "  --port-file PATH    write the bound port (for --port 0)\n"
-        "  --max-batch N       decode lanes (APOLLO_SERVE_MAX_BATCH, "
-        "default 4)\n"
-        "  --max-queue N       queued requests (APOLLO_SERVE_MAX_QUEUE, "
-        "default 64)\n"
+        "  --max-batch N       decode lanes (default 4)\n"
+        "  --max-queue N       queued requests (default 64)\n"
         "  --kv-budget BYTES   cap lanes to fit this KV arena size "
-        "(APOLLO_SERVE_KV_BUDGET, 0 = off)\n"
+        "(0 = off)\n"
         "  --deadline-ms N     default per-request deadline (0 = none)\n");
     return 0;
   }
@@ -68,15 +45,15 @@ int main(int argc, char** argv) {
   if (!load_path.empty() && !args.has("vocab")) cfg.vocab = 256;
 
   serve::EngineConfig ecfg;
-  ecfg.port = static_cast<int>(
-      args.get_int("port", env_int("APOLLO_SERVE_PORT", std::getenv("APOLLO_SERVE_PORT"), 8080)));
-  ecfg.max_batch = static_cast<int>(
-      args.get_int("max-batch", env_int("APOLLO_SERVE_MAX_BATCH", std::getenv("APOLLO_SERVE_MAX_BATCH"), 4)));
-  ecfg.max_queue = static_cast<int>(
-      args.get_int("max-queue", env_int("APOLLO_SERVE_MAX_QUEUE", std::getenv("APOLLO_SERVE_MAX_QUEUE"), 64)));
+  ecfg.port = static_cast<int>(args.get_int("port", 8080));
+  ecfg.max_batch = static_cast<int>(args.get_int("max-batch", 4));
+  ecfg.max_queue = static_cast<int>(args.get_int("max-queue", 64));
   ecfg.default_deadline_ms = args.get_int("deadline-ms", 0);
-  const int64_t kv_budget =
-      args.get_int("kv-budget", env_int("APOLLO_SERVE_KV_BUDGET", std::getenv("APOLLO_SERVE_KV_BUDGET"), 0));
+  const int64_t kv_budget = args.get_int("kv-budget", 0);
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
+  }
   if (ecfg.max_batch < 1 || ecfg.max_queue < 1) {
     std::fprintf(stderr, "error: --max-batch and --max-queue must be >= 1\n");
     return 1;

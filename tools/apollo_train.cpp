@@ -62,9 +62,9 @@ void usage() {
       "  --ranks N           fork N data-parallel workers with ZeRO-1\n"
       "                      optimizer-state sharding; the loss/grad-norm\n"
       "                      trajectory is bit-identical to --grad-accum N\n"
-      "                      at the same --batch (also APOLLO_RANKS)\n"
+      "                      at the same --batch\n"
       "  --dist-timeout-ms N heartbeat-stall / drain-grace timeout, default\n"
-      "                      30000 (also APOLLO_DIST_TIMEOUT_MS)\n"
+      "                      30000\n"
       "  --on-rank-fail P    respawn|shrink — restart a lost world at full\n"
       "                      width or one rank narrower (default respawn)\n"
       "  --max-restarts N    world restarts before giving up (default 3)\n"
@@ -151,6 +151,12 @@ int run_training(const tools::Args& args, nn::LlamaConfig cfg,
       static_cast<int>(args.get_int("max-retries", 3));
   tc.resilience.wd.lr_backoff =
       static_cast<float>(args.get_double("lr-backoff", 0.5));
+  // A --ranks worker returns rather than exits: the atexit hooks belong to
+  // the supervisor.
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
+  }
   if (tc.resilience.watchdog && tc.resilience.ckpt_dir.empty()) {
     std::fprintf(stderr,
                  "error: --watchdog needs --ckpt-dir (rollback target)\n");
@@ -247,12 +253,6 @@ int run_training(const tools::Args& args, nn::LlamaConfig cfg,
   return 0;
 }
 
-// Takes the getenv() result rather than the name so every APOLLO_* read is
-// a literal getenv("...") site the docdrift analyzer can see.
-long env_long(const char* e, long dflt) {
-  return e != nullptr && e[0] != '\0' ? std::strtol(e, nullptr, 10) : dflt;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -269,17 +269,19 @@ int main(int argc, char** argv) {
   nn::LlamaConfig cfg;
   if (!tools::model_config(args, cfg)) return 1;
 
-  // Distributed launch. Flags override the environment (APOLLO_RANKS &
-  // friends let a CI matrix flip modes without editing command lines).
-  const long ranks =
-      args.get_int("ranks", env_long(std::getenv("APOLLO_RANKS"), 1));
-  const int timeout_ms = static_cast<int>(args.get_int(
-      "dist-timeout-ms",
-      env_long(std::getenv("APOLLO_DIST_TIMEOUT_MS"), 30000)));
+  // Distributed launch.
+  const long ranks = args.get_int("ranks", 1);
+  const int timeout_ms =
+      static_cast<int>(args.get_int("dist-timeout-ms", 30000));
   const std::string on_fail = args.get("on-rank-fail", "respawn");
   const int max_restarts =
       static_cast<int>(args.get_int("max-restarts", 3));
+  const long grad_accum = args.get_int("grad-accum", 1);
 
+  if (!args.error().empty()) {
+    std::fprintf(stderr, "error: %s\n", args.error().c_str());
+    return 1;
+  }
   if (ranks < 1 || ranks > dist::kMaxRanks) {
     std::fprintf(stderr, "error: --ranks must be in [1, %d]\n",
                  dist::kMaxRanks);
@@ -287,7 +289,7 @@ int main(int argc, char** argv) {
   }
   if (ranks == 1) return run_training(args, cfg, nullptr);
 
-  if (args.get_int("grad-accum", 1) > 1) {
+  if (grad_accum > 1) {
     std::fprintf(stderr,
                  "error: --ranks replaces --grad-accum (the world is the "
                  "accumulation; use --ranks N --grad-accum 1)\n");

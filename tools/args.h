@@ -2,6 +2,7 @@
 // forms, with typed getters and an unknown-flag check.
 #pragma once
 
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -37,18 +38,23 @@ class Args {
     auto it = values_.find(name);
     return it == values_.end() ? dflt : it->second;
   }
+  // The typed getters take a value only when all of it parses and it is in
+  // range. Otherwise they return `dflt` and record the failure in error().
   long get_int(const std::string& name, long dflt) const {
-    auto it = values_.find(name);
-    used_.insert(name);
-    return it == values_.end() ? dflt : std::strtol(it->second.c_str(),
-                                                    nullptr, 10);
+    return parse(name, dflt, "an integer", [](const char* s, char** end) {
+      return std::strtol(s, end, 10);
+    });
   }
   double get_double(const std::string& name, double dflt) const {
-    auto it = values_.find(name);
-    used_.insert(name);
-    return it == values_.end() ? dflt
-                               : std::strtod(it->second.c_str(), nullptr);
+    return parse(name, dflt, "a number", [](const char* s, char** end) {
+      return std::strtod(s, end);
+    });
   }
+
+  // The first value a typed getter could not parse, as a message such as
+  // "--steps expects an integer, got '1e3'"; empty while every value has
+  // parsed. Each tool reports it as a usage error once its options are read.
+  const std::string& error() const { return error_; }
 
   // Flags that were passed but never queried — typo detection.
   std::vector<std::string> unknown() const {
@@ -61,9 +67,26 @@ class Args {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  template <class T, class Strto>
+  T parse(const std::string& name, T dflt, const char* what,
+          Strto strto) const {
+    used_.insert(name);
+    auto it = values_.find(name);
+    if (it == values_.end()) return dflt;
+    const char* s = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const T v = strto(s, &end);
+    if (*s != '\0' && *end == '\0' && errno != ERANGE) return v;
+    if (error_.empty())
+      error_ = "--" + name + " expects " + what + ", got '" + it->second + "'";
+    return dflt;
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
   mutable std::set<std::string> used_;
+  mutable std::string error_;
 };
 
 }  // namespace apollo::tools
