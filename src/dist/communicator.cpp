@@ -6,6 +6,9 @@
 #include <cstring>
 #include <ctime>
 
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
+
 namespace apollo::dist {
 
 namespace {
@@ -13,6 +16,65 @@ namespace {
 void nap_us(long us) {
   timespec ts{0, us * 1000L};
   nanosleep(&ts, nullptr);
+}
+
+size_t bytes(int64_t n) { return static_cast<size_t>(n) * sizeof(float); }
+
+// A position in a segment list read as one stream of floats.
+struct Cursor {
+  size_t seg = 0;
+  int64_t off = 0;
+};
+
+// Floats [data, data + n) of one segment, at `pos` in the current bucket.
+struct Piece {
+  float* data;
+  int64_t n;
+  int owner;
+  int64_t pos;
+};
+
+// Moves `c` past used-up and empty segments.
+void settle(std::span<const Segment> segs, Cursor& c) {
+  while (c.seg < segs.size() && c.off >= segs[c.seg].n) {
+    ++c.seg;
+    c.off = 0;
+  }
+}
+
+// Calls fn(piece) for each piece of the bucket of `cap` stream floats that
+// starts at the settled cursor `c`; returns where the next bucket starts,
+// settled.
+template <class Fn>
+Cursor for_each_piece(std::span<const Segment> segs, Cursor c, int64_t cap,
+                      Fn fn) {
+  for (int64_t pos = 0; pos < cap && c.seg < segs.size();) {
+    const Segment& s = segs[c.seg];
+    const int64_t k = std::min(s.n - c.off, cap - pos);
+    fn(Piece{s.data + c.off, k, s.owner, pos});
+    c.off += k;
+    pos += k;
+    settle(segs, c);
+  }
+  return c;
+}
+
+// out[i] = ((x_0[i] + x_1[i]) + …) + x_{w-1}[i] for i < n, with x_r =
+// src[r]; `out` may be one of the sources. It vectorizes across i and never
+// across r, so each element keeps the association of a sequential
+// rank-ordered sum — the order of single-process micro-batch accumulation.
+void rank_ordered_sum(float* out, const float* const* src, int w, int64_t n) {
+  constexpr int64_t kChunk = 512;
+  float acc[kChunk];
+  for (int64_t i = 0; i < n; i += kChunk) {
+    const int64_t m = std::min(kChunk, n - i);
+    std::memcpy(acc, src[0] + i, bytes(m));
+    for (int r = 1; r < w; ++r) {
+      const float* x = src[r] + i;
+      for (int64_t j = 0; j < m; ++j) acc[j] += x[j];
+    }
+    std::memcpy(out + i, acc, bytes(m));
+  }
 }
 
 }  // namespace
@@ -47,6 +109,23 @@ void Communicator::heartbeat() {
 }
 
 void Communicator::barrier() {
+  if (!obs::telemetry_enabled()) {
+    wait_barrier();
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  wait_barrier();
+  static obs::Counter& count =
+      obs::Registry::instance().counter("dist.barriers");
+  static obs::Counter& wait_us =
+      obs::Registry::instance().counter("dist.barrier_wait_us");
+  count.add(1);
+  wait_us.add(std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count());
+}
+
+void Communicator::wait_barrier() {
   ControlBlock& c = *ctl_;
   const uint32_t gen = c.barrier_seq.load(std::memory_order_acquire);
   const uint32_t arrived =
@@ -71,35 +150,63 @@ void Communicator::barrier() {
   }
 }
 
-void Communicator::allreduce_sum(float* data, int64_t n) {
-  if (world_ <= 1) return;
-  for (int64_t off = 0; off < n; off += kBucketFloats) {
-    const int64_t c = std::min<int64_t>(kBucketFloats, n - off);
-    std::memcpy(slot(rank_), data + off,
-                static_cast<size_t>(c) * sizeof(float));
-    barrier();  // all slots written
-    // Every rank computes the identical left-to-right rank-ordered sum —
-    // sequential and scalar on purpose: this order IS the determinism
-    // contract, and it matches single-process micro-batch accumulation.
-    for (int64_t i = 0; i < c; ++i) {
-      float acc = slot(0)[i];
-      for (int r = 1; r < world_; ++r) acc += slot(r)[i];
-      data[off + i] = acc;
-    }
-    barrier();  // all ranks done reading; slots reusable
+template <class Write, class Read>
+void Communicator::for_each_bucket(std::span<const Segment> segs, int64_t cap,
+                                   Write write, Read read) {
+  Cursor c;
+  settle(segs, c);
+  while (c.seg < segs.size()) {
+    float* const buf = half();
+    const Cursor next = for_each_piece(
+        segs, c, cap, [&](const Piece& p) { write(buf, p); });
+    barrier();  // every rank's writes of this bucket are visible
+    for_each_piece(segs, c, cap, [&](const Piece& p) { read(buf, p); });
+    ++bucket_;
+    c = next;
   }
 }
 
-void Communicator::broadcast(float* data, int64_t n, int root) {
+void Communicator::reduce_scatter_sum(std::span<const Segment> segs) {
   if (world_ <= 1) return;
-  for (int64_t off = 0; off < n; off += kBucketFloats) {
-    const int64_t c = std::min<int64_t>(kBucketFloats, n - off);
-    const size_t bytes = static_cast<size_t>(c) * sizeof(float);
-    if (rank_ == root) std::memcpy(slot(root), data + off, bytes);
-    barrier();
-    if (rank_ != root) std::memcpy(data + off, slot(root), bytes);
-    barrier();
-  }
+  const auto slot = [&](float* buf, int r) { return buf + r * kBucketFloats; };
+  for_each_bucket(
+      segs, kBucketFloats,
+      [&](float* buf, const Piece& p) {
+        // Publish what the other ranks sum; an owned piece stays local.
+        if (p.owner != rank_)
+          std::memcpy(slot(buf, rank_) + p.pos, p.data, bytes(p.n));
+      },
+      [&](float* buf, const Piece& p) {
+        if (p.owner != rank_ && p.owner != kEveryRank) return;
+        const float* src[kMaxRanks] = {};
+        for (int r = 0; r < world_; ++r)
+          src[r] = r == rank_ ? p.data : slot(buf, r) + p.pos;
+        rank_ordered_sum(p.data, src, world_, p.n);
+      });
+}
+
+void Communicator::all_gather(std::span<const Segment> segs) {
+  if (world_ <= 1) return;
+  // One bucket spans the whole half: each stream float has one writer.
+  for_each_bucket(
+      segs, world_ * kBucketFloats,
+      [&](float* buf, const Piece& p) {
+        if (p.owner == rank_) std::memcpy(buf + p.pos, p.data, bytes(p.n));
+      },
+      [&](float* buf, const Piece& p) {
+        if (p.owner != rank_ && p.owner != kEveryRank)
+          std::memcpy(p.data, buf + p.pos, bytes(p.n));
+      });
+}
+
+void Communicator::allreduce_sum(float* data, int64_t n) {
+  const Segment s{data, n, kEveryRank};
+  reduce_scatter_sum({&s, 1});
+}
+
+void Communicator::broadcast(float* data, int64_t n, int root) {
+  const Segment s{data, n, root};
+  all_gather({&s, 1});
 }
 
 }  // namespace apollo::dist

@@ -53,10 +53,10 @@ World::World(const WorldConfig& cfg) : cfg_(cfg) {
     std::abort();
   }
   // One region serves every incarnation: control words up front, then the
-  // per-rank all-reduce slots. Sized for the initial width, which only ever
+  // collectives' slot area. Sized for the initial width, which only ever
   // shrinks.
-  const size_t slot_bytes = static_cast<size_t>(cfg_.ranks) *
-                            static_cast<size_t>(kBucketFloats) * sizeof(float);
+  const size_t slot_bytes =
+      static_cast<size_t>(slot_area_floats(cfg_.ranks)) * sizeof(float);
   shm_bytes_ = sizeof(ControlBlock) + 64 + slot_bytes;
   shm_ = mmap(nullptr, shm_bytes_, PROT_READ | PROT_WRITE,
               MAP_SHARED | MAP_ANONYMOUS, -1, 0);

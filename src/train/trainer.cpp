@@ -341,7 +341,7 @@ TrainResult Trainer::run() {
       tape.backward(loss, 1.f / static_cast<float>(accum * world));
       pipeline.finish_fused();
 
-      if (want_norm) grad_norm = pipeline.fused_grad_norm();
+      if (want_norm) grad_norm = pipeline.grad_norm();
       res.peak_activation_bytes =
           std::max(res.peak_activation_bytes, tape.peak_activation_bytes());
       res.peak_grad_bytes =
@@ -378,17 +378,16 @@ TrainResult Trainer::run() {
       }
       pipeline.finalize_classic_grads();
 
-      if (comm_ != nullptr) {
-        // Rank-ordered sums: from here the loss and every gradient are
-        // bit-identical on all ranks (and to the grad_accum=world run).
-        comm_->allreduce_sum(&step_loss, 1);
-        pipeline.reduce_classic_grads();
-      }
+      // Rank-ordered sums: from here the loss is bit-identical on all ranks
+      // and each owned gradient is too (and both equal the grad_accum=world
+      // run's).
+      if (comm_ != nullptr) comm_->allreduce_sum(&step_loss, 1);
+      pipeline.reduce_classic_grads();
 
       // Gradients are fully accumulated (and, under DDP, reduced) here; the
       // optimizer consumes but does not clear them, so measuring before
       // apply sees the applied update.
-      grad_norm = want_norm ? pipeline.classic_grad_norm() : 0.0;
+      grad_norm = want_norm ? pipeline.grad_norm() : 0.0;
 
       if (rc.watchdog) {
         const std::string why =

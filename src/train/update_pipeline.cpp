@@ -1,6 +1,7 @@
 #include "train/update_pipeline.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "obs/trace.h"
 #include "tensor/check.h"
@@ -76,18 +77,25 @@ void UpdatePipeline::on_final_leaf(Matrix* g, ag::Tape& tape) {
   // Backward visits leaves in graph order, which is a pure function of the
   // model structure — identical on every rank, so the collectives issued
   // here stay aligned without any tagging.
-  if (comm_ != nullptr) comm_->allreduce_sum(g->data(), g->size());
-  if (want_norm_) norms_[slot] = frobenius_norm(*g);
-  if (opt_.owns_slot(static_cast<int>(slot))) update_slot(slot);
+  if (comm_ != nullptr) {
+    const dist::Segment grad{g->data(), g->size(), owner(slot)};
+    comm_->reduce_scatter_sum({&grad, 1});
+  }
+  if (opt_.owns_slot(static_cast<int>(slot))) {
+    if (want_norm_) norms_[slot] = frobenius_norm(*g);
+    update_slot(slot);
+  }
   tape.release_leaf_grad(g);
-  if (comm_ != nullptr)
-    comm_->broadcast(p.value.data(), p.value.size(),
-                     static_cast<int>(slot) % world_);
+  if (comm_ != nullptr) {
+    const dist::Segment value{p.value.data(), p.value.size(), owner(slot)};
+    comm_->all_gather({&value, 1});
+  }
   stepped_[slot] = 1;
 }
 
 void UpdatePipeline::finish_fused() {
   const nn::ParamList& params = *params_;
+  segs_.clear();
   for (size_t i = 0; i < params.size(); ++i) {
     if (stepped_[i]) continue;
     nn::Parameter* p = params[i];
@@ -108,7 +116,7 @@ void UpdatePipeline::finish_fused() {
       // Dead leaf (outside every micro-batch's graph): a zero-gradient
       // update keeps weight decay and per-slot step counters aligned with
       // the classic loop. The zero gradient is identical on every rank, so
-      // no all-reduce is needed; the owner's update still broadcasts.
+      // no reduction is needed; the owner's update is still gathered.
       if (opt_.owns_slot(static_cast<int>(i))) {
         p->grad.reshape_discard(p->value.rows(), p->value.cols());
         if (inject_nan_ && i == 0 && p->grad.size() > 0) {
@@ -118,17 +126,35 @@ void UpdatePipeline::finish_fused() {
         update_slot(i);
         p->grad = Matrix();
       }
-      if (comm_ != nullptr)
-        comm_->broadcast(p->value.data(), p->value.size(),
-                         static_cast<int>(i) % world_);
+      segs_.push_back({p->value.data(), p->value.size(), owner(i)});
     }
   }
+  gather(want_norm_);
   opt_.end_step(params);
 }
 
-double UpdatePipeline::fused_grad_norm() const {
-  // Reduced in slot order with the same single-rounding std::fma as
-  // classic_grad_norm() — bit-identical to the classic reduction.
+void UpdatePipeline::gather(bool with_norms) {
+  if (comm_ == nullptr) return;
+  static_assert(sizeof(double) == 2 * sizeof(float));
+  const size_t norm_bytes = norms_.size() * sizeof(double);
+  if (with_norms) {
+    // Each norm travels as the two floats of its double, copied in and out
+    // with memcpy, so its bits arrive unchanged.
+    norm_bits_.resize(2 * norms_.size());
+    std::memcpy(norm_bits_.data(), norms_.data(), norm_bytes);
+    for (size_t i = 0; i < norms_.size(); ++i)
+      segs_.push_back({norm_bits_.data() + 2 * i, 2, owner(i)});
+  }
+  comm_->all_gather(segs_);
+  if (with_norms) std::memcpy(norms_.data(), norm_bits_.data(), norm_bytes);
+}
+
+double UpdatePipeline::grad_norm() const {
+  // Per-tensor norms accumulate sequentially in doubles, matching the repo's
+  // reduction determinism rule. std::fma pins the accumulate to a single
+  // rounding, so both drivers reduce the same norms to the same bits
+  // (contraction of `acc += n * n` is otherwise at the compiler's discretion
+  // per site).
   double acc = 0;
   for (const double n : norms_) acc = std::fma(n, n, acc);
   return std::sqrt(acc);
@@ -176,25 +202,22 @@ void UpdatePipeline::finalize_classic_grads() {
 }
 
 void UpdatePipeline::reduce_classic_grads() {
-  if (comm_ == nullptr) return;
-  // Rank-ordered sums: from here every gradient is bit-identical on all
-  // ranks (and to the grad_accum=world run).
-  for (nn::Parameter* p : *params_)
-    if (p->grad.size() > 0) comm_->allreduce_sum(p->grad.data(), p->grad.size());
-}
-
-double UpdatePipeline::classic_grad_norm() const {
-  // Per-tensor norms accumulate sequentially in doubles, matching the repo's
-  // reduction determinism rule. std::fma pins the accumulate to a single
-  // rounding so the fused path's slot-ordered reduction over the same norms
-  // is bit-identical (contraction of `acc += n * n` is otherwise at the
-  // compiler's discretion per site).
-  double acc = 0;
-  for (const nn::Parameter* p : *params_) {
-    const double n = frobenius_norm(p->grad);
-    acc = std::fma(n, n, acc);
+  const nn::ParamList& params = *params_;
+  if (comm_ != nullptr) {
+    // One reduce-scatter in slot order: from here each owned gradient is
+    // the rank-ordered sum, bit-identical to the grad_accum=world run.
+    segs_.clear();
+    for (size_t i = 0; i < params.size(); ++i)
+      segs_.push_back({params[i]->grad.data(), params[i]->grad.size(),
+                       owner(i)});
+    comm_->reduce_scatter_sum(segs_);
   }
-  return std::sqrt(acc);
+  if (!want_norm_) return;
+  for (size_t i = 0; i < params.size(); ++i)
+    if (opt_.owns_slot(static_cast<int>(i)))
+      norms_[i] = frobenius_norm(params[i]->grad);
+  segs_.clear();
+  gather(/*with_norms=*/true);
 }
 
 void UpdatePipeline::apply_classic() {
@@ -202,17 +225,17 @@ void UpdatePipeline::apply_classic() {
   APOLLO_TRACE_SCOPE(opt_.trace_name(), "train");
   // ZeRO-1: every rank runs the order-sensitive begin/end bookkeeping over
   // all slots (keeping the optimizer's RNG stream identical), updates only
-  // the slots it owns, then the owner broadcasts each refreshed parameter.
+  // the slots it owns, then one all-gather copies each refreshed parameter
+  // from its owner.
   opt_.begin_step(params);
   for (size_t i = 0; i < params.size(); ++i)
     if (opt_.owns_slot(static_cast<int>(i))) update_slot(i);
   opt_.end_step(params);
-  if (comm_ != nullptr) {
-    for (size_t i = 0; i < params.size(); ++i) {
-      Matrix& v = params[i]->value;
-      comm_->broadcast(v.data(), v.size(), static_cast<int>(i) % world_);
-    }
-  }
+  segs_.clear();
+  for (size_t i = 0; i < params.size(); ++i)
+    segs_.push_back({params[i]->value.data(), params[i]->value.size(),
+                     owner(i)});
+  gather(/*with_norms=*/false);
 }
 
 }  // namespace apollo::train

@@ -1,8 +1,8 @@
 // Shared per-leaf update machinery for the trainer's classic and fused
-// paths: "gradient ready → (accumulate) → reduce → step → requantize →
-// release → broadcast", factored out of trainer.cpp so gradient
-// accumulation, ZeRO-1 data parallelism, INT8 quantized weights, 8-bit
-// optimizer state, and fault injection compose with the fused
+// paths: "gradient ready → (accumulate) → reduce-scatter → step →
+// requantize → release → all-gather", factored out of trainer.cpp so
+// gradient accumulation, ZeRO-1 data parallelism, INT8 quantized weights,
+// 8-bit optimizer state, and fault injection compose with the fused
 // backward+optimizer path instead of each forcing the classic loop.
 //
 // One pipeline instance is armed per optimizer step. The two drivers:
@@ -13,22 +13,33 @@
 //            as the classic accumulation loop (move the first complete
 //            gradient, then `a[k] += g[k]`). The final micro-batch runs with
 //            on_final_leaf(): complete the accumulation, inject any armed
-//            nan_grad fault, all-reduce, record the slot norm, apply
-//            step_param for owned slots, requantize the slot's INT8 weights
-//            in place, release the gradient, broadcast. finish_fused()
-//            sweeps leaves the final graph never touched (stashed-but-dead
-//            and truly dead) and runs end_step.
+//            nan_grad fault, reduce-scatter the leaf to its owner, which
+//            records the slot norm, applies step_param and requantizes the
+//            slot's INT8 weights in place; release the gradient, all-gather
+//            the owner's weights. finish_fused() sweeps leaves the final
+//            graph never touched (stashed-but-dead and truly dead), gathers
+//            their weights and the slot norms, and runs end_step.
 //
 //   classic — per-micro stash_param_grads(), then finalize_classic_grads()
-//            (restore + zero-fill + fault injection), reduce_classic_grads(),
-//            classic_grad_norm(), and apply_classic() (begin → slot-order
-//            step_param + requantize → end → broadcasts).
+//            (restore + zero-fill + fault injection), reduce_classic_grads()
+//            (one reduce-scatter over every gradient, owned slot norms,
+//            one norm exchange), grad_norm(), and apply_classic() (begin →
+//            slot-order owned step_param + requantize → end → one
+//            all-gather of every weight).
+//
+// Under a world (dist::Communicator) slot i is owned by rank i % W, the
+// ZeRO-1 shard of Optimizer::owns_slot. After the reduce-scatter only the
+// owner holds slot i's summed gradient; a non-owned Parameter::grad is
+// rank-local and stale. Nothing reads it: step_param runs on owned slots
+// only, and no begin_step or end_step reads a gradient. Each slot's norm is
+// likewise computed by its owner and exchanged once per step, only when
+// norms are wanted.
 //
 // Bit-identity between the two drivers rests on three invariants: the
 // accumulation association is identical; per-slot norms are reduced with the
-// same single-rounding std::fma in slot order; and every slot-local update
-// (optimizer step_param, per-slot requantization RNG stream) is independent
-// of the order slots complete in.
+// same single-rounding std::fma in slot order (grad_norm()); and every
+// slot-local update (optimizer step_param, per-slot requantization RNG
+// stream) is independent of the order slots complete in.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +77,9 @@ class UpdatePipeline {
   void begin_updates();
   // Leaf callback for the final micro-batch: finish accumulation and apply.
   void on_final_leaf(Matrix* g, ag::Tape& tape);
-  // Stashed-but-dead and dead-leaf sweep, then opt.end_step.
+  // Stashed-but-dead and dead-leaf sweep, one all-gather of their weights
+  // and the slot norms, then opt.end_step.
   void finish_fused();
-  // Slot-ordered std::fma reduction of the per-leaf norms.
-  double fused_grad_norm() const;
   // Bytes currently held by stashed accumulated gradients (folded into the
   // trainer's peak-memory accounting: the stash is live across micro tapes).
   int64_t stash_bytes() const { return stash_bytes_; }
@@ -80,15 +90,23 @@ class UpdatePipeline {
   // Move the accumulated gradients back into Parameter::grad, zero-fill
   // leaves outside every micro-batch's graph, apply an armed fault.
   void finalize_classic_grads();
-  // Rank-ordered all-reduce of every parameter gradient.
+  // Rank-ordered reduce-scatter of every parameter gradient to its owner,
+  // then the owned slots' norms and their exchange (when norms are wanted).
   void reduce_classic_grads();
-  // Global gradient norm over Parameter::grad in slot order (std::fma).
-  double classic_grad_norm() const;
-  // begin → slot-order owned step_param + requantize → end → broadcasts.
+  // begin → slot-order owned step_param + requantize → end → all-gather.
   void apply_classic();
+
+  // --- both drivers --------------------------------------------------------
+  // Global gradient norm: slot-ordered std::fma reduction of the per-slot
+  // norms (valid after reduce_classic_grads or finish_fused).
+  double grad_norm() const;
 
  private:
   size_t slot_for(const Matrix* g) const;
+  int owner(size_t slot) const { return static_cast<int>(slot) % world_; }
+  // Under a world, all-gathers segs_ and, when `with_norms`, each slot's
+  // norm from the slot's owner.
+  void gather(bool with_norms);
   // Owned-slot update: optimizer step, then in-place INT8 requantization.
   void update_slot(size_t slot);
 
@@ -105,6 +123,8 @@ class UpdatePipeline {
   std::vector<Matrix> stash_;    // per-slot accumulated gradients
   std::vector<double> norms_;    // per-slot Frobenius norms
   std::vector<char> stepped_;    // slots updated by the final-micro callback
+  std::vector<dist::Segment> segs_;  // the current collective's segments
+  std::vector<float> norm_bits_;     // norms_ staged for the exchange
 };
 
 }  // namespace apollo::train

@@ -85,11 +85,32 @@ TEST(Args, EmptyValueIsAnError) {
 
 TEST(Args, OutOfRangeIntegerIsAnError) {
   auto a = parse({"--seed", "99999999999999999999", "--lr", "1e999"});
-  EXPECT_EQ(a.get_int("seed", 42), 42);
+  EXPECT_EQ(a.get_long("seed", 42), 42);
   EXPECT_DOUBLE_EQ(a.get_double("lr", 0.5), 0.5);
   // The first failure is the one reported.
   EXPECT_EQ(a.error(),
             "--seed expects an integer, got '99999999999999999999'");
+
+  // get_int refuses what does not fit an int instead of wrapping it;
+  // get_long takes the same value.
+  auto b = parse({"--steps", "4294967297", "--seed", "4294967297"});
+  EXPECT_EQ(b.get_long("seed", 42), 4294967297L);
+  EXPECT_EQ(b.error(), "");
+  EXPECT_EQ(b.get_int("steps", 400), 400);
+  EXPECT_EQ(b.error(), "--steps expects an integer, got '4294967297'");
+
+  auto c = parse({"--hi", "2147483647", "--lo", "-2147483648", "--over",
+                  "2147483648", "--under", "-2147483649"});
+  EXPECT_EQ(c.get_int("hi", 0), 2147483647);
+  EXPECT_EQ(c.get_int("lo", 0), -2147483647 - 1);
+  EXPECT_EQ(c.error(), "");
+  EXPECT_EQ(c.get_int("over", 0), 0);
+  EXPECT_EQ(c.get_int("under", 0), 0);
+  EXPECT_EQ(c.error(), "--over expects an integer, got '2147483648'");
+
+  auto d = parse({"--under", "-2147483649"});
+  EXPECT_EQ(d.get_int("under", 5), 5);
+  EXPECT_EQ(d.error(), "--under expects an integer, got '-2147483649'");
 }
 
 }  // namespace

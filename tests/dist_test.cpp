@@ -1,18 +1,23 @@
 // Distributed data-parallel suite: rank-scoped fault specs, the World
-// supervisor's collectives and restart machinery, ZeRO-1 sharded-update
-// equivalence, shard-checkpoint round-trips across width changes, and the
-// end-to-end contracts — a 4-rank world must reproduce the single-process
+// supervisor's collectives (bit for bit against rank-ordered sums) and
+// restart machinery, ZeRO-1 sharded-update equivalence, shard-checkpoint
+// round-trips across width changes, and the end-to-end contracts — a 4-rank
+// world, classic or fused, must reproduce the single-process
 // `--grad-accum 4` loss/grad-norm streams bit for bit, a world that loses a
 // rank (crash or hang) must auto-recover onto the same trajectory, and an
-// out-of-range --ranks is refused with a usage error.
+// out-of-range --ranks or a malformed number is refused with one usage
+// error.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -104,6 +109,118 @@ TEST(DistWorld, CollectivesAreCorrectOnSharedMemory) {
     for (size_t i = 0; i < b.size(); ++i)
       if (b[i] != static_cast<float>(i % 13)) return 5;
     comm.barrier();
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+}
+
+// Test data for the bucketed collectives: a float with a random 24-bit
+// mantissa and one of 16 exponents, so sums round and the order of the
+// additions shows in the bits.
+uint64_t mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+float test_value(uint64_t tag, int rank, size_t seg, int64_t i) {
+  const uint64_t h =
+      mix64(mix64(mix64(tag * 131 + static_cast<uint64_t>(rank)) + seg) +
+            static_cast<uint64_t>(i));
+  const float mant = static_cast<float>(h >> 40) / 16777216.f - 0.5f;
+  return std::ldexp(mant, static_cast<int>(h & 15) - 8);
+}
+
+uint32_t bits_of(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+struct SegSpec {
+  int64_t n;
+  int owner;
+};
+
+// Round k's segment list, the same on every rank. Round 0 lists the edge
+// cases; later rounds draw 1-9 segments of mixed lengths and owners.
+std::vector<SegSpec> round_specs(uint64_t k) {
+  constexpr int64_t B = dist::kBucketFloats;
+  constexpr int kAll = dist::kEveryRank;
+  if (k == 0)
+    return {{0, 0},  {1, 1},      {7, 2},  {B + 5, kAll}, {B - 3, 0},
+            {0, kAll}, {1, kAll}, {2 * B + 11, 2}, {13, 1}, {3 * B + 1, 1}};
+  const int64_t lens[] = {0, 1, 3, 17, 1001, B - 1, B, B + 1, 2 * B + 3};
+  std::vector<SegSpec> v;
+  uint64_t h = mix64(k);
+  const int count = 1 + static_cast<int>(h % 9);
+  for (int s = 0; s < count; ++s) {
+    h = mix64(h);
+    v.push_back({lens[h % 9], static_cast<int>((h >> 8) % 4) - 1});
+  }
+  return v;
+}
+
+// Runs collective `which` (0 reduce-scatter, 1 all-gather, 2 all-reduce,
+// 3 broadcast) on round k's segments and checks every float's bits.
+bool collective_is_exact(dist::Communicator& comm, uint64_t k, int which) {
+  const int w = comm.world();
+  const int me = comm.rank();
+  const uint64_t tag = 4 * k + static_cast<uint64_t>(which);
+  std::vector<SegSpec> specs = round_specs(k);
+  if (which == 2) specs = {{specs.back().n + static_cast<int64_t>(k),
+                            dist::kEveryRank}};
+  if (which == 3) specs = {{specs.front().n + 2 * static_cast<int64_t>(k),
+                            static_cast<int>(k % static_cast<uint64_t>(w))}};
+  std::vector<std::vector<float>> data(specs.size());
+  std::vector<dist::Segment> segs;
+  for (size_t s = 0; s < specs.size(); ++s) {
+    data[s].resize(static_cast<size_t>(specs[s].n));
+    for (int64_t i = 0; i < specs[s].n; ++i)
+      data[s][static_cast<size_t>(i)] = test_value(tag, me, s, i);
+    segs.push_back({data[s].data(), specs[s].n, specs[s].owner});
+  }
+  if (which == 0) comm.reduce_scatter_sum(segs);
+  if (which == 1) comm.all_gather(segs);
+  if (which == 2) comm.allreduce_sum(segs[0].data, segs[0].n);
+  if (which == 3) comm.broadcast(segs[0].data, segs[0].n, segs[0].owner);
+  const bool sums = which == 0 || which == 2;
+  for (size_t s = 0; s < specs.size(); ++s) {
+    const int owner = specs[s].owner;
+    for (int64_t i = 0; i < specs[s].n; ++i) {
+      float want = test_value(tag, me, s, i);  // untouched
+      if (sums && (owner == me || owner == dist::kEveryRank)) {
+        want = test_value(tag, 0, s, i);
+        for (int r = 1; r < w; ++r) want += test_value(tag, r, s, i);
+      } else if (!sums && owner != dist::kEveryRank) {
+        want = test_value(tag, owner, s, i);
+      }
+      if (bits_of(data[s][static_cast<size_t>(i)]) != bits_of(want))
+        return false;
+    }
+  }
+  return true;
+}
+
+// The bucketed reduce-scatter and all-gather (and all-reduce and broadcast
+// on top of them) against sums and copies the test computes itself, bit for
+// bit: segments of length 0, 1, odd and longer than a bucket, crossing
+// bucket boundaries, with mixed owners. Non-owned segments must stay as they
+// were. 50 back-to-back rounds rotate the four collectives at different
+// sizes, so a parity slip between the two halves of the slot area or a
+// missing barrier corrupts some round.
+TEST(DistWorld, BucketedCollectivesAreRankOrderedAndExact) {
+  dist::WorldConfig cfg;
+  cfg.ranks = 3;
+  cfg.timeout_ms = 20000;
+  dist::World world(cfg);
+  const int code = world.run([](dist::Communicator& comm) -> int {
+    for (uint64_t k = 0; k < 50; ++k)
+      for (int step = 0; step < 4; ++step) {
+        const int which = static_cast<int>((k + static_cast<uint64_t>(step)) % 4);
+        if (!collective_is_exact(comm, k, which)) return 10 + which;
+      }
     return 0;
   });
   EXPECT_EQ(code, 0);
@@ -442,6 +559,33 @@ TEST(DistE2E, FourRanksBitIdenticalToGradAccum) {
   std::filesystem::remove_all(dir);
 }
 
+// The fused driver under a world: `--fused-update --ranks 4` reduces and
+// gathers leaf by leaf inside backward, and must still emit the exact loss
+// and grad-norm streams of `--grad-accum 4`, on every rank.
+TEST(DistE2E, FusedFourRanksBitIdenticalToGradAccum) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_fused";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bin = APOLLO_TRAIN_BIN;
+  const std::string cd = "cd " + dir + " && ";
+  const std::string args = std::string(kShape) + " --steps 25";
+
+  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=solo.jsonl " + bin + args +
+                    " --grad-accum 4 > solo.log 2>&1"),
+            0);
+  ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=fused.jsonl " + bin + args +
+                    " --fused-update --ranks 4 > fused.log 2>&1"),
+            0);
+
+  for (const char* key : {"loss", "grad_norm"}) {
+    SCOPED_TRACE(key);
+    const std::string solo = metric_stream(dir + "/solo.jsonl", key);
+    EXPECT_EQ(solo, metric_stream(dir + "/fused.jsonl.rank0", key));
+    EXPECT_EQ(solo, metric_stream(dir + "/fused.jsonl.rank3", key));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // Kill-rank drill: a planted SIGKILL-equivalent crash on rank 2 must be
 // detected, the world drained and respawned, every rank auto-resumed from
 // the newest complete shard set — and the deterministic batch replay must
@@ -529,18 +673,43 @@ TEST(DistE2E, UnknownModelSizeIsAUsageError) {
   std::filesystem::remove_all(dir);
 }
 
+// Lines of `text` that contain `needle`.
+int count_lines_with(const std::string& text, const std::string& needle) {
+  std::istringstream in(text);
+  std::string line;
+  int n = 0;
+  while (std::getline(in, line))
+    if (line.find(needle) != std::string::npos) ++n;
+  return n;
+}
+
+// A value that does not parse whole, or does not fit the flag's integer
+// type, is a usage error. Options are read before any rank is forked, so
+// under --ranks the error prints once and no rank fails.
 TEST(DistE2E, MalformedNumberIsAUsageError) {
   const std::string dir = std::string(::testing::TempDir()) + "dist_number";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  EXPECT_EQ(run_cmd("cd " + dir + " && " + APOLLO_TRAIN_BIN +
-                    " --model 60m --steps 1e3 --batch 1 --eval-every 0"
-                    " > out.log 2>&1"),
-            1);
-  const std::string log = file_contents(dir + "/out.log");
-  EXPECT_NE(log.find("error: --steps expects an integer, got '1e3'"),
-            std::string::npos)
-      << log;
+  struct Case {
+    const char* args;
+    const char* error;
+  };
+  for (const Case& c :
+       {Case{" --steps 1e3", "error: --steps expects an integer, got '1e3'"},
+        Case{" --steps 4294967297",
+             "error: --steps expects an integer, got '4294967297'"},
+        Case{" --steps 1e3 --ranks 2",
+             "error: --steps expects an integer, got '1e3'"}}) {
+    SCOPED_TRACE(c.args);
+    EXPECT_EQ(run_cmd("cd " + dir + " && " + APOLLO_TRAIN_BIN +
+                      " --model 60m --batch 1 --eval-every 0" + c.args +
+                      " > out.log 2>&1"),
+              1);
+    const std::string log = file_contents(dir + "/out.log");
+    EXPECT_EQ(count_lines_with(log, c.error), 1) << log;
+    EXPECT_EQ(count_lines_with(log, "error:"), 1) << log;
+    EXPECT_EQ(count_lines_with(log, "[dist]"), 0) << log;
+  }
   std::filesystem::remove_all(dir);
 }
 

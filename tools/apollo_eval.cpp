@@ -45,12 +45,11 @@ int main(int argc, char** argv) {
   if (!tools::model_config(args, cfg)) return 1;
   const std::string data_path = args.get("data", "");
   if (!data_path.empty()) cfg.vocab = 256;
-  const int eval_batches =
-      static_cast<int>(args.get_int("eval-batches", 16));
+  const int eval_batches = args.get_int("eval-batches", 16);
   serve::GenParams gp;
-  gp.max_tokens = static_cast<int>(args.get_int("generate", 0));
+  gp.max_tokens = args.get_int("generate", 0);
   gp.temperature = static_cast<float>(args.get_double("temperature", 0.8));
-  gp.top_k = static_cast<int>(args.get_int("top-k", 40));
+  gp.top_k = args.get_int("top-k", 40);
   if (!args.error().empty()) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
     return 1;

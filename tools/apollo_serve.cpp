@@ -45,11 +45,11 @@ int main(int argc, char** argv) {
   if (!load_path.empty() && !args.has("vocab")) cfg.vocab = 256;
 
   serve::EngineConfig ecfg;
-  ecfg.port = static_cast<int>(args.get_int("port", 8080));
-  ecfg.max_batch = static_cast<int>(args.get_int("max-batch", 4));
-  ecfg.max_queue = static_cast<int>(args.get_int("max-queue", 64));
-  ecfg.default_deadline_ms = args.get_int("deadline-ms", 0);
-  const int64_t kv_budget = args.get_int("kv-budget", 0);
+  ecfg.port = args.get_int("port", 8080);
+  ecfg.max_batch = args.get_int("max-batch", 4);
+  ecfg.max_queue = args.get_int("max-queue", 64);
+  ecfg.default_deadline_ms = args.get_long("deadline-ms", 0);
+  const int64_t kv_budget = args.get_long("kv-budget", 0);
   if (!args.error().empty()) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
     return 1;

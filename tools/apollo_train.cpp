@@ -84,27 +84,74 @@ void usage() {
       "  rank with :R) for recovery testing — see docs/RESILIENCE.md.\n");
 }
 
+// Every option of a training job. main reads them all before it forks any
+// worker, so a bad value is reported once, not once per rank.
+struct RunOptions {
+  uint64_t seed = 42;
+  std::string data_path, opt_name, load_path, save_path, csv_path;
+  bool quantize = false;
+  core::FactoryOptions fo;
+  train::TrainConfig tc;
+};
+
+RunOptions read_options(const tools::Args& args, const nn::LlamaConfig& cfg) {
+  RunOptions o;
+  o.seed = static_cast<uint64_t>(args.get_long("seed", 42));
+  o.data_path = args.get("data", "");
+  o.opt_name = args.get("optimizer", "apollo");
+  o.fo.rank = args.get_int("rank", std::max(1, cfg.hidden / 4));
+  o.fo.scale = static_cast<float>(args.get_double("scale", -1.0));
+  o.fo.update_freq = args.get_int("update-freq", 200);
+  o.fo.seed = o.seed * 7919 + 13;
+  o.fo.weight_decay =
+      static_cast<float>(args.get_double("weight-decay", 0.0));
+
+  train::TrainConfig& tc = o.tc;
+  tc.steps = args.get_int("steps", 400);
+  tc.batch = args.get_int("batch", 4);
+  tc.grad_accum = args.get_int("grad-accum", 1);
+  tc.fused_update = args.has("fused-update");
+  tc.lr = static_cast<float>(
+      args.get_double("lr", core::default_lr(o.opt_name)));
+  tc.eval_every = args.get_int("eval-every", tc.steps / 10);
+  tc.data_seed = o.seed;
+  tc.resilience.ckpt_dir = args.get("ckpt-dir", "");
+  tc.resilience.ckpt_every = args.get_int("ckpt-every", 50);
+  tc.resilience.ckpt_keep = args.get_int("ckpt-keep", 3);
+  tc.resilience.auto_resume = !args.has("no-resume");
+  tc.resilience.watchdog = args.has("watchdog");
+  tc.resilience.wd.spike_factor = args.get_double("spike-factor", 10.0);
+  tc.resilience.wd.max_retries = args.get_int("max-retries", 3);
+  tc.resilience.wd.lr_backoff =
+      static_cast<float>(args.get_double("lr-backoff", 0.5));
+
+  o.load_path = args.get("load", "");
+  o.save_path = args.get("save", "");
+  o.csv_path = args.get("csv", "");
+  o.quantize = args.has("quantize-weights");
+  return o;
+}
+
 // One full training job of model shape `cfg`. In distributed mode this runs
-// inside each forked worker (comm != nullptr): the model and optimizer are
-// built post-fork so the supervisor process stays tiny, and only rank 0
-// writes the CSV curve and the final --save checkpoint.
-int run_training(const tools::Args& args, nn::LlamaConfig cfg,
+// inside each forked worker (comm != nullptr): the data source, model and
+// optimizer are built post-fork so the supervisor process stays tiny, and
+// only rank 0 writes the CSV curve and the final --save checkpoint.
+int run_training(const RunOptions& o, nn::LlamaConfig cfg,
                  dist::Communicator* comm) {
-  const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 42));
+  const uint64_t seed = o.seed;
 
   // Data source.
   std::unique_ptr<data::TokenSource> source;
-  const std::string data_path = args.get("data", "");
-  if (!data_path.empty()) {
+  if (!o.data_path.empty()) {
     std::string err;
-    auto text = data::TextCorpus::from_file(data_path, &err);
+    auto text = data::TextCorpus::from_file(o.data_path, &err);
     if (!text) {
-      std::fprintf(stderr, "error: --data %s: %s\n", data_path.c_str(),
+      std::fprintf(stderr, "error: --data %s: %s\n", o.data_path.c_str(),
                    err.c_str());
       return 1;
     }
     std::printf("data: %s (%zu bytes, byte-level vocab 256)\n",
-                data_path.c_str(), text->size_bytes());
+                o.data_path.c_str(), text->size_bytes());
     cfg.vocab = 256;
     source = std::make_unique<data::TextCorpus>(std::move(*text));
   } else {
@@ -115,65 +162,22 @@ int run_training(const tools::Args& args, nn::LlamaConfig cfg,
   }
 
   // Optimizer.
-  const std::string opt_name = args.get("optimizer", "apollo");
-  core::FactoryOptions fo;
-  fo.rank = args.get_int("rank", std::max(1, cfg.hidden / 4));
-  fo.scale = static_cast<float>(args.get_double("scale", -1.0));
-  fo.update_freq = static_cast<int>(args.get_int("update-freq", 200));
-  fo.seed = seed * 7919 + 13;
-  fo.weight_decay =
-      static_cast<float>(args.get_double("weight-decay", 0.0));
-  auto opt = core::make_optimizer(opt_name, fo);
+  auto opt = core::make_optimizer(o.opt_name, o.fo);
   if (!opt) {
     std::fprintf(stderr, "error: unknown optimizer '%s' "
-                 "(--list-optimizers)\n", opt_name.c_str());
+                 "(--list-optimizers)\n", o.opt_name.c_str());
     return 1;
   }
-
-  train::TrainConfig tc;
-  tc.steps = static_cast<int>(args.get_int("steps", 400));
-  tc.batch = static_cast<int>(args.get_int("batch", 4));
-  tc.grad_accum = static_cast<int>(args.get_int("grad-accum", 1));
-  tc.fused_update = args.has("fused-update");
-  tc.lr = static_cast<float>(
-      args.get_double("lr", core::default_lr(opt_name)));
-  tc.eval_every =
-      static_cast<int>(args.get_int("eval-every", tc.steps / 10));
-  tc.data_seed = seed;
-  tc.resilience.ckpt_dir = args.get("ckpt-dir", "");
-  tc.resilience.ckpt_every =
-      static_cast<int>(args.get_int("ckpt-every", 50));
-  tc.resilience.ckpt_keep = static_cast<int>(args.get_int("ckpt-keep", 3));
-  tc.resilience.auto_resume = !args.has("no-resume");
-  tc.resilience.watchdog = args.has("watchdog");
-  tc.resilience.wd.spike_factor = args.get_double("spike-factor", 10.0);
-  tc.resilience.wd.max_retries =
-      static_cast<int>(args.get_int("max-retries", 3));
-  tc.resilience.wd.lr_backoff =
-      static_cast<float>(args.get_double("lr-backoff", 0.5));
-  // A --ranks worker returns rather than exits: the atexit hooks belong to
-  // the supervisor.
-  if (!args.error().empty()) {
-    std::fprintf(stderr, "error: %s\n", args.error().c_str());
-    return 1;
-  }
-  if (tc.resilience.watchdog && tc.resilience.ckpt_dir.empty()) {
-    std::fprintf(stderr,
-                 "error: --watchdog needs --ckpt-dir (rollback target)\n");
-    return 1;
-  }
+  const train::TrainConfig& tc = o.tc;
 
   nn::LlamaModel model(cfg, seed);
   std::printf("model: hidden %d, layers %d, heads %d, seq %d — %lld params\n",
               cfg.hidden, cfg.n_layers, cfg.n_heads, cfg.seq_len,
               static_cast<long long>(model.param_count()));
 
-  const std::string load_path = args.get("load", "");
-  std::string save_path = args.get("save", "");
-  std::string csv_path = args.get("csv", "");
-  const bool quantize = args.has("quantize-weights");
-  for (const auto& flag : args.unknown())
-    std::fprintf(stderr, "warning: unrecognized flag %s\n", flag.c_str());
+  const std::string& load_path = o.load_path;
+  std::string save_path = o.save_path;
+  std::string csv_path = o.csv_path;
   if (comm != nullptr && comm->rank() != 0) {
     // Ranks hold bit-identical weights, so one writer is enough — and safe:
     // N ranks racing on the same output path would tear it.
@@ -192,7 +196,7 @@ int run_training(const tools::Args& args, nn::LlamaConfig cfg,
   }
 
   std::unique_ptr<core::QuantizedWeightStore> qstore;
-  if (quantize) {
+  if (o.quantize) {
     qstore = std::make_unique<core::QuantizedWeightStore>(model.parameters(),
                                                           seed ^ 0x51u);
     std::printf("weights: INT8 group-128 store (%lld bytes persistent)\n",
@@ -268,15 +272,13 @@ int main(int argc, char** argv) {
 
   nn::LlamaConfig cfg;
   if (!tools::model_config(args, cfg)) return 1;
+  const RunOptions opts = read_options(args, cfg);
 
   // Distributed launch.
-  const long ranks = args.get_int("ranks", 1);
-  const int timeout_ms =
-      static_cast<int>(args.get_int("dist-timeout-ms", 30000));
+  const int ranks = args.get_int("ranks", 1);
+  const int timeout_ms = args.get_int("dist-timeout-ms", 30000);
   const std::string on_fail = args.get("on-rank-fail", "respawn");
-  const int max_restarts =
-      static_cast<int>(args.get_int("max-restarts", 3));
-  const long grad_accum = args.get_int("grad-accum", 1);
+  const int max_restarts = args.get_int("max-restarts", 3);
 
   if (!args.error().empty()) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
@@ -287,21 +289,28 @@ int main(int argc, char** argv) {
                  dist::kMaxRanks);
     return 1;
   }
-  if (ranks == 1) return run_training(args, cfg, nullptr);
+  if (opts.tc.resilience.watchdog && opts.tc.resilience.ckpt_dir.empty()) {
+    std::fprintf(stderr,
+                 "error: --watchdog needs --ckpt-dir (rollback target)\n");
+    return 1;
+  }
+  for (const auto& flag : args.unknown())
+    std::fprintf(stderr, "warning: unrecognized flag %s\n", flag.c_str());
+  if (ranks == 1) return run_training(opts, cfg, nullptr);
 
-  if (grad_accum > 1) {
+  if (opts.tc.grad_accum > 1) {
     std::fprintf(stderr,
                  "error: --ranks replaces --grad-accum (the world is the "
                  "accumulation; use --ranks N --grad-accum 1)\n");
     return 1;
   }
-  if (args.has("watchdog")) {
+  if (opts.tc.resilience.watchdog) {
     std::fprintf(stderr,
                  "error: --watchdog is incompatible with --ranks (rank loss "
                  "recovery already rewinds to the newest checkpoint)\n");
     return 1;
   }
-  if (args.has("quantize-weights")) {
+  if (opts.quantize) {
     std::fprintf(stderr,
                  "error: --quantize-weights is incompatible with --ranks\n");
     return 1;
@@ -313,7 +322,7 @@ int main(int argc, char** argv) {
   }
 
   dist::WorldConfig wc;
-  wc.ranks = static_cast<int>(ranks);
+  wc.ranks = ranks;
   wc.timeout_ms = timeout_ms;
   wc.shrink_on_failure = on_fail == "shrink";
   wc.max_restarts = max_restarts;
@@ -340,7 +349,7 @@ int main(int argc, char** argv) {
       std::FILE* sink = freopen("/dev/null", "w", stdout);
       (void)sink;
     }
-    const int rc = run_training(args, cfg, &comm);
+    const int rc = run_training(opts, cfg, &comm);
     // Workers leave via _Exit (no atexit hooks), so the telemetry file is
     // finalized by hand before the wrapper exits.
     obs::Telemetry::instance().finalize();

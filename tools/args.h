@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -39,8 +40,16 @@ class Args {
     return it == values_.end() ? dflt : it->second;
   }
   // The typed getters take a value only when all of it parses and it is in
-  // range. Otherwise they return `dflt` and record the failure in error().
-  long get_int(const std::string& name, long dflt) const {
+  // the range of the returned type. Otherwise they return `dflt` and record
+  // the failure in error().
+  int get_int(const std::string& name, int dflt) const {
+    return parse(name, dflt, "an integer", [](const char* s, char** end) {
+      const long v = std::strtol(s, end, 10);
+      if (v < INT_MIN || v > INT_MAX) errno = ERANGE;
+      return static_cast<int>(v);
+    });
+  }
+  long get_long(const std::string& name, long dflt) const {
     return parse(name, dflt, "an integer", [](const char* s, char** end) {
       return std::strtol(s, end, 10);
     });

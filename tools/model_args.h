@@ -25,12 +25,12 @@ inline bool model_config(const Args& args, nn::LlamaConfig& cfg) {
                  "error: --model must be one of 60m, 130m, 350m, 1b, 7b\n");
     return false;
   }
-  cfg.hidden = static_cast<int>(args.get_int("hidden", cfg.hidden));
-  cfg.n_layers = static_cast<int>(args.get_int("layers", cfg.n_layers));
-  cfg.n_heads = static_cast<int>(args.get_int("heads", cfg.n_heads));
-  cfg.intermediate = static_cast<int>(args.get_int("inter", cfg.intermediate));
-  cfg.vocab = static_cast<int>(args.get_int("vocab", cfg.vocab));
-  cfg.seq_len = static_cast<int>(args.get_int("seq", cfg.seq_len));
+  cfg.hidden = args.get_int("hidden", cfg.hidden);
+  cfg.n_layers = args.get_int("layers", cfg.n_layers);
+  cfg.n_heads = args.get_int("heads", cfg.n_heads);
+  cfg.intermediate = args.get_int("inter", cfg.intermediate);
+  cfg.vocab = args.get_int("vocab", cfg.vocab);
+  cfg.seq_len = args.get_int("seq", cfg.seq_len);
   return true;
 }
 
