@@ -1,13 +1,13 @@
 // State-precision ablation (extension experiment): identical training runs
-// with the optimizer moments stored in fp32 / bf16 / int8, for AdamW and for
-// the projected methods' auxiliary states (8-bit GaLore), plus INT8 weights
-// (Q-APOLLO) — quantifying what each precision notch costs in perplexity
-// and buys in bytes. The paper relies on bf16 states for its memory
-// estimates and on 8-bit baselines in Table 3; this bench shows the full
-// ladder on one controlled setup.
+// with the optimizer moments stored in fp32 / bf16 / int8 — AdamW at each
+// rung of optim::AdamMoments' precision ladder, and the projected methods'
+// auxiliary states (8-bit GaLore) — plus INT8 weights (Q-APOLLO),
+// quantifying what each precision notch costs in perplexity and buys in
+// bytes. The paper relies on bf16 states for its memory estimates and on
+// 8-bit baselines in Table 3; this bench shows the full ladder on one
+// controlled setup.
 #include "core/quantized_weights.h"
 #include "exp_common.h"
-#include "optim/adamw_bf16.h"
 
 using namespace apollo;
 using namespace apollo::bench;
@@ -23,7 +23,8 @@ int main() {
   print_rule(86);
 
   Method adamw_bf16{"AdamW bf16", 3e-3f, [](int64_t, uint64_t) {
-                      return std::make_unique<optim::AdamWBf16>();
+                      return std::make_unique<optim::AdamW>(
+                          optim::AdamHyper{}, optim::MomentPrecision::kBf16);
                     }};
   struct Row {
     const char* label;

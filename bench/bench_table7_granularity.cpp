@@ -12,7 +12,7 @@ using namespace apollo::bench;
 
 namespace {
 
-Method apollo_with(core::ScalingGranularity g, optim::ProjKind proj) {
+Method apollo_with(ScalingGranularity g, optim::ProjKind proj) {
   Method m = m_apollo();
   m.make = [g, proj](int64_t r, uint64_t s) {
     core::ApolloConfig cfg;
@@ -48,14 +48,14 @@ int main() {
       {"AdamW", m_adamw()},
       {"GaLore", m_galore()},
       {"APOLLO w. SVD / Channel",
-       apollo_with(core::ScalingGranularity::kChannel, optim::ProjKind::kSvd)},
+       apollo_with(ScalingGranularity::kChannel, optim::ProjKind::kSvd)},
       {"APOLLO w. SVD / Tensor",
-       apollo_with(core::ScalingGranularity::kTensor, optim::ProjKind::kSvd)},
+       apollo_with(ScalingGranularity::kTensor, optim::ProjKind::kSvd)},
       {"APOLLO / Channel",
-       apollo_with(core::ScalingGranularity::kChannel,
+       apollo_with(ScalingGranularity::kChannel,
                    optim::ProjKind::kRandom)},
       {"APOLLO / Tensor",
-       apollo_with(core::ScalingGranularity::kTensor,
+       apollo_with(ScalingGranularity::kTensor,
                    optim::ProjKind::kRandom)},
   };
 

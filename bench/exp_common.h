@@ -22,7 +22,6 @@
 #include "core/apollo.h"
 #include "core/structured_adamw.h"
 #include "obs/bench_report.h"
-#include "optim/adam8bit.h"
 #include "optim/adam_mini.h"
 #include "optim/adamw.h"
 #include "optim/galore.h"
@@ -65,7 +64,8 @@ inline Method m_adam_mini() {
 }
 inline Method m_adam8bit() {
   return {"8-bit Adam", 3e-3f, [](int64_t, uint64_t) {
-            return std::make_unique<optim::Adam8bit>();
+            return std::make_unique<optim::AdamW>(
+                optim::AdamHyper{}, optim::MomentPrecision::kInt8);
           }};
 }
 inline optim::GaloreConfig galore_cfg(int64_t rank, uint64_t seed) {

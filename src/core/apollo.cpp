@@ -9,6 +9,7 @@
 #include "linalg/projection.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "optim/adam_moments.h"
 #include "optim/norm_limiter.h"
 
 namespace apollo::core {
@@ -84,8 +85,7 @@ void Apollo::update_matrix_param(nn::Parameter* p, State& s,
   // Step 3: structured scaling factors from the compressed space, applied
   // to the raw full-rank gradient.
   Matrix update = g;
-  apply_structured_scaling(update, rtilde, rg, s.side,
-                           cfg_.granularity == ScalingGranularity::kTensor,
+  apply_structured_scaling(update, rtilde, rg, s.side, cfg_.granularity,
                            s.last_scaling);
 
   const bool clipped = cfg_.use_norm_limiter ? s.limiter.apply(update) : false;
@@ -119,8 +119,8 @@ int64_t Apollo::state_bytes() const {
   return b;
 }
 
-// Pure serialization: `params` only fixes key order, shapes are validated
-// by read_matrix/write_matrix and the cross-moment check in merge_state.
+// Pure serialization: `params` only fixes key order; merge_state checks
+// every record it reads back against its slot.
 // lint:allow(check-shape-preconditions)
 bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
   if (!write_pod(f, t_) || !write_rng_state(f, seeder_.state()))
@@ -143,8 +143,7 @@ bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
     const double nl = s->limiter.tracked_norm();
     if (!write_pod(f, side) || !write_pod(f, s->proj_seed) ||
         !write_pod(f, s->local_t) || !write_pod(f, nl) ||
-        !write_matrix(f, s->svd_projector) || !write_matrix(f, s->m) ||
-        !write_matrix(f, s->v))
+        !write_matrix(f, s->svd_projector) || !s->moments.save(f))
       return false;
   }
   return dense_.save(f, static_cast<int64_t>(params.size()));
@@ -165,7 +164,11 @@ bool Apollo::load_state(std::FILE* f, const nn::ParamList& params) {
 // from the pre-crash RNG stream), but the heavy moment matrices are kept
 // only for owned slots, so resident bytes stay at 1/R after merging all
 // shards. Works across a world-size change: ownership is re-evaluated under
-// the *current* shard configuration.
+// the *current* shard configuration. Every record, owned or not, must
+// describe state its slot could hold — a projected weight, side 0 or 1, at
+// least one step, the projector an SVD refresh would give it (none under
+// random projection) and r×n / m×r moments — so a crafted blob fails the
+// merge on every rank instead of sizing a later step's reads.
 // lint:allow(check-shape-preconditions)
 bool Apollo::merge_state(std::FILE* f, const nn::ParamList& params) {
   Rng::State rs;
@@ -176,26 +179,38 @@ bool Apollo::merge_state(std::FILE* f, const nn::ParamList& params) {
     uint8_t present = 0;
     if (!read_pod(f, present)) return false;
     if (!present) continue;
-    State& s = states_[i];
+    const Matrix& w = params[i]->value;
     uint8_t side = 0;
+    uint64_t seed = 0;
+    int64_t local_t = 0;
     double nl = -1.0;
-    Matrix proj, m, v;
-    if (!read_pod(f, side) || !read_pod(f, s.proj_seed) ||
-        !read_pod(f, s.local_t) || !read_pod(f, nl) ||
-        !read_matrix(f, proj) || !read_matrix(f, m) || !read_matrix(f, v))
+    Matrix proj;
+    if (!read_pod(f, side) || !read_pod(f, seed) || !read_pod(f, local_t) ||
+        !read_pod(f, nl) || !read_matrix(f, proj))
       return false;
-    s.side = side == 0 ? ProjectionSide::kLeft : ProjectionSide::kRight;
-    APOLLO_CHECK_SAME_SHAPE(m, v);
+    if (!projected(*params[i]) || side > 1 || local_t < 1) return false;
+    const bool left = side == 0;
+    const int64_t r = cfg_.rank;
+    const bool svd = cfg_.proj == optim::ProjKind::kSvd;
+    if (proj.rows() != (svd ? r : 0) ||
+        proj.cols() != (svd ? (left ? w.rows() : w.cols()) : 0))
+      return false;
+    optim::AdamMoments moments;
+    if (!moments.load(f, left ? r : w.rows(), left ? w.cols() : r,
+                      /*may_be_empty=*/false))
+      return false;
+    State& s = states_[i];
+    s.side = left ? ProjectionSide::kLeft : ProjectionSide::kRight;
+    s.proj_seed = seed;
+    s.local_t = local_t;
     s.limiter = optim::NormGrowthLimiter(cfg_.nl_gamma);
     s.limiter.set_tracked_norm(nl);
     if (owns_slot(static_cast<int>(i))) {
       s.svd_projector = std::move(proj);
-      s.m = std::move(m);
-      s.v = std::move(v);
+      s.moments = std::move(moments);
     }
   }
-  return dense_.load_merge(f, static_cast<int64_t>(params.size()),
-                           shard_rank_, shard_world_);
+  return dense_.load_merge(f, params, shard_rank_, shard_world_);
 }
 
 int64_t Apollo::reseed_projection(uint64_t salt) {

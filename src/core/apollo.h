@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/projection.h"
 #include "nn/parameter.h"
 #include "optim/dense_adam.h"
 #include "optim/optimizer.h"
@@ -35,8 +36,6 @@
 #include "tensor/rng.h"
 
 namespace apollo::core {
-
-enum class ScalingGranularity { kChannel, kTensor };
 
 struct ApolloConfig {
   int64_t rank = 4;

@@ -3,10 +3,8 @@
 #include "core/apollo.h"
 #include "core/structured_adamw.h"
 #include "optim/adafactor.h"
-#include "optim/adam8bit.h"
 #include "optim/adam_mini.h"
 #include "optim/adamw.h"
-#include "optim/adamw_bf16.h"
 #include "optim/galore.h"
 #include "optim/lowrank.h"
 #include "optim/sgd.h"
@@ -47,12 +45,15 @@ std::unique_ptr<optim::Optimizer> make_optimizer(const std::string& name,
 
   if (name == "adamw") return std::make_unique<optim::AdamW>(hyper);
   if (name == "adamw-bf16")
-    return std::make_unique<optim::AdamWBf16>(hyper);
+    return std::make_unique<optim::AdamW>(hyper,
+                                          optim::MomentPrecision::kBf16);
   if (name == "sgd") return std::make_unique<optim::Sgd>(0.f, o.weight_decay);
   if (name == "sgd-momentum")
     return std::make_unique<optim::Sgd>(o.momentum, o.weight_decay);
   if (name == "adam-mini") return std::make_unique<optim::AdamMini>(hyper);
-  if (name == "adam8bit") return std::make_unique<optim::Adam8bit>(hyper);
+  if (name == "adam8bit")
+    return std::make_unique<optim::AdamW>(hyper,
+                                          optim::MomentPrecision::kInt8);
   if (name == "adafactor") {
     optim::AdafactorConfig cfg;
     cfg.weight_decay = o.weight_decay;
@@ -115,8 +116,9 @@ std::unique_ptr<optim::Optimizer> make_optimizer(const std::string& name,
   if (name.rfind("structured-", 0) == 0) {
     StructuredAdamWConfig cfg;
     cfg.hyper = hyper;
-    cfg.granularity = name == "structured-tensor" ? LrGranularity::kTensor
-                                                  : LrGranularity::kChannel;
+    cfg.granularity = name == "structured-tensor"
+                          ? ScalingGranularity::kTensor
+                          : ScalingGranularity::kChannel;
     return std::make_unique<StructuredAdamW>(cfg);
   }
 

@@ -10,12 +10,9 @@
 namespace apollo::core {
 
 std::string StructuredAdamW::name() const {
-  switch (cfg_.granularity) {
-    case LrGranularity::kElement: return "AdamW (element-wise)";
-    case LrGranularity::kChannel: return "AdamW (channel-wise)";
-    case LrGranularity::kTensor: return "AdamW (tensor-wise)";
-  }
-  return "?";
+  return cfg_.granularity == ScalingGranularity::kTensor
+             ? "AdamW (tensor-wise)"
+             : "AdamW (channel-wise)";
 }
 
 void StructuredAdamW::begin_step(const nn::ParamList& params) {
@@ -27,28 +24,26 @@ void StructuredAdamW::step_param(nn::Parameter& p, int slot) {
   APOLLO_CHECK_SAME_SHAPE(p.value, p.grad);
   State& s = states_[static_cast<size_t>(slot)];
   const Matrix& g = p.grad;
-  if (s.m.size() == 0) {
-    s.m.reshape_discard(g.rows(), g.cols());
-    s.v.reshape_discard(g.rows(), g.cols());
-  }
+  if (s.moments.empty())
+    s.moments.allocate(g.rows(), g.cols(), optim::MomentPrecision::kFp32);
   ++s.local_t;
-  const optim::BiasCorrection bc =
-      optim::bias_correction(cfg_.hyper, s.local_t);
 
   // Full-rank moments and the element-wise normalized gradient G̃, which is
-  // the update itself at element granularity.
+  // the update itself for a 1-D parameter.
   Matrix update(g.rows(), g.cols());
-  for (int64_t i = 0; i < g.size(); ++i)
-    update[i] = optim::adam_direction(s.m[i], s.v[i], g[i], cfg_.hyper, bc);
+  s.moments.advance(g, cfg_.hyper,
+                    optim::bias_correction(cfg_.hyper, s.local_t),
+                    [&](int64_t lo, int64_t len, const float* dir) {
+                      for (int64_t k = 0; k < len; ++k) update[lo + k] = dir[k];
+                    });
 
-  if (p.matrix_shaped && cfg_.granularity != LrGranularity::kElement) {
+  if (p.matrix_shaped) {
     // Coarsened: the raw gradient scaled by G̃'s channel (or tensor) norms,
     // channels along the larger dimension (paper convention m ≤ n).
     const Matrix gtilde = std::exchange(update, g);
     apply_structured_scaling(update, gtilde, g,
                              natural_side(g.rows(), g.cols()),
-                             cfg_.granularity == LrGranularity::kTensor,
-                             s.last_scaling);
+                             cfg_.granularity, s.last_scaling);
     if (cfg_.use_norm_limiter) s.limiter.apply(update);
   }
 
@@ -59,8 +54,7 @@ void StructuredAdamW::step_param(nn::Parameter& p, int slot) {
 
 int64_t StructuredAdamW::state_bytes() const {
   int64_t b = 0;
-  for (const State& s : states_)
-    b += (s.m.size() + s.v.size()) * static_cast<int64_t>(sizeof(float));
+  for (const State& s : states_) b += s.moments.bytes();
   return b;
 }
 

@@ -9,23 +9,24 @@
 // against which APOLLO's low-rank approximation of the same factors is
 // measured (Fig. 4 / Fig. 8). It saves no memory — that is APOLLO's job.
 //
-// kElement + no limiter is exactly AdamW (a property the tests assert).
+// Element granularity is AdamW itself (optim/adamw.h), which Fig. 3's
+// element-wise row runs. 1-D parameters here take the element-wise update.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "linalg/projection.h"
 #include "nn/parameter.h"
+#include "optim/adam_moments.h"
 #include "optim/norm_limiter.h"
 #include "optim/optimizer.h"
 #include "tensor/matrix.h"
 
 namespace apollo::core {
 
-enum class LrGranularity { kElement, kChannel, kTensor };
-
 struct StructuredAdamWConfig {
-  LrGranularity granularity = LrGranularity::kChannel;
+  ScalingGranularity granularity = ScalingGranularity::kChannel;
   bool use_norm_limiter = true;
   optim::AdamHyper hyper;
 };
@@ -50,7 +51,7 @@ class StructuredAdamW : public optim::Optimizer {
 
  private:
   struct State {
-    Matrix m, v;
+    optim::AdamMoments moments;
     int64_t local_t = 0;
     optim::NormGrowthLimiter limiter;
     std::vector<float> last_scaling;

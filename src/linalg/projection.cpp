@@ -48,10 +48,11 @@ int64_t channel_count(int64_t rows, int64_t cols, ProjectionSide side) {
 }
 
 void apply_structured_scaling(Matrix& x, const Matrix& num, const Matrix& den,
-                              ProjectionSide side, bool tensor_wise,
+                              ProjectionSide side,
+                              ScalingGranularity granularity,
                               std::vector<float>& s) {
   APOLLO_CHECK_SAME_SHAPE(num, den);
-  if (tensor_wise) {
+  if (granularity == ScalingGranularity::kTensor) {
     const double n = frobenius_norm(num);
     const double d = frobenius_norm(den);
     const float f = d > 1e-30 ? static_cast<float>(n / d) : 0.f;

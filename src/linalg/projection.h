@@ -44,15 +44,20 @@ Matrix project_back(const Matrix& r, const Matrix& p, ProjectionSide side);
 // and side.
 int64_t channel_count(int64_t rows, int64_t cols, ProjectionSide side);
 
+// Granularity of Eq. 3's scaling factors: one per channel (APOLLO) or one
+// per tensor (APOLLO-Mini). Element granularity is plain AdamW.
+enum class ScalingGranularity { kChannel, kTensor };
+
 // Eq. 3's structured scaling. Scales `x` in place by the norm ratio of the
 // normalized update `num` (R̃ or G̃) to the raw `den` (R or G): one factor
 // sⱼ = ‖num[:,j]‖/‖den[:,j]‖ per channel — channels being the dimension
-// `side` leaves uncompressed — or, when `tensor_wise`, the single factor
+// `side` leaves uncompressed — or, at kTensor, the single factor
 // ‖num‖/‖den‖. The factors are left in `s`; a zero denominator gives 0.
 // APOLLO (in the subspace), structured AdamW (at full rank) and Fira's
 // residual all scale through this.
 void apply_structured_scaling(Matrix& x, const Matrix& num, const Matrix& den,
-                              ProjectionSide side, bool tensor_wise,
+                              ProjectionSide side,
+                              ScalingGranularity granularity,
                               std::vector<float>& s);
 
 }  // namespace apollo

@@ -4,6 +4,7 @@
 #include "nn/parameter.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "optim/adam_moments.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -43,7 +44,7 @@ void GaLore::step_param(nn::Parameter& p, int slot) {
   update_matrix_param(&p, states_[static_cast<size_t>(slot)]);
 }
 
-void GaLore::update_matrix_param(nn::Parameter* p, State& s) {
+void GaLore::update_matrix_param(nn::Parameter* p, SubspaceSlot& s) {
   APOLLO_CHECK_SAME_SHAPE(p->value, p->grad);
   const Matrix& g = p->grad;
   Matrix scratch;
@@ -51,23 +52,10 @@ void GaLore::update_matrix_param(nn::Parameter* p, State& s) {
 
   // --- subspace AdamW ------------------------------------------------------
   const Matrix rg = project(g, proj, s.side);
-  if (cfg_.quantize_states) {
-    // Created once; the moments live block-quantized between steps and are
-    // updated in fp32 below.
-    if (!s.qm) {
-      s.qm = std::make_unique<BlockQuantized>(rg.rows(), rg.cols(), true);
-      s.qv = std::make_unique<BlockQuantized>(rg.rows(), rg.cols(), false);
-    }
-    s.m = s.qm->load();
-    s.v = s.qv->load();
-  }
-  const Matrix norm_update = subspace_adam(s, rg, cfg_.hyper);
-  if (cfg_.quantize_states) {
-    s.qm->store(s.m);
-    s.qv->store(s.v);
-    s.m.reshape_discard(0, 0);
-    s.v.reshape_discard(0, 0);
-  }
+  const Matrix norm_update =
+      subspace_adam(s, rg, cfg_.hyper,
+                    cfg_.quantize_states ? MomentPrecision::kInt8
+                                         : MomentPrecision::kFp32);
 
   // --- back-projected update ----------------------------------------------
   Matrix update = project_back(norm_update, proj, s.side);
@@ -80,7 +68,7 @@ void GaLore::update_matrix_param(nn::Parameter* p, State& s) {
     sub_inplace(residual, project_back(rg, proj, s.side));
     std::vector<float> phi;
     apply_structured_scaling(residual, norm_update, rg, s.side,
-                             /*tensor_wise=*/false, phi);
+                             ScalingGranularity::kChannel, phi);
     const bool clipped = s.limiter.apply(residual);
     if (clipped && obs::telemetry_enabled())
       obs::Registry::instance().counter("optim.fira.limiter_clips").add(1);
@@ -100,11 +88,9 @@ void GaLore::update_matrix_param(nn::Parameter* p, State& s) {
 
 int64_t GaLore::state_bytes() const {
   int64_t b = dense_.state_bytes();
-  for (const State& s : states_) {
-    if (s.local_t == 0) continue;  // slot never projected (dense or unseen)
-    b += slot_bytes(s, cfg_.fira_residual);
-    if (s.qm) b += s.qm->bytes() + s.qv->bytes();
-  }
+  for (const SubspaceSlot& s : states_)
+    // Slots never projected (dense or unseen) hold nothing.
+    if (s.local_t > 0) b += slot_bytes(s, cfg_.fira_residual);
   return b;
 }
 

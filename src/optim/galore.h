@@ -10,8 +10,8 @@
 //   - Fira adds the full-rank error residual (G − P⁺PG), rescaled by the
 //     per-channel low-rank norm ratio and guarded by the norm-growth
 //     limiter, to simulate full-rank updates;
-//   - the 8-bit variant stores the subspace moments block-quantized
-//     (Table 3's 8-bit GaLore baseline).
+//   - the 8-bit variant keeps the subspace moments at the int8 rung of
+//     AdamMoments (Table 3's 8-bit GaLore baseline).
 // 1-D parameters fall back to dense AdamW, as in the reference code.
 #pragma once
 
@@ -23,7 +23,6 @@
 #include "optim/dense_adam.h"
 #include "optim/optimizer.h"
 #include "optim/subspace.h"
-#include "quant/quant.h"
 
 namespace apollo::optim {
 
@@ -92,24 +91,18 @@ class GaLore : public Optimizer {
   const char* step_trace_name() const override { return "GaLore::step"; }
 
  private:
-  // The 8-bit variant keeps the moments in qm/qv between steps; m and v are
-  // then only the step's fp32 working copy.
-  struct State : SubspaceSlot {
-    std::unique_ptr<BlockQuantized> qm, qv;
-  };
-
   // Pure routing predicate — nothing shape-dependent to verify.
   // lint:allow(check-shape-preconditions)
   bool projected(const nn::Parameter& p) const {
     return p.matrix_shaped &&
            std::min(p.value.rows(), p.value.cols()) > cfg_.rank;
   }
-  void update_matrix_param(nn::Parameter* p, State& s);
+  void update_matrix_param(nn::Parameter* p, SubspaceSlot& s);
 
   GaloreConfig cfg_;
   std::string display_name_;
   DenseAdamCore dense_;  // 1-D fallback
-  std::vector<State> states_;  // indexed by slot
+  std::vector<SubspaceSlot> states_;  // indexed by slot
   Rng seeder_;
 };
 

@@ -159,9 +159,9 @@ inline BiasCorrection bias_correction(const AdamHyper& hp, int64_t t) {
 }
 
 // The one Adam moment update: advances m and v by the gradient element g and
-// returns the normalized direction m̂/(√v̂+ε). Dense, 8-bit, bf16, structured
-// and subspace AdamW all run their moments through it (Adam-mini's per-row V
-// is a different algorithm and keeps its own loop).
+// returns the normalized direction m̂/(√v̂+ε). AdamMoments runs every moment
+// through it, at every precision (Adam-mini's per-row V is a different
+// algorithm and keeps its own loop).
 inline float adam_direction(float& m, float& v, float g, const AdamHyper& hp,
                             const BiasCorrection& bc) {
   m = hp.beta1 * m + (1.f - hp.beta1) * g;

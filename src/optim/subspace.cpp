@@ -1,6 +1,5 @@
 #include "optim/subspace.h"
 
-#include "core/threadpool.h"
 #include "linalg/svd.h"
 #include "obs/trace.h"
 #include "tensor/check.h"
@@ -47,29 +46,22 @@ const Matrix& slot_projector(SubspaceSlot& s, const Matrix& g, int64_t rank,
   return scratch;
 }
 
-Matrix subspace_adam(SubspaceSlot& s, const Matrix& rg, const AdamHyper& hp) {
+Matrix subspace_adam(SubspaceSlot& s, const Matrix& rg, const AdamHyper& hp,
+                     MomentPrecision precision) {
   APOLLO_CHECK_GE(s.local_t, 1);
-  if (s.m.size() == 0) {
-    s.m.reshape_discard(rg.rows(), rg.cols());
-    s.v.reshape_discard(rg.rows(), rg.cols());
-  }
-  APOLLO_CHECK_SAME_SHAPE(s.m, rg);
-  const BiasCorrection bc = bias_correction(hp, s.local_t);
+  if (s.moments.empty()) s.moments.allocate(rg.rows(), rg.cols(), precision);
   Matrix rtilde(rg.rows(), rg.cols());
-  core::parallel_for(
-      rg.size(),
-      [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i)
-          rtilde[i] = adam_direction(s.m[i], s.v[i], rg[i], hp, bc);
-      },
-      /*grain=*/1 << 13);
+  s.moments.advance(rg, hp, bias_correction(hp, s.local_t),
+                    [&](int64_t lo, int64_t len, const float* dir) {
+                      for (int64_t k = 0; k < len; ++k) rtilde[lo + k] = dir[k];
+                    });
   return rtilde;
 }
 
 int64_t slot_bytes(const SubspaceSlot& s, bool limiter) {
   APOLLO_CHECK_GE(s.local_t, 1);  // untouched slots hold nothing
-  int64_t b = (s.svd_projector.size() + s.m.size() + s.v.size()) *
-              static_cast<int64_t>(sizeof(float));
+  int64_t b = s.svd_projector.size() * static_cast<int64_t>(sizeof(float)) +
+              s.moments.bytes();
   b += 8;  // projection seed
   if (limiter)
     b += NormGrowthLimiter::state_floats() * static_cast<int64_t>(sizeof(float));

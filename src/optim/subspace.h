@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "linalg/projection.h"
+#include "optim/adam_moments.h"
 #include "optim/norm_limiter.h"
 #include "optim/optimizer.h"
 #include "tensor/matrix.h"
@@ -28,7 +29,7 @@ struct SubspaceSlot {
   ProjKind kind = ProjKind::kSvd;  // projector used at the current step
   uint64_t proj_seed = 0;  // Gaussian projectors are regenerated from this
   Matrix svd_projector;    // stored only for SVD projectors
-  Matrix m, v;             // subspace moments
+  AdamMoments moments;     // subspace moments
   int64_t local_t = 0;     // steps taken by this slot
   NormGrowthLimiter limiter;
   bool refresh = false;  // decided by advance_slot for the current step
@@ -49,13 +50,14 @@ bool advance_slot(SubspaceSlot& s, int64_t rows, int64_t cols, ProjKind proj,
 const Matrix& slot_projector(SubspaceSlot& s, const Matrix& g, int64_t rank,
                              Matrix& scratch);
 
-// AdamW in the subspace: allocates the moments on first use, advances them
-// by the projected gradient `rg` with bias correction at s.local_t, and
-// returns R̃ = M̂/(√V̂+ε).
-Matrix subspace_adam(SubspaceSlot& s, const Matrix& rg, const AdamHyper& hp);
+// AdamW in the subspace: allocates the moments at `precision` on first use,
+// advances them by the projected gradient `rg` with bias correction at
+// s.local_t, and returns R̃ = M̂/(√V̂+ε).
+Matrix subspace_adam(SubspaceSlot& s, const Matrix& rg, const AdamHyper& hp,
+                     MomentPrecision precision = MomentPrecision::kFp32);
 
-// Persistent bytes of one touched slot: the SVD projector, the fp32
-// moments, the 8-byte seed, and the limiter's tracked norm when `limiter`.
+// Persistent bytes of one touched slot: the SVD projector, the moments, the
+// 8-byte seed, and the limiter's tracked norm when `limiter`.
 int64_t slot_bytes(const SubspaceSlot& s, bool limiter);
 
 }  // namespace apollo::optim

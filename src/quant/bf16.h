@@ -2,17 +2,13 @@
 //
 // The paper's memory numbers assume BF16 optimizer states and weights; our
 // compute stays fp32 (exactly like mixed-precision training frameworks that
-// compute in fp32 and *store* in bf16). Bf16Buffer gives any optimizer a
-// 2-byte/element persistent store with round-to-nearest-even conversion —
-// used by the bf16-state variants and the precision-sensitivity tests.
+// compute in fp32 and *store* in bf16). These two conversions give a
+// 2-byte/element persistent code with round-to-nearest-even — the bf16 rung
+// of optim::AdamMoments.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
-
-#include "tensor/check.h"
-#include "tensor/matrix.h"
 
 namespace apollo {
 
@@ -33,35 +29,5 @@ inline float bf16_to_float(uint16_t code) {
   std::memcpy(&x, &bits, sizeof x);
   return x;
 }
-
-// A bf16-backed tensor store: load() widens to a Matrix, store() narrows.
-class Bf16Buffer {
- public:
-  Bf16Buffer() = default;
-  Bf16Buffer(int64_t rows, int64_t cols)
-      : rows_(rows), cols_(cols),
-        data_(static_cast<size_t>(rows * cols), 0) {}
-
-  void store(const Matrix& m) {
-    APOLLO_CHECK(m.rows() == rows_ && m.cols() == cols_);
-    for (int64_t i = 0; i < m.size(); ++i)
-      data_[static_cast<size_t>(i)] = float_to_bf16(m[i]);
-  }
-
-  Matrix load() const {
-    Matrix m(rows_, cols_);
-    for (int64_t i = 0; i < m.size(); ++i)
-      m[i] = bf16_to_float(data_[static_cast<size_t>(i)]);
-    return m;
-  }
-
-  int64_t rows() const { return rows_; }
-  int64_t cols() const { return cols_; }
-  int64_t bytes() const { return static_cast<int64_t>(data_.size()) * 2; }
-
- private:
-  int64_t rows_ = 0, cols_ = 0;
-  std::vector<uint16_t> data_;
-};
 
 }  // namespace apollo

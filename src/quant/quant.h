@@ -84,11 +84,12 @@ class BlockQuantized {
   void store(const Matrix& m);
   Matrix load() const;
 
-  // Streaming per-block access for optimizer hot paths (Adam8bit): decode or
-  // encode one block into a caller-owned stack buffer of `block()` floats.
-  // store() and load() are loops over these, so block-at-a-time updates are
-  // bit-for-bit the same as full-matrix round trips — without ever
-  // materialising a full-size fp32 temporary.
+  // Streaming per-block access for optimizer hot paths (the int8 rung of
+  // optim::AdamMoments): decode or encode one block into a caller-owned
+  // stack buffer of `block()` floats. store() and load() are loops over
+  // these, so block-at-a-time updates are bit-for-bit the same as
+  // full-matrix round trips — without ever materialising a full-size fp32
+  // temporary.
   void load_block(int64_t b, float* out) const;
   void store_block(int64_t b, const float* in);
   int64_t block() const { return block_; }

@@ -7,7 +7,6 @@
 
 #include "core/apollo.h"
 #include "core/structured_adamw.h"
-#include "optim/adamw.h"
 #include "tensor/ops.h"
 
 namespace apollo {
@@ -23,38 +22,13 @@ std::unique_ptr<nn::Parameter> make_param(int64_t rows, int64_t cols,
   return p;
 }
 
-TEST(StructuredAdamW, ElementWiseEqualsAdamW) {
-  // kElement granularity with no limiter must be bit-for-bit AdamW.
-  auto p = make_param(6, 10, 1);
-  auto q = std::make_unique<nn::Parameter>("w", 6, 10);
-  q->value = p->value;
-  q->grad = p->grad;
-  core::StructuredAdamWConfig cfg;
-  cfg.granularity = core::LrGranularity::kElement;
-  cfg.use_norm_limiter = false;
-  core::StructuredAdamW structured(cfg);
-  optim::AdamW adam;
-  structured.set_lr(0.01f);
-  adam.set_lr(0.01f);
-  Rng rng(2);
-  for (int s = 0; s < 5; ++s) {
-    structured.step({p.get()});
-    adam.step({q.get()});
-    Matrix g(6, 10);
-    g.fill_gaussian(rng, 0.f, 0.1f);
-    p->grad = g;
-    q->grad = g;
-  }
-  EXPECT_LT(max_abs_diff(p->value, q->value), 1e-6f);
-}
-
 TEST(StructuredAdamW, ChannelUpdateIsScaledRawGradient) {
   // One step: the update direction per channel must be parallel to the raw
   // gradient column (that is the whole point of structured scaling).
   auto p = make_param(6, 10, 3);
   Matrix before = p->value;
   core::StructuredAdamWConfig cfg;
-  cfg.granularity = core::LrGranularity::kChannel;
+  cfg.granularity = ScalingGranularity::kChannel;
   cfg.use_norm_limiter = false;
   core::StructuredAdamW opt(cfg);
   opt.set_lr(0.01f);
@@ -98,7 +72,7 @@ TEST(StructuredAdamW, TensorGranularityUniformScale) {
   auto p = make_param(6, 10, 4);
   Matrix before = p->value;
   core::StructuredAdamWConfig cfg;
-  cfg.granularity = core::LrGranularity::kTensor;
+  cfg.granularity = ScalingGranularity::kTensor;
   cfg.use_norm_limiter = false;
   core::StructuredAdamW opt(cfg);
   opt.set_lr(0.01f);
@@ -358,7 +332,7 @@ TEST(Apollo, SvdVariantRuns) {
 TEST(Apollo, MiniConfigMatchesPaper) {
   core::ApolloConfig c = core::ApolloConfig::mini();
   EXPECT_EQ(c.rank, 1);
-  EXPECT_EQ(c.granularity, core::ScalingGranularity::kTensor);
+  EXPECT_EQ(c.granularity, ScalingGranularity::kTensor);
   EXPECT_NEAR(c.scale, std::sqrt(128.f), 1e-5f);
 }
 

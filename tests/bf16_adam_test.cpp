@@ -1,19 +1,25 @@
-// AdamW-bf16 tests: tracks fp32 AdamW closely at half the state bytes.
+// AdamW at bf16 moments: tracks fp32 AdamW closely at half the state bytes,
+// and its state stays out of checkpoints.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "optim/adamw.h"
-#include "optim/adamw_bf16.h"
 #include "tensor/ops.h"
 
 namespace apollo {
 namespace {
+
+optim::AdamW bf16_adamw() {
+  return optim::AdamW({}, optim::MomentPrecision::kBf16);
+}
 
 TEST(AdamWBf16, TracksFp32Closely) {
   nn::Parameter p("w", 8, 64), q("w", 8, 64);
   Rng rng(1);
   p.value.fill_gaussian(rng, 0.f, 1.f);
   q.value = p.value;
-  optim::AdamWBf16 a16;
+  optim::AdamW a16 = bf16_adamw();
   optim::AdamW a32;
   a16.set_lr(0.01f);
   a32.set_lr(0.01f);
@@ -33,14 +39,35 @@ TEST(AdamWBf16, StateIsHalfOfFp32) {
   nn::Parameter p("w", 8, 64);
   Rng rng(3);
   p.grad.fill_gaussian(rng, 0.f, 0.1f);
-  optim::AdamWBf16 opt;
+  optim::AdamW opt = bf16_adamw();
   opt.set_lr(0.01f);
   opt.step({&p});
   EXPECT_EQ(opt.state_bytes(), 2 * 8 * 64 * 2);  // two bf16 moments
 }
 
 TEST(AdamWBf16, Name) {
-  EXPECT_EQ(optim::AdamWBf16().name(), "AdamW (bf16 states)");
+  EXPECT_EQ(bf16_adamw().name(), "AdamW (bf16 states)");
+}
+
+TEST(AdamWBf16, LowPrecisionStateStaysOutOfCheckpoints) {
+  // Only fp32 moments serialize. At bf16 and int8, save_state and load_state
+  // return false without touching the stream or the state, so checkpoints
+  // carry the weights alone.
+  for (const optim::MomentPrecision precision :
+       {optim::MomentPrecision::kBf16, optim::MomentPrecision::kInt8}) {
+    nn::Parameter p("w", 2, 4);
+    p.grad.fill(0.5f);
+    optim::AdamW opt({}, precision);
+    opt.step({&p});
+    const int64_t bytes = opt.state_bytes();
+    std::FILE* f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    EXPECT_FALSE(opt.save_state(f, {&p}));
+    EXPECT_EQ(std::ftell(f), 0);
+    EXPECT_FALSE(opt.load_state(f, {&p}));
+    EXPECT_EQ(opt.state_bytes(), bytes);
+    std::fclose(f);
+  }
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/apollo.h"
@@ -295,6 +299,192 @@ TEST(Serialize, ReadMatrixRefusesShapesPastTheEndOfTheStream) {
     EXPECT_EQ(m.rows(), 2);
     EXPECT_EQ(m.cols(), 2);
   }
+}
+
+// --- crafted optimizer state -------------------------------------------------
+// The section CRCs catch accidents only: anyone can write CRC-valid optimizer
+// bytes. Restoring must check every matrix against the shape its slot would
+// allocate and fail the load, instead of aborting in it or overflowing the
+// heap at the next step.
+
+// Writes a fixed optimizer blob under a chosen name, so save_checkpoint and
+// save_state_shard seal crafted bytes exactly as they seal real state.
+class BlobOptimizer : public optim::Optimizer {
+ public:
+  BlobOptimizer(std::string name, std::vector<char> blob)
+      : name_(std::move(name)), blob_(std::move(blob)) {}
+  void step_param(nn::Parameter& /*p*/, int /*slot*/) override {}
+  std::string name() const override { return name_; }
+  int64_t state_bytes() const override { return 0; }
+  bool save_state(std::FILE* f,
+                  const nn::ParamList& /*params*/) const override {
+    return std::fwrite(blob_.data(), 1, blob_.size(), f) == blob_.size();
+  }
+
+ private:
+  std::string name_;
+  std::vector<char> blob_;
+};
+
+// Collects what the serialize.h writers emit.
+class BlobBuilder {
+ public:
+  BlobBuilder() : f_(std::tmpfile()) {}
+  ~BlobBuilder() { std::fclose(f_); }
+  BlobBuilder(const BlobBuilder&) = delete;
+  BlobBuilder& operator=(const BlobBuilder&) = delete;
+
+  template <class T>
+  BlobBuilder& pod(const T& v) {
+    EXPECT_TRUE(write_pod(f_, v));
+    return *this;
+  }
+  BlobBuilder& rng(const Rng::State& st) {
+    EXPECT_TRUE(write_rng_state(f_, st));
+    return *this;
+  }
+  // A rows×cols matrix; 0×0 writes the empty record.
+  BlobBuilder& matrix(int64_t rows, int64_t cols) {
+    EXPECT_TRUE(write_matrix(f_, rows == 0 ? Matrix() : Matrix(rows, cols)));
+    return *this;
+  }
+  std::vector<char> bytes() {
+    std::vector<char> out(static_cast<size_t>(std::ftell(f_)));
+    std::rewind(f_);
+    EXPECT_EQ(std::fread(out.data(), 1, out.size(), f_), out.size());
+    return out;
+  }
+
+ private:
+  std::FILE* f_;
+};
+
+struct Shape {
+  int64_t rows, cols;
+};
+
+// AdamW state whose every slot holds moments of `shape`, or of its
+// parameter's shape when `shape` is 0×0.
+std::vector<char> adamw_blob(const nn::ParamList& params, Shape shape) {
+  BlobBuilder b;
+  b.pod(int64_t{1});
+  for (const nn::Parameter* p : params) {
+    const Shape s = shape.rows == 0 ? Shape{p->value.rows(), p->value.cols()}
+                                    : shape;
+    b.matrix(s.rows, s.cols).matrix(s.rows, s.cols);
+  }
+  return b.bytes();
+}
+
+// The first slot APOLLO projects at its default rank 4.
+size_t first_projected(const nn::ParamList& params) {
+  for (size_t i = 0; i < params.size(); ++i)
+    if (params[i]->matrix_shaped &&
+        std::min(params[i]->value.rows(), params[i]->value.cols()) >= 4)
+      return i;
+  ADD_FAILURE() << "no projected slot";
+  return 0;
+}
+
+// APOLLO state after one step in which only the first projected slot has a
+// record (random projection: no stored projector), with the given side byte
+// and moment shapes, and no dense moments.
+std::vector<char> apollo_blob(const nn::ParamList& params, uint8_t side,
+                              Shape m, Shape v) {
+  const size_t slot = first_projected(params);
+  BlobBuilder b;
+  b.pod(int64_t{1}).rng(Rng(1).state());
+  for (size_t i = 0; i < params.size(); ++i) {
+    b.pod(static_cast<uint8_t>(i == slot ? 1 : 0));
+    if (i != slot) continue;
+    b.pod(side).pod(uint64_t{7}).pod(int64_t{1}).pod(-1.0);
+    b.matrix(0, 0).matrix(m.rows, m.cols).matrix(v.rows, v.cols);
+  }
+  for (size_t i = 0; i < params.size(); ++i) b.matrix(0, 0).matrix(0, 0);
+  return b.bytes();
+}
+
+// The r×n moments a left-projected slot holds at rank 4.
+Shape left_moments(const nn::ParamList& params) {
+  return {4, params[first_projected(params)]->value.cols()};
+}
+
+TEST(CraftedState, WrongShapedMomentsFailTheLoadCleanly) {
+  nn::LlamaModel model(tiny(), 1);
+  const nn::ParamList params = model.parameters();
+  const Shape fit = left_moments(params);
+  struct Case {
+    const char* label;
+    bool apollo;
+    std::vector<char> blob;
+    bool loads;
+  };
+  const Case cases[] = {
+      {"AdamW, parameter-shaped moments", false, adamw_blob(params, {0, 0}),
+       true},
+      {"AdamW, 1x1 moments", false, adamw_blob(params, {1, 1}), false},
+      {"APOLLO, r x n moments", true, apollo_blob(params, 0, fit, fit), true},
+      {"APOLLO, M 1x1 and V 2x2", true,
+       apollo_blob(params, 0, {1, 1}, {2, 2}), false},
+      {"APOLLO, M and V 1x1", true, apollo_blob(params, 0, {1, 1}, {1, 1}),
+       false},
+      {"APOLLO, side byte 2", true, apollo_blob(params, 2, fit, fit), false},
+  };
+  const std::string path = temp_path("crafted_state.aplo");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const std::string name = c.apollo ? "APOLLO" : "AdamW";
+    BlobOptimizer stub(name, c.blob);
+    ASSERT_TRUE(train::save_checkpoint(path, model, 1, &stub).ok);
+    std::unique_ptr<optim::Optimizer> opt;
+    if (c.apollo)
+      opt = std::make_unique<core::Apollo>(core::ApolloConfig{});
+    else
+      opt = std::make_unique<optim::AdamW>();
+    ASSERT_EQ(opt->name(), name);
+    nn::LlamaModel fresh(tiny(), 2);
+    const auto l = train::load_checkpoint(path, fresh, opt.get());
+    EXPECT_EQ(l.ok, c.loads) << l.error;
+    if (!c.loads) {
+      EXPECT_EQ(l.error, "failed to restore optimizer state (" + name + ")");
+      continue;
+    }
+    // A state that loads must also step.
+    const nn::ParamList fp = fresh.parameters();
+    for (nn::Parameter* p : fp) p->grad.fill(0.01f);
+    opt->step(fp);
+  }
+}
+
+TEST(CraftedState, WrongShapedShardEndsTheDdpScan) {
+  const std::string dir = temp_path("crafted_shards");
+  nn::LlamaModel model(tiny(), 1);
+  const nn::ParamList params = model.parameters();
+  const Shape fit = left_moments(params);
+  for (const bool well_formed : {true, false}) {
+    SCOPED_TRACE(well_formed ? "r x n moments" : "1x1 moments");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const Shape m = well_formed ? fit : Shape{1, 1};
+    BlobOptimizer stub("APOLLO", apollo_blob(params, 0, m, m));
+    ASSERT_TRUE(train::save_checkpoint(train::CheckpointRotator::path_for(
+                                           dir, 4),
+                                       model, 4)
+                    .ok);
+    std::string err;
+    ASSERT_TRUE(train::save_state_shard(train::shard_path_for(dir, 4, 0, 1),
+                                        stub, params, 4, 0, 1, &err))
+        << err;
+    nn::LlamaModel fresh(tiny(), 2);
+    core::Apollo opt{core::ApolloConfig{}};
+    const auto rr = train::auto_resume_ddp(dir, fresh, &opt);
+    EXPECT_EQ(rr.resumed, well_formed) << rr.error;
+    if (!well_formed) {
+      EXPECT_EQ(rr.error,
+                "optimizer shard merge failed at step 4 in " + dir);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- format fingerprints -----------------------------------------------------

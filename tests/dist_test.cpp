@@ -684,7 +684,8 @@ int count_lines_with(const std::string& text, const std::string& needle) {
 }
 
 // A value that does not parse whole, or does not fit the flag's integer
-// type, is a usage error. Options are read before any rank is forked, so
+// type, is a usage error, and so are an unknown optimizer and an unreadable
+// data file. Options are read and checked before any rank is forked, so
 // under --ranks the error prints once and no rank fails.
 TEST(DistE2E, MalformedNumberIsAUsageError) {
   const std::string dir = std::string(::testing::TempDir()) + "dist_number";
@@ -699,7 +700,11 @@ TEST(DistE2E, MalformedNumberIsAUsageError) {
         Case{" --steps 4294967297",
              "error: --steps expects an integer, got '4294967297'"},
         Case{" --steps 1e3 --ranks 2",
-             "error: --steps expects an integer, got '1e3'"}}) {
+             "error: --steps expects an integer, got '1e3'"},
+        Case{" --optimizer nosuch --ranks 2",
+             "error: unknown optimizer 'nosuch'"},
+        Case{" --data /nonexistent.txt --ranks 2",
+             "error: --data /nonexistent.txt:"}}) {
     SCOPED_TRACE(c.args);
     EXPECT_EQ(run_cmd("cd " + dir + " && " + APOLLO_TRAIN_BIN +
                       " --model 60m --batch 1 --eval-every 0" + c.args +

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "linalg/svd.h"
-#include "optim/adam8bit.h"
 #include "optim/adam_mini.h"
 #include "optim/adamw.h"
 #include "optim/galore.h"
@@ -133,7 +132,7 @@ TEST(Adam8bit, TracksAdamW) {
   auto q = std::make_unique<nn::Parameter>("w", 4, 64);
   q->value = p->value;
   q->grad = p->grad;
-  optim::Adam8bit a8;
+  optim::AdamW a8({}, optim::MomentPrecision::kInt8);
   optim::AdamW a32;
   a8.set_lr(0.01f);
   a32.set_lr(0.01f);
@@ -154,7 +153,7 @@ TEST(Adam8bit, TracksAdamW) {
 
 TEST(Adam8bit, StateIsOneQuarterOfAdamW) {
   auto p = make_param(4, 128, 5);
-  optim::Adam8bit opt;
+  optim::AdamW opt({}, optim::MomentPrecision::kInt8);
   opt.step({p.get()});
   const int64_t elems = 2 * 4 * 128;
   EXPECT_EQ(opt.state_bytes(), elems + (elems / 128) * 4);
@@ -353,7 +352,8 @@ TEST(Optimizers, NamesAreStable) {
   EXPECT_EQ(optim::Sgd().name(), "SGD");
   EXPECT_EQ(optim::Sgd(0.9f).name(), "SGD-momentum");
   EXPECT_EQ(optim::AdamMini().name(), "Adam-mini");
-  EXPECT_EQ(optim::Adam8bit().name(), "8-bit Adam");
+  EXPECT_EQ(optim::AdamW({}, optim::MomentPrecision::kInt8).name(),
+            "8-bit Adam");
   EXPECT_EQ(optim::GaLore::galore({})->name(), "GaLore");
   EXPECT_EQ(optim::GaLore::galore_8bit({})->name(), "8-bit GaLore");
 }

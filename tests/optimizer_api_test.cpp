@@ -13,7 +13,10 @@
 #include <vector>
 
 #include "core/factory.h"
+#include "core/threadpool.h"
+#include "fault/crc32.h"
 #include "nn/parameter.h"
+#include "optim/adamw.h"
 #include "sysmodel/memory_model.h"
 #include "tensor/matrix.h"
 #include "train/checkpoint.h"
@@ -189,6 +192,80 @@ TEST(StreamingApi, AdamWStateBytesMatchSysmodel) {
                                        /*rank=*/4) *
               static_cast<int64_t>(sizeof(float));
   EXPECT_EQ(opt->state_bytes(), expect);
+}
+
+// --- precision-ladder golden -------------------------------------------------
+// AdamW at each rung of AdamMoments' ladder on a recipe where every product
+// is exact: β₁ = β₂ = ½, ε = 2⁻¹⁰, lr = 2⁻⁶, no weight decay, and weights
+// and gradients on a 2⁻¹⁰ grid in (−2, 2). No FMA contraction can move a
+// bit, so the fingerprint holds in every build, sanitizer builds included.
+// The 64×300 weight is above the pool grain, so its blocks split across
+// threads. Recorded with the fp32 DenseAdamCore and the standalone bf16 and
+// 8-bit AdamW classes this store replaced.
+
+namespace {
+
+float grid_value(Rng& rng) {
+  return static_cast<float>(static_cast<int64_t>(rng.next_below(4095)) -
+                            2047) /
+         1024.f;
+}
+
+uint32_t ladder_fingerprint(optim::MomentPrecision precision) {
+  optim::AdamHyper hp;
+  hp.beta1 = 0.5f;
+  hp.beta2 = 0.5f;
+  hp.eps = 1.f / 1024.f;
+  hp.weight_decay = 0.f;
+  optim::AdamW opt(hp, precision);
+  opt.set_lr(1.f / 64.f);
+  struct Shape {
+    int64_t rows, cols;
+    bool matrix;
+  };
+  const Shape shapes[] = {
+      {3, 300, true}, {16, 8, true}, {1, 8, false}, {5, 131, true},
+      {64, 300, true}};
+  std::vector<std::unique_ptr<nn::Parameter>> owned;
+  nn::ParamList list;
+  Rng wrng(11);
+  for (const Shape& sh : shapes) {
+    std::string name = "p";
+    name += std::to_string(owned.size());
+    owned.push_back(
+        std::make_unique<nn::Parameter>(name, sh.rows, sh.cols, sh.matrix));
+    Matrix& w = owned.back()->value;
+    for (int64_t i = 0; i < w.size(); ++i) w[i] = grid_value(wrng);
+    list.push_back(owned.back().get());
+  }
+  Rng grng(12);
+  for (int step = 0; step < 8; ++step) {
+    for (nn::Parameter* p : list)
+      for (int64_t i = 0; i < p->grad.size(); ++i)
+        p->grad[i] = grid_value(grng);
+    opt.step(list);
+  }
+  uint32_t crc = fault::kCrc32Init;
+  for (const nn::Parameter* p : list)
+    crc = fault::crc32_update(
+        crc, p->value.data(),
+        static_cast<size_t>(p->value.size()) * sizeof(float));
+  const int64_t bytes = opt.state_bytes();
+  crc = fault::crc32_update(crc, &bytes, sizeof bytes);
+  return fault::crc32_final(crc);
+}
+
+}  // namespace
+
+TEST(PrecisionLadder, GoldenFingerprintAtEveryThreadCount) {
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    core::set_thread_count(threads);
+    EXPECT_EQ(ladder_fingerprint(optim::MomentPrecision::kFp32), 0x51ca96aau);
+    EXPECT_EQ(ladder_fingerprint(optim::MomentPrecision::kBf16), 0x96349379u);
+    EXPECT_EQ(ladder_fingerprint(optim::MomentPrecision::kInt8), 0xed0ff9d7u);
+  }
+  core::set_thread_count(0);
 }
 
 }  // namespace apollo

@@ -113,17 +113,6 @@ TEST(Bf16, RoundToNearestMeanError) {
   EXPECT_NEAR(sy / sx, 1.0, 2e-3);
 }
 
-TEST(Bf16, BufferStoreLoad) {
-  Matrix m(4, 8);
-  Rng rng(5);
-  m.fill_gaussian(rng);
-  Bf16Buffer buf(4, 8);
-  buf.store(m);
-  Matrix back = buf.load();
-  EXPECT_LT(max_abs_diff(back, m), abs_max(m) / 100.f);
-  EXPECT_EQ(buf.bytes(), 4 * 8 * 2);
-}
-
 TEST(Bf16, NanSurvives) {
   const float nan = std::nanf("");
   EXPECT_TRUE(std::isnan(bf16_to_float(float_to_bf16(nan))));

@@ -143,7 +143,7 @@ TEST(Theory, MiniTensorFactorSmallerThanChannelFactors) {
   mini_param->value = golden_param->value;
 
   core::StructuredAdamWConfig gcfg;
-  gcfg.granularity = core::LrGranularity::kTensor;
+  gcfg.granularity = ScalingGranularity::kTensor;
   gcfg.use_norm_limiter = false;
   core::StructuredAdamW golden(gcfg);
   core::ApolloConfig mcfg = core::ApolloConfig::mini();

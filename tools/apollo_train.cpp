@@ -11,10 +11,13 @@
 //         --steps 2000 --csv curve.csv --save model.ckpt
 //   $ apollo_train --ranks 4 --ckpt-dir ckpts --steps 400
 //   $ apollo_train --list-optimizers
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/factory.h"
 #include "core/quantized_weights.h"
@@ -132,42 +135,40 @@ RunOptions read_options(const tools::Args& args, const nn::LlamaConfig& cfg) {
   return o;
 }
 
-// One full training job of model shape `cfg`. In distributed mode this runs
-// inside each forked worker (comm != nullptr): the data source, model and
-// optimizer are built post-fork so the supervisor process stays tiny, and
-// only rank 0 writes the CSV curve and the final --save checkpoint.
-int run_training(const RunOptions& o, nn::LlamaConfig cfg,
-                 dist::Communicator* comm) {
-  const uint64_t seed = o.seed;
-
-  // Data source.
-  std::unique_ptr<data::TokenSource> source;
-  if (!o.data_path.empty()) {
-    std::string err;
-    auto text = data::TextCorpus::from_file(o.data_path, &err);
-    if (!text) {
-      std::fprintf(stderr, "error: --data %s: %s\n", o.data_path.c_str(),
-                   err.c_str());
-      return 1;
-    }
-    std::printf("data: %s (%zu bytes, byte-level vocab 256)\n",
-                o.data_path.c_str(), text->size_bytes());
-    cfg.vocab = 256;
-    source = std::make_unique<data::TextCorpus>(std::move(*text));
-  } else {
+// The --data source (byte-level text, which sets the vocab to 256, or the
+// synthetic corpus). nullptr after printing the error when the file cannot
+// be read.
+std::unique_ptr<data::TokenSource> make_source(const RunOptions& o,
+                                               nn::LlamaConfig& cfg) {
+  if (o.data_path.empty()) {
     data::CorpusConfig ccfg;
     ccfg.vocab = cfg.vocab;
-    source = std::make_unique<data::SyntheticCorpus>(ccfg);
     std::printf("data: synthetic corpus (vocab %d)\n", cfg.vocab);
+    return std::make_unique<data::SyntheticCorpus>(ccfg);
   }
+  std::string err;
+  auto text = data::TextCorpus::from_file(o.data_path, &err);
+  if (!text) {
+    std::fprintf(stderr, "error: --data %s: %s\n", o.data_path.c_str(),
+                 err.c_str());
+    return nullptr;
+  }
+  std::printf("data: %s (%zu bytes, byte-level vocab 256)\n",
+              o.data_path.c_str(), text->size_bytes());
+  cfg.vocab = 256;
+  return std::make_unique<data::TextCorpus>(std::move(*text));
+}
 
-  // Optimizer.
+// One full training job of model shape `cfg` on `source`. In distributed
+// mode this runs inside each forked worker (comm != nullptr): the model and
+// optimizer are built post-fork so the supervisor process stays tiny (the
+// source, built before the fork, is shared copy-on-write), and only rank 0
+// writes the CSV curve and the final --save checkpoint.
+int run_training(const RunOptions& o, const nn::LlamaConfig& cfg,
+                 const data::TokenSource& source, dist::Communicator* comm) {
+  const uint64_t seed = o.seed;
+  // main checked the name against core::known_optimizers().
   auto opt = core::make_optimizer(o.opt_name, o.fo);
-  if (!opt) {
-    std::fprintf(stderr, "error: unknown optimizer '%s' "
-                 "(--list-optimizers)\n", o.opt_name.c_str());
-    return 1;
-  }
   const train::TrainConfig& tc = o.tc;
 
   nn::LlamaModel model(cfg, seed);
@@ -212,7 +213,7 @@ int run_training(const RunOptions& o, nn::LlamaConfig cfg,
                 opt->name().c_str(), tc.lr, tc.steps, tc.batch,
                 tc.grad_accum);
 
-  train::Trainer trainer(model, *opt, *source, tc);
+  train::Trainer trainer(model, *opt, source, tc);
   if (qstore) trainer.set_quantized_weights(qstore.get());
   if (comm != nullptr) trainer.set_communicator(comm);
   auto result = trainer.run();
@@ -296,7 +297,17 @@ int main(int argc, char** argv) {
   }
   for (const auto& flag : args.unknown())
     std::fprintf(stderr, "warning: unrecognized flag %s\n", flag.c_str());
-  if (ranks == 1) return run_training(opts, cfg, nullptr);
+  // A bad optimizer name or data file is reported here, once, rather than
+  // by every rank after the fork.
+  const std::vector<std::string>& names = core::known_optimizers();
+  if (std::find(names.begin(), names.end(), opts.opt_name) == names.end()) {
+    std::fprintf(stderr, "error: unknown optimizer '%s' "
+                 "(--list-optimizers)\n", opts.opt_name.c_str());
+    return 1;
+  }
+  const std::unique_ptr<data::TokenSource> source = make_source(opts, cfg);
+  if (!source) return 1;
+  if (ranks == 1) return run_training(opts, cfg, *source, nullptr);
 
   if (opts.tc.grad_accum > 1) {
     std::fprintf(stderr,
@@ -349,7 +360,7 @@ int main(int argc, char** argv) {
       std::FILE* sink = freopen("/dev/null", "w", stdout);
       (void)sink;
     }
-    const int rc = run_training(opts, cfg, &comm);
+    const int rc = run_training(opts, cfg, *source, &comm);
     // Workers leave via _Exit (no atexit hooks), so the telemetry file is
     // finalized by hand before the wrapper exits.
     obs::Telemetry::instance().finalize();
