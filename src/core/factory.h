@@ -14,7 +14,8 @@ namespace apollo::core {
 
 struct FactoryOptions {
   int64_t rank = 4;
-  float scale = -1.f;      // <0 ⇒ method default (GaLore 0.25, APOLLO 1, …)
+  float scale = -1.f;      // <0 ⇒ method default: GaLore family 4,
+                           // APOLLO 1, APOLLO-Mini √128
   int update_freq = 200;   // projector refresh period T
   uint64_t seed = 4242;
   float weight_decay = 0.f;
@@ -28,8 +29,9 @@ const std::vector<std::string>& known_optimizers();
 std::unique_ptr<optim::Optimizer> make_optimizer(const std::string& name,
                                                  const FactoryOptions& opts = {});
 
-// A sensible default learning rate per method (the values used across the
-// reproduction benches): AdamW-family 3e-3, projected methods 1e-2, SGD 5e-2.
+// Default learning rate per method for the factory's short runs (CLI tools
+// and tests): AdamW family, adapters and GaLore family 1e-2, APOLLO 2e-2,
+// SGD 5e-2. The reproduction benches take theirs from bench/exp_common.h.
 float default_lr(const std::string& name);
 
 }  // namespace apollo::core

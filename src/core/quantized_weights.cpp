@@ -1,25 +1,10 @@
 #include "core/quantized_weights.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "tensor/check.h"
 
 namespace apollo::core {
-namespace {
-
-constexpr uint32_t kMagic = 0x41515753u;  // "AQWS"
-constexpr uint32_t kVersion = 1;
-
-bool write_raw(std::FILE* f, const void* p, size_t n) {
-  return std::fwrite(p, 1, n, f) == n;
-}
-
-bool read_raw(std::FILE* f, void* p, size_t n) {
-  return std::fread(p, 1, n, f) == n;
-}
-
-}  // namespace
 
 QuantizedWeightStore::QuantizedWeightStore(const nn::ParamList& params,
                                            uint64_t seed, int64_t group)
@@ -66,87 +51,6 @@ void QuantizedWeightStore::requantize_from_params() {
     std::fill(s.residuals.begin(), s.residuals.end(), 0.f);
   for (int i = 0; i < static_cast<int>(slot_index_.size()); ++i)
     requantize_param(i);
-}
-
-void QuantizedWeightStore::save_state(std::FILE* f) const {
-  APOLLO_CHECK(write_raw(f, &kMagic, sizeof(kMagic)));
-  APOLLO_CHECK(write_raw(f, &kVersion, sizeof(kVersion)));
-  APOLLO_CHECK(write_raw(f, &group_, sizeof(group_)));
-  const uint32_t nslots = static_cast<uint32_t>(slots_.size());
-  APOLLO_CHECK(write_raw(f, &nslots, sizeof(nslots)));
-  for (const Slot& s : slots_) {
-    const int64_t rows = s.store.rows(), cols = s.store.cols();
-    APOLLO_CHECK(write_raw(f, &rows, sizeof(rows)));
-    APOLLO_CHECK(write_raw(f, &cols, sizeof(cols)));
-    APOLLO_CHECK(
-        write_raw(f, s.store.codes().data(), s.store.codes().size()));
-    APOLLO_CHECK(write_raw(f, s.store.scales().data(),
-                           s.store.scales().size() * sizeof(float)));
-    APOLLO_CHECK(
-        write_raw(f, s.residuals.data(), s.residuals.size() * sizeof(float)));
-    const Rng::State st = s.rng.state();
-    APOLLO_CHECK(write_raw(f, st.s, sizeof(st.s)));
-    const uint8_t has_cached = st.has_cached ? 1 : 0;
-    APOLLO_CHECK(write_raw(f, &has_cached, sizeof(has_cached)));
-    APOLLO_CHECK(write_raw(f, &st.cached, sizeof(st.cached)));
-  }
-}
-
-bool QuantizedWeightStore::load_state(std::FILE* f) {
-  uint32_t magic = 0, version = 0, nslots = 0;
-  int64_t group = 0;
-  if (!read_raw(f, &magic, sizeof(magic)) || magic != kMagic) return false;
-  if (!read_raw(f, &version, sizeof(version)) || version != kVersion)
-    return false;
-  if (!read_raw(f, &group, sizeof(group)) || group != group_) return false;
-  if (!read_raw(f, &nslots, sizeof(nslots)) ||
-      nslots != static_cast<uint32_t>(slots_.size()))
-    return false;
-
-  // Stage into temporaries first so a truncated payload leaves the live
-  // store untouched.
-  struct Staged {
-    std::vector<int8_t> codes;
-    std::vector<float> scales;
-    std::vector<float> residuals;
-    Rng::State rng_state;
-  };
-  std::vector<Staged> staged(slots_.size());
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& s = slots_[i];
-    int64_t rows = 0, cols = 0;
-    if (!read_raw(f, &rows, sizeof(rows)) ||
-        !read_raw(f, &cols, sizeof(cols)) || rows != s.store.rows() ||
-        cols != s.store.cols())
-      return false;
-    Staged& st = staged[i];
-    st.codes.resize(s.store.codes().size());
-    st.scales.resize(s.store.scales().size());
-    st.residuals.resize(s.residuals.size());
-    if (!read_raw(f, st.codes.data(), st.codes.size())) return false;
-    if (!read_raw(f, st.scales.data(), st.scales.size() * sizeof(float)))
-      return false;
-    if (!read_raw(f, st.residuals.data(),
-                  st.residuals.size() * sizeof(float)))
-      return false;
-    if (!read_raw(f, st.rng_state.s, sizeof(st.rng_state.s))) return false;
-    uint8_t has_cached = 0;
-    if (!read_raw(f, &has_cached, sizeof(has_cached))) return false;
-    st.rng_state.has_cached = has_cached != 0;
-    if (!read_raw(f, &st.rng_state.cached, sizeof(st.rng_state.cached)))
-      return false;
-  }
-
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    Slot& s = slots_[i];
-    s.store = GroupQuantized::from_payload(
-        s.store.rows(), s.store.cols(), group_, std::move(staged[i].codes),
-        std::move(staged[i].scales));
-    s.residuals = std::move(staged[i].residuals);
-    s.rng.set_state(staged[i].rng_state);
-    s.param->value = s.store.dequantize();
-  }
-  return true;
 }
 
 int64_t QuantizedWeightStore::weight_bytes() const {

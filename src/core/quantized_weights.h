@@ -17,16 +17,14 @@
 // completion order) and the classic loop (slot order) produce bit-identical
 // codes, scales, and residuals.
 //
-// Trainer checkpoints carry the fp32 weights only. Resume and watchdog
-// rollback restore them and call requantize_from_params(), which absorbs
-// them back into the codes from zeroed residuals; the store's own
-// save_state()/load_state() payload is not part of a trainer checkpoint.
-// dequantize_into_params() rebuilds the fp32 working buffers wholesale from
-// the codes (construction). 1-D gains stay fp32 (they are negligible),
-// exactly as in Q-GaLore.
+// The store has no file format of its own: trainer checkpoints carry the
+// fp32 weights only. Resume and watchdog rollback restore them and call
+// requantize_from_params(), which absorbs them back into the codes from
+// zeroed residuals. dequantize_into_params() rebuilds the fp32 working
+// buffers wholesale from the codes (construction). 1-D gains stay fp32
+// (they are negligible), exactly as in Q-GaLore.
 #pragma once
 
-#include <cstdio>
 #include <vector>
 
 #include "nn/parameter.h"
@@ -57,13 +55,6 @@ class QuantizedWeightStore {
   // The residuals of the abandoned steps (NaN, after a NaN gradient reached
   // the fused path) must not leak into the restored weights.
   void requantize_from_params();
-
-  // Serialize / restore the full store state (codes, scales, residuals, and
-  // per-slot RNG streams) for exact-resume round trips. load_state returns
-  // false on a malformed or shape-mismatched payload and leaves the store
-  // untouched in that case; on success it also refreshes Parameter::value.
-  void save_state(std::FILE* f) const;
-  bool load_state(std::FILE* f);
 
   // Persistent weight memory (INT8 data + group scales + fp32 residuals +
   // fp32 leftovers). Residuals are charged here because they live as long as

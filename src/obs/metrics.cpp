@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,25 +11,13 @@ namespace apollo::obs {
 
 namespace {
 
-std::atomic<int> g_next_shard{0};
-
-double bits_to_double(uint64_t b) {
-  double d;
-  std::memcpy(&d, &b, sizeof d);
-  return d;
-}
-uint64_t double_to_bits(double d) {
-  uint64_t b;
-  std::memcpy(&b, &d, sizeof b);
-  return b;
-}
-
 // v += x on an atomic double stored as bits (CAS loop — C++20's
 // atomic<double>::fetch_add is not yet universal).
 void atomic_add_double(std::atomic<uint64_t>& bits, double x) {
   uint64_t old_bits = bits.load(std::memory_order_relaxed);
   for (;;) {
-    const uint64_t new_bits = double_to_bits(bits_to_double(old_bits) + x);
+    const uint64_t new_bits =
+        std::bit_cast<uint64_t>(std::bit_cast<double>(old_bits) + x);
     if (bits.compare_exchange_weak(old_bits, new_bits,
                                    std::memory_order_relaxed))
       return;
@@ -39,8 +26,8 @@ void atomic_add_double(std::atomic<uint64_t>& bits, double x) {
 
 void atomic_min_double(std::atomic<uint64_t>& bits, double x) {
   uint64_t old_bits = bits.load(std::memory_order_relaxed);
-  while (x < bits_to_double(old_bits)) {
-    if (bits.compare_exchange_weak(old_bits, double_to_bits(x),
+  while (x < std::bit_cast<double>(old_bits)) {
+    if (bits.compare_exchange_weak(old_bits, std::bit_cast<uint64_t>(x),
                                    std::memory_order_relaxed))
       return;
   }
@@ -48,41 +35,14 @@ void atomic_min_double(std::atomic<uint64_t>& bits, double x) {
 
 void atomic_max_double(std::atomic<uint64_t>& bits, double x) {
   uint64_t old_bits = bits.load(std::memory_order_relaxed);
-  while (x > bits_to_double(old_bits)) {
-    if (bits.compare_exchange_weak(old_bits, double_to_bits(x),
+  while (x > std::bit_cast<double>(old_bits)) {
+    if (bits.compare_exchange_weak(old_bits, std::bit_cast<uint64_t>(x),
                                    std::memory_order_relaxed))
       return;
   }
 }
 
 }  // namespace
-
-int metric_shard_index() {
-  thread_local const int slot =
-      g_next_shard.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return slot;
-}
-
-// --- Counter ---------------------------------------------------------------
-
-int64_t Counter::value() const {
-  int64_t total = 0;
-  for (const auto& s : shards_) total += s.v.load(std::memory_order_relaxed);
-  return total;
-}
-
-void Counter::reset() {
-  for (auto& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
-
-// --- Gauge -----------------------------------------------------------------
-
-uint64_t Gauge::pack_(double v) { return double_to_bits(v); }
-double Gauge::unpack_(uint64_t b) { return bits_to_double(b); }
-
-double Gauge::value() const {
-  return unpack_(bits_.load(std::memory_order_relaxed));
-}
 
 // --- Histogram -------------------------------------------------------------
 
@@ -120,53 +80,33 @@ int Histogram::bucket_index(double v) {
 }
 
 void Histogram::observe(double v) {
-  Shard& s = shards_[metric_shard_index()];
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  s.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-  atomic_add_double(s.sum_bits, v);
-  if (s.minmax_init.exchange(1, std::memory_order_relaxed) == 0) {
-    s.min_bits.store(double_to_bits(v), std::memory_order_relaxed);
-    s.max_bits.store(double_to_bits(v), std::memory_order_relaxed);
-  } else {
-    atomic_min_double(s.min_bits, v);
-    atomic_max_double(s.max_bits, v);
-  }
+  count_.fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+  atomic_add_double(sum_bits_, v);
+  atomic_min_double(min_bits_, v);
+  atomic_max_double(max_bits_, v);
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot out;
-  bool have_minmax = false;
-  for (const Shard& s : shards_) {
-    const int64_t c = s.count.load(std::memory_order_relaxed);
-    if (c == 0) continue;
-    out.count += c;
-    out.sum += bits_to_double(s.sum_bits.load(std::memory_order_relaxed));
-    const double mn = bits_to_double(s.min_bits.load(std::memory_order_relaxed));
-    const double mx = bits_to_double(s.max_bits.load(std::memory_order_relaxed));
-    if (!have_minmax) {
-      out.min = mn;
-      out.max = mx;
-      have_minmax = true;
-    } else {
-      if (mn < out.min) out.min = mn;
-      if (mx > out.max) out.max = mx;
-    }
-    for (int b = 0; b < kBuckets; ++b)
-      out.buckets[static_cast<size_t>(b)] +=
-          s.buckets[static_cast<size_t>(b)].load(std::memory_order_relaxed);
+  out.count = count_.load(std::memory_order_relaxed);
+  out.sum = std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
+  if (out.count > 0) {
+    out.min = std::bit_cast<double>(min_bits_.load(std::memory_order_relaxed));
+    out.max = std::bit_cast<double>(max_bits_.load(std::memory_order_relaxed));
   }
+  for (int b = 0; b < kBuckets; ++b)
+    out.buckets[static_cast<size_t>(b)] =
+        buckets_[static_cast<size_t>(b)].load(std::memory_order_relaxed);
   return out;
 }
 
 void Histogram::reset() {
-  for (Shard& s : shards_) {
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum_bits.store(0, std::memory_order_relaxed);
-    s.min_bits.store(0, std::memory_order_relaxed);
-    s.max_bits.store(0, std::memory_order_relaxed);
-    s.minmax_init.store(0, std::memory_order_relaxed);
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-  }
+  count_.store(0, std::memory_order_relaxed);
+  sum_bits_.store(0, std::memory_order_relaxed);
+  min_bits_.store(kPlusInf, std::memory_order_relaxed);
+  max_bits_.store(kMinusInf, std::memory_order_relaxed);
+  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
 }
 
 // --- Registry --------------------------------------------------------------

@@ -1,13 +1,14 @@
 // Process-wide metrics registry: counters, gauges, and histograms with
 // fixed log-spaced buckets.
 //
-// Hot-path contract: mutation is lock-free — every metric holds a small
-// array of cache-line-padded shards and a thread picks its shard once
-// (thread-local), so concurrent writers never contend on a lock or a shared
-// cache line. Reads (export) merge the shards in ascending shard order,
-// which makes the merge deterministic:
-//   * counter values and histogram bucket counts are integers, so the merge
-//     is exact and order-independent for ANY thread count;
+// Hot-path contract: mutation is lock-free — every field of a metric is one
+// relaxed atomic. Every registry write in src/ runs on the calling thread,
+// never inside a parallel_for body (the serve engine writes from its pump
+// thread), so writers do not contend. Concurrent writers stay correct:
+//   * counter values, histogram counts and bucket counts are integers, so
+//     they are exact under any interleaving and any thread count;
+//   * histogram min and max start at +∞ and −∞ and only move by CAS, so
+//     they are exact too;
 //   * histogram `sum` is a double — exact whenever the observed values are
 //     integer-valued (or observed by a single thread); instrumentation that
 //     needs bit-exact sums across APOLLO_THREADS settings must observe from
@@ -22,45 +23,36 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace apollo::obs {
 
-// Shard slot for the calling thread, in [0, kMetricShards). Stable for the
-// thread's lifetime; assigned round-robin on first use.
-inline constexpr int kMetricShards = 16;
-int metric_shard_index();
-
-namespace detail {
-struct alignas(64) PaddedI64 {
-  std::atomic<int64_t> v{0};
-};
-}  // namespace detail
-
 class Counter {
  public:
-  void add(int64_t n = 1) {
-    shards_[metric_shard_index()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  int64_t value() const;
-  void reset();
+  void add(int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  int64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  std::array<detail::PaddedI64, kMetricShards> shards_;
+  std::atomic<int64_t> v_{0};
 };
 
 // Last-writer-wins scalar (learning rate, live byte counts, …).
 class Gauge {
  public:
-  void set(double v) { bits_.store(pack_(v), std::memory_order_relaxed); }
-  double value() const;
-  void reset() { bits_.store(pack_(0.0), std::memory_order_relaxed); }
+  void set(double v) {
+    bits_.store(std::bit_cast<uint64_t>(v), std::memory_order_relaxed);
+  }
+  double value() const {
+    return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
+  }
+  void reset() { bits_.store(0, std::memory_order_relaxed); }
 
  private:
-  static uint64_t pack_(double v);
-  static double unpack_(uint64_t b);
-  std::atomic<uint64_t> bits_{0};
+  std::atomic<uint64_t> bits_{0};  // a double's bits; 0 is +0.0
 };
 
 // Histogram over (0, ∞) with fixed log-spaced buckets: bucket 0 is the
@@ -93,15 +85,17 @@ class Histogram {
   void reset();
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<int64_t> count{0};
-    std::atomic<uint64_t> sum_bits{0};     // double, CAS-accumulated
-    std::atomic<uint64_t> min_bits{0};     // valid when count_for_minmax > 0
-    std::atomic<uint64_t> max_bits{0};
-    std::atomic<int64_t> minmax_init{0};
-    std::array<std::atomic<int64_t>, kBuckets> buckets{};
-  };
-  std::array<Shard, kMetricShards> shards_;
+  static constexpr uint64_t kPlusInf =
+      std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity());
+  static constexpr uint64_t kMinusInf =
+      std::bit_cast<uint64_t>(-std::numeric_limits<double>::infinity());
+
+  // Doubles are stored as their bits and updated by CAS.
+  std::atomic<int64_t> count_{0};
+  std::atomic<uint64_t> sum_bits_{0};
+  std::atomic<uint64_t> min_bits_{kPlusInf};
+  std::atomic<uint64_t> max_bits_{kMinusInf};
+  std::array<std::atomic<int64_t>, kBuckets> buckets_{};
 };
 
 // Name → metric registry. Lookup creates on first use; references stay

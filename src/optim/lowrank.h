@@ -36,7 +36,6 @@ struct AdapterConfig {
   AdapterKind kind = AdapterKind::kLora;
   int64_t rank = 4;
   int merge_freq = 200;  // ReLoRA merge period
-  float lora_alpha = 2.f;  // adapter scale: W0 + (α/r)·B·A... kept =r-normalized
   AdamHyper hyper;
   uint64_t seed = 99;
 };

