@@ -6,7 +6,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "core/apollo.h"
@@ -20,6 +19,8 @@
 #include "quant/quant.h"
 #include "tensor/ops.h"
 #include "tensor/simd/simd.h"
+
+#include "exp_common.h"
 
 namespace apollo {
 namespace {
@@ -304,7 +305,7 @@ class ReportAdapter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = std::getenv("APOLLO_BENCH_QUICK") != nullptr;
+  const bool quick = apollo::bench::quick_mode();
   apollo::obs::BenchReport::open("micro_kernels", quick);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -196,6 +196,14 @@ void Telemetry::commit(int64_t step) {
   im.samples.clear();
 }
 
+void Telemetry::discard() {
+  if (!telemetry_enabled()) return;
+  Impl& im = impl();
+  std::lock_guard<std::mutex> lock(im.mu);
+  im.fields.clear();
+  im.samples.clear();
+}
+
 void Telemetry::finalize() {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);

@@ -49,6 +49,8 @@ class Telemetry {
   // Append one JSON line for `step` with all accumulated fields (sorted by
   // key, "step" first) and clear the record.
   void commit(int64_t step);
+  // Clear the record without writing it (a step the watchdog rolls back).
+  void discard();
 
   // Append the metrics-registry snapshot and close the file. Called
   // automatically at exit and on path changes.

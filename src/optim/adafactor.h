@@ -23,8 +23,6 @@ namespace apollo::optim {
 
 struct AdafactorConfig {
   float eps1 = 1e-30f;     // added to squared gradients
-  float eps2 = 1e-3f;      // lower bound on parameter scale (unused in
-                           // absolute-LR mode, kept for completeness)
   float clip_threshold = 1.f;
   float beta2_exponent = 0.8f;  // β₂(t) = 1 − t^(−exponent)
   float beta1 = 0.f;            // 0 ⇒ no first moment (min memory)

@@ -3,8 +3,8 @@
 #include <climits>
 
 #include "obs/trace.h"
-#include "optim/finite_guard.h"
 #include "tensor/check.h"
+#include "tensor/finite.h"
 
 namespace apollo::optim {
 
@@ -25,7 +25,13 @@ void Optimizer::set_shard(int rank, int world) {
 
 void Optimizer::end_step(const nn::ParamList& params) {
   APOLLO_CHECK_GE(t_, 1);  // end_step without begin_step
-  check_step_finite(params, name());
+  // Under APOLLO_CHECK_FINITE=1 (tensor/finite.h) no parameter may leave a
+  // step non-finite: the abort names the parameter and the optimizer whose
+  // update corrupted it. One branch per step when the mode is off.
+  if (!finite_checks_enabled()) return;
+  const std::string when = name() + " step";
+  for (const nn::Parameter* p : params)
+    check_finite_or_die(p->value, p->name.c_str(), when.c_str());
 }
 
 // Pure delegation — preconditions live in begin_step/step_param.

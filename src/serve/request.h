@@ -26,10 +26,11 @@ struct GenParams {
   int32_t stop_token = -1;  // emitting this token ends the stream ("stop")
 };
 
-// Why a stream ended. kDeadline and kShutdown may cut a stream short; the
-// final JSONL line always carries the reason, so clients can distinguish a
-// complete generation from a truncated one.
-enum class FinishReason { kLength, kStop, kDeadline, kShutdown };
+// Why a stream ended. kDeadline may cut a stream short; the final JSONL line
+// always carries the reason, so clients can distinguish a complete
+// generation from a truncated one. Draining for shutdown lets every admitted
+// request finish, so it has no reason of its own.
+enum class FinishReason { kLength, kStop, kDeadline };
 
 const char* finish_reason_name(FinishReason r);
 
@@ -50,7 +51,6 @@ inline const char* finish_reason_name(FinishReason r) {
     case FinishReason::kLength: return "length";
     case FinishReason::kStop: return "stop";
     case FinishReason::kDeadline: return "deadline";
-    case FinishReason::kShutdown: return "shutdown";
   }
   return "unknown";
 }

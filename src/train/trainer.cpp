@@ -153,15 +153,22 @@ TrainResult Trainer::run() {
   const bool telemetry = obs::telemetry_enabled();
   const bool faults = fault::enabled();
   const bool fused = cfg_.fused_update;
+  const bool want_norm = telemetry || rc.watchdog;
+  // Every micro term of the step loss is loss/(accum·world), added left to
+  // right, and backward is seeded with 1/(accum·world): the sums over
+  // micro-batches and ranks restore the mean over the global batch.
+  const float batches = static_cast<float>(accum * world);
 
-  // The shared per-leaf update machinery; both branches below drive it.
+  // The per-leaf update machinery both drivers share.
   UpdatePipeline pipeline(opt_, comm_, qstore_);
 
-  // Shared watchdog rollback/abort handling (the unfused path calls it from
-  // the pre-step check, the fused path also post-hoc on a non-finite
-  // gradient norm). kRetry rewinds `step` to the rollback target.
+  // Rolls the step back (or aborts the run) after the loss check or the
+  // gradient check failed. kRetry rewinds `step` to the rollback target.
   enum class WdAction { kRetry, kAbort };
   auto handle_divergence = [&](int& step, const std::string& why) {
+    // The abandoned attempt's fields and samples must not reach the row of
+    // the step that replaces it.
+    if (telemetry) obs::telemetry().discard();
     ++res.rollbacks;
     obs::Registry::instance().counter("watchdog.rollbacks").add(1);
     if (retries >= rc.wd.max_retries) {
@@ -263,149 +270,90 @@ TrainResult Trainer::run() {
     float step_loss = 0.f;
     double grad_norm = 0.0;
     float lr = 0.f;
-    const bool want_norm = telemetry || rc.watchdog;
     nn::ParamList params = model_.parameters();
-    pipeline.arm(params, want_norm, accum);
+    pipeline.arm(params, want_norm, accum, rc.watchdog);
     if (faults && fault::take_at(fault::Kind::kNanGrad, step))
       pipeline.arm_nan_grad();
-    if (fused) {
-      // Free parameter gradients instead of zeroing them: backward lazily
-      // re-creates each one zero-filled on first touch, so a gradient only
-      // occupies memory between its first accumulation and its fused
-      // optimizer update (or its move into the accumulation stash).
-      for (nn::Parameter* p : params) p->grad = Matrix();
-      // Micro-batches 0..accum-2 only accumulate: each finalized per-micro
-      // gradient moves into the pipeline's per-slot stash at
-      // leaf-completion, with the classic loop's left-to-right association.
-      for (int micro = 0; micro + 1 < accum; ++micro) {
-        APOLLO_TRACE_SCOPE("forward_backward", "train");
-        next_batch(ids, targets);
-        const int64_t stash0 = pipeline.stash_bytes();
-        ag::Tape tape;
-        ag::Var loss = model_.loss(tape, ids, targets);
-        // Mean over the global batch: every micro term is loss/(accum·world)
-        // added left to right — identical to the classic accumulation.
-        step_loss += tape.value(loss)[0] / static_cast<float>(accum * world);
-        tape.set_gradient_release(true);
-        tape.set_leaf_callback([&](const Matrix*, Matrix* g) {
-          pipeline.stash_leaf(g, tape);
-        });
-        tape.backward(loss, 1.f / static_cast<float>(accum * world));
-        // Gradients stashed across micro tapes stay live, so the stash at
-        // micro entry rides on top of this tape's own high-water marks.
-        res.peak_activation_bytes =
-            std::max(res.peak_activation_bytes, tape.peak_activation_bytes());
-        res.peak_grad_bytes =
-            std::max(res.peak_grad_bytes, stash0 + tape.peak_grad_bytes());
-        res.peak_total_bytes =
-            std::max(res.peak_total_bytes, stash0 + tape.peak_total_bytes());
-      }
 
-      APOLLO_TRACE_SCOPE("forward_backward", "train");
-      next_batch(ids, targets);
-      const int64_t stash0 = pipeline.stash_bytes();
-      ag::Tape tape;
-      ag::Var loss = model_.loss(tape, ids, targets);
-      step_loss += tape.value(loss)[0] / static_cast<float>(accum * world);
-      if (comm_ != nullptr) {
-        // Rank-ordered sum of the per-rank l_r/W terms — the identical
-        // addition sequence to sequential micro-batch accumulation.
-        comm_->allreduce_sum(&step_loss, 1);
-      }
-
-      // The full-step loss is known before any update is applied, so the
-      // watchdog's loss-based checks run here exactly as in the unfused
-      // path. The gradient norm only exists after backward; a non-finite
-      // one is handled post-hoc below (the rollback discards the applied
-      // update, and the re-armed pipeline discards any stash).
+    // Closes the step's loss: the rank-ordered sum over the world (the
+    // addition sequence of sequential micro-batch accumulation), the
+    // watchdog's loss checks and the step's learning rate. Returns why the
+    // step must roll back, or "".
+    auto close_loss = [&]() {
+      if (comm_ != nullptr) comm_->allreduce_sum(&step_loss, 1);
       if (rc.watchdog) {
-        const std::string why =
-            watchdog.check(static_cast<double>(step_loss), 0.0);
-        if (!why.empty()) {
-          if (handle_divergence(step, why) == WdAction::kAbort) break;
-          continue;
-        }
-        watchdog.observe(static_cast<double>(step_loss));
+        std::string why = watchdog.check(static_cast<double>(step_loss), 0.0);
+        if (!why.empty()) return why;
         backoff.on_good_step();
       }
-      if (cfg_.record_step_losses) res.step_losses.push_back(step_loss);
-
       lr = sched.lr_at(step) * backoff.scale();
       opt_.set_lr(lr);
+      return std::string();
+    };
 
-      pipeline.begin_updates();
-      tape.set_gradient_release(true);
-      tape.set_leaf_callback([&](const Matrix*, Matrix* g) {
-        pipeline.on_final_leaf(g, tape);
-      });
-      tape.backward(loss, 1.f / static_cast<float>(accum * world));
-      pipeline.finish_fused();
-
-      if (want_norm) grad_norm = pipeline.grad_norm();
+    // The classic driver zeroes the gradients and keeps them through
+    // backward. The fused driver frees them: backward re-creates each one
+    // zero-filled on first touch, so a gradient only occupies memory between
+    // its first accumulation and its update (or its move into the stash).
+    if (fused)
+      for (nn::Parameter* p : params) p->grad = Matrix();
+    else
+      model_.zero_grads();
+    std::string why;  // set when the step rolls back
+    for (int micro = 0; micro < accum; ++micro) {
+      APOLLO_TRACE_SCOPE("forward_backward", "train");
+      next_batch(ids, targets);
+      if (!fused && micro > 0) model_.zero_grads();
+      const bool last = micro + 1 == accum;
+      // Fused stashed gradients stay live across micro tapes, so the stash
+      // at micro entry rides on top of this tape's own high-water marks.
+      const int64_t stash0 = fused ? pipeline.stash_bytes() : 0;
+      ag::Tape tape;
+      ag::Var loss = model_.loss(tape, ids, targets);
+      step_loss += tape.value(loss)[0] / batches;
+      if (fused) {
+        // The last fused backward applies the update, so the loss closes
+        // before it; the earlier ones only stash their gradients.
+        if (last) {
+          why = close_loss();
+          if (!why.empty()) break;
+          pipeline.begin_updates();
+        }
+        tape.set_gradient_release(true);
+        tape.set_leaf_callback([&](const Matrix*, Matrix* g) {
+          last ? pipeline.on_final_leaf(g, tape) : pipeline.stash_leaf(g, tape);
+        });
+      }
+      tape.backward(loss, 1.f / batches);
+      if (!fused && accum > 1) pipeline.stash_param_grads();
       res.peak_activation_bytes =
           std::max(res.peak_activation_bytes, tape.peak_activation_bytes());
       res.peak_grad_bytes =
           std::max(res.peak_grad_bytes, stash0 + tape.peak_grad_bytes());
       res.peak_total_bytes =
           std::max(res.peak_total_bytes, stash0 + tape.peak_total_bytes());
-
-      if (rc.watchdog && !std::isfinite(grad_norm)) {
-        if (handle_divergence(step, "non-finite gradient norm") ==
-            WdAction::kAbort)
-          break;
-        continue;
-      }
-    } else {
-      model_.zero_grads();
-      for (int micro = 0; micro < accum; ++micro) {
-        APOLLO_TRACE_SCOPE("forward_backward", "train");
-        next_batch(ids, targets);
-        if (accum > 1 && micro > 0) model_.zero_grads();
-        ag::Tape tape;
-        ag::Var loss = model_.loss(tape, ids, targets);
-        // Mean over the global batch: seed the backward pass with
-        // 1/(accum·world) — the sum over micro-batches and ranks restores
-        // the mean.
-        tape.backward(loss, 1.f / static_cast<float>(accum * world));
-        step_loss += tape.value(loss)[0] / static_cast<float>(accum * world);
-        if (accum > 1) pipeline.stash_param_grads();
-        res.peak_activation_bytes =
-            std::max(res.peak_activation_bytes, tape.activation_bytes());
-        res.peak_grad_bytes =
-            std::max(res.peak_grad_bytes, tape.peak_grad_bytes());
-        res.peak_total_bytes =
-            std::max(res.peak_total_bytes, tape.peak_total_bytes());
-      }
-      pipeline.finalize_classic_grads();
-
-      // Rank-ordered sums: from here the loss is bit-identical on all ranks
-      // and each owned gradient is too (and both equal the grad_accum=world
-      // run's).
-      if (comm_ != nullptr) comm_->allreduce_sum(&step_loss, 1);
-      pipeline.reduce_classic_grads();
-
-      // Gradients are fully accumulated (and, under DDP, reduced) here; the
-      // optimizer consumes but does not clear them, so measuring before
-      // apply sees the applied update.
-      grad_norm = want_norm ? pipeline.grad_norm() : 0.0;
-
-      if (rc.watchdog) {
-        const std::string why =
-            watchdog.check(static_cast<double>(step_loss), grad_norm);
-        if (!why.empty()) {
-          if (handle_divergence(step, why) == WdAction::kAbort) break;
-          continue;
-        }
-        watchdog.observe(static_cast<double>(step_loss));
-        backoff.on_good_step();
-      }
-
-      if (cfg_.record_step_losses) res.step_losses.push_back(step_loss);
-
-      lr = sched.lr_at(step) * backoff.scale();
-      opt_.set_lr(lr);
-      pipeline.apply_classic();
     }
+    if (why.empty() && fused) pipeline.finish_fused();
+    if (why.empty() && !fused) {
+      // The classic backward applies nothing, so the loss closes after it;
+      // every rank all-reduces the loss before reducing the gradients.
+      pipeline.finalize_classic_grads();
+      why = close_loss();
+      if (why.empty()) pipeline.reduce_classic_grads();
+    }
+    if (why.empty() && want_norm) {
+      grad_norm = pipeline.grad_norm();
+      // The loss already passed its checks, so only the norm can fail here.
+      if (rc.watchdog)
+        why = watchdog.check(static_cast<double>(step_loss), grad_norm);
+    }
+    if (!why.empty()) {
+      if (handle_divergence(step, why) == WdAction::kAbort) break;
+      continue;
+    }
+    if (rc.watchdog) watchdog.observe(static_cast<double>(step_loss));
+    if (cfg_.record_step_losses) res.step_losses.push_back(step_loss);
+    if (!fused) pipeline.apply_classic();
 
     if (cfg_.eval_every > 0 && (step + 1) % cfg_.eval_every == 0 &&
         step + 1 < cfg_.steps) {

@@ -41,14 +41,17 @@ struct TrainConfig {
   uint64_t data_seed = 7;
   uint64_t val_seed = 7777;
   bool record_step_losses = false;  // per-step training loss (Fig. 3)
-  // Fused backward+optimizer path: apply step_param() to each parameter the
-  // moment backward() finalizes its gradient, then free that gradient — so
-  // at most one parameter gradient is live at a time instead of all of
-  // them. Bit-identical to the unfused step, and composes with gradient
+  // Fused update driver: apply step_param() to each parameter the moment
+  // backward() finalizes its gradient, then free that gradient — so at
+  // most one parameter gradient is live at a time instead of all of them.
+  // Trainer::run runs one step sequence for both drivers; the fused one
+  // closes the step's loss (DDP sum, watchdog loss check, learning rate)
+  // before its last backward, because that backward applies the update.
+  // Bit-identical to the classic driver, and composes with gradient
   // accumulation (micro-batches 0..accum-2 stash complete per-micro
-  // gradients at leaf-completion; the final micro applies the update),
-  // quantized weights (per-slot in-place requantization), and fault
-  // injection (nan_grad injects at leaf-completion) — see
+  // gradients at leaf-completion), quantized weights (per-slot in-place
+  // requantization) and fault injection (nan_grad injects at
+  // leaf-completion; under the watchdog that slot is not stepped) — see
   // train/update_pipeline.h.
   bool fused_update = false;
   // Fault tolerance: rotating checkpoints, auto-resume, divergence

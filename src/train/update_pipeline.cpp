@@ -14,9 +14,10 @@ UpdatePipeline::UpdatePipeline(optim::Optimizer& opt, dist::Communicator* comm,
     : opt_(opt), comm_(comm), qstore_(qstore) {}
 
 void UpdatePipeline::arm(const nn::ParamList& params, bool want_norm,
-                         int accum) {
+                         int accum, bool watchdog) {
   params_ = &params;
-  want_norm_ = want_norm;
+  want_norm_ = want_norm || watchdog;
+  watchdog_ = watchdog;
   accum_ = accum;
   world_ = comm_ != nullptr ? comm_->world() : 1;
   inject_nan_ = false;
@@ -37,6 +38,7 @@ size_t UpdatePipeline::slot_for(const Matrix* g) const {
 }
 
 void UpdatePipeline::update_slot(size_t slot) {
+  if (watchdog_ && !std::isfinite(norms_[slot])) return;
   opt_.step_param(*(*params_)[slot], static_cast<int>(slot));
   if (qstore_ != nullptr) qstore_->requantize_param(static_cast<int>(slot));
 }

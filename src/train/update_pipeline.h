@@ -1,9 +1,8 @@
-// Shared per-leaf update machinery for the trainer's classic and fused
-// paths: "gradient ready → (accumulate) → reduce-scatter → step →
-// requantize → release → all-gather", factored out of trainer.cpp so
-// gradient accumulation, ZeRO-1 data parallelism, INT8 quantized weights,
-// 8-bit optimizer state, and fault injection compose with the fused
-// backward+optimizer path instead of each forcing the classic loop.
+// The per-leaf update machinery of Trainer::run's one step sequence:
+// "gradient ready → (accumulate) → reduce-scatter → step → requantize →
+// release → all-gather", so gradient accumulation, ZeRO-1 data parallelism,
+// INT8 quantized weights, 8-bit optimizer state and fault injection compose
+// with both update drivers.
 //
 // One pipeline instance is armed per optimizer step. The two drivers:
 //
@@ -26,6 +25,13 @@
 //            one norm exchange), grad_norm(), and apply_classic() (begin →
 //            slot-order owned step_param + requantize → end → one
 //            all-gather of every weight).
+//
+// Armed with the watchdog on, neither driver steps a slot whose recorded
+// gradient norm is not finite: the trainer rolls such a step back, and a
+// NaN stepped into optimizer state or the INT8 residuals would outlive the
+// rollback wherever the checkpoint does not carry that state. The fused
+// driver steps slots inside backward, before the step's gradient norm is
+// known, so this per-slot guard is what keeps its state clean.
 //
 // Under a world (dist::Communicator) slot i is owned by rank i % W, the
 // ZeRO-1 shard of Optimizer::owns_slot. After the reduce-scatter only the
@@ -62,8 +68,10 @@ class UpdatePipeline {
 
   // Resets per-step state. `params` must outlive the step (the trainer's
   // step-local ParamList). `want_norm` controls whether per-slot Frobenius
-  // norms are recorded for the gradient-norm reduction.
-  void arm(const nn::ParamList& params, bool want_norm, int accum);
+  // norms are recorded for the gradient-norm reduction; `watchdog` records
+  // them too and skips the update of a slot whose norm is not finite.
+  void arm(const nn::ParamList& params, bool want_norm, int accum,
+           bool watchdog = false);
 
   // Arms a one-shot nan_grad fault: slot 0's first gradient element is
   // poisoned after accumulation completes, before any reduce/step — the
@@ -107,7 +115,8 @@ class UpdatePipeline {
   // Under a world, all-gathers segs_ and, when `with_norms`, each slot's
   // norm from the slot's owner.
   void gather(bool with_norms);
-  // Owned-slot update: optimizer step, then in-place INT8 requantization.
+  // Owned-slot update: optimizer step, then in-place INT8 requantization;
+  // nothing when the watchdog is armed and the slot's norm is not finite.
   void update_slot(size_t slot);
 
   optim::Optimizer& opt_;
@@ -115,6 +124,7 @@ class UpdatePipeline {
   core::QuantizedWeightStore* qstore_;
   const nn::ParamList* params_ = nullptr;
   bool want_norm_ = false;
+  bool watchdog_ = false;
   int accum_ = 1;
   int world_ = 1;
   bool inject_nan_ = false;

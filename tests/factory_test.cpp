@@ -1,16 +1,20 @@
-// Optimizer factory + gradient-accumulation + CSV logger tests.
+// Optimizer factory + gradient-accumulation + apollo-train CSV curve tests.
 #include <gtest/gtest.h>
-
-#include <fstream>
+#include <sys/wait.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/factory.h"
 #include "data/corpus.h"
 #include "optim/adamw.h"
 #include "nn/llama.h"
 #include "tensor/ops.h"
-#include "obs/csv_sink.h"
 #include "train/trainer.h"
 
 namespace apollo {
@@ -116,29 +120,64 @@ TEST(GradAccum, AccumReducesPeakActivations) {
   EXPECT_LT(run(1, 8), run(8, 1));
 }
 
-TEST(CsvSink, WritesHeaderAndRows) {
-  const std::string path = std::string(::testing::TempDir()) + "log.csv";
-  {
-    obs::CsvSink log(path, {"step", "loss"});
-    EXPECT_TRUE(log.enabled());
-    log.row({1, 0.5});
-    log.row({2, 0.25});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "step,loss");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,0.5");
-  std::getline(in, line);
-  EXPECT_EQ(line, "2,0.25");
+#ifdef APOLLO_TRAIN_BIN
+
+constexpr const char* kTinyRun =
+    " --hidden 32 --layers 1 --heads 2 --inter 88 --vocab 64 --seq 16"
+    " --optimizer adamw --batch 1";
+
+int run_train(const std::string& dir, const std::string& args) {
+  const std::string cmd = "cd " + dir + " && " + APOLLO_TRAIN_BIN + kTinyRun +
+                          args + " > out.txt 2>&1";
+  const int rc = std::system(cmd.c_str());
+  EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
-TEST(CsvSink, EmptyPathDisables) {
-  obs::CsvSink log("", {"a"});
-  EXPECT_FALSE(log.enabled());
-  log.row({1});  // must be a safe no-op
+TEST(ApolloTrainCsv, HeaderAndOneRowPerEvalPoint) {
+  const std::string dir = std::string(::testing::TempDir()) + "csv_curve";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(run_train(dir, " --steps 6 --eval-every 2 --csv c.csv"), 0);
+  // Eval points after steps 2 and 4, then the final one after step 6.
+  std::ifstream in(dir + "/c.csv");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0], "step,val_loss,ppl");
+  for (size_t i = 1; i < lines.size(); ++i) {
+    std::istringstream row(lines[i]);
+    std::string step, val_loss, ppl;
+    ASSERT_TRUE(std::getline(row, step, ',') &&
+                std::getline(row, val_loss, ',') && std::getline(row, ppl))
+        << lines[i];
+    EXPECT_EQ(step, std::to_string(2 * i));
+    // %.6g: six significant digits of each value.
+    EXPECT_NEAR(std::stod(ppl), std::exp(std::stod(val_loss)),
+                1e-4 * std::stod(ppl))
+        << lines[i];
+  }
+  std::filesystem::remove_all(dir);
 }
+
+TEST(ApolloTrainCsv, UnopenablePathFailsBeforeAnyStep) {
+  const std::string dir = std::string(::testing::TempDir()) + "csv_bad";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(run_train(dir, " --steps 3 --eval-every 0"
+                           " --csv missing/c.csv --save final.ckpt"),
+            1);
+  std::ifstream log(dir + "/out.txt");
+  std::stringstream out;
+  out << log.rdbuf();
+  EXPECT_NE(out.str().find("error: --csv missing/c.csv"), std::string::npos)
+      << out.str();
+  EXPECT_EQ(out.str().find("training:"), std::string::npos) << out.str();
+  EXPECT_FALSE(std::filesystem::exists(dir + "/final.ckpt"));
+  std::filesystem::remove_all(dir);
+}
+
+#endif  // APOLLO_TRAIN_BIN
 
 }  // namespace
 }  // namespace apollo

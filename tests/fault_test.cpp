@@ -10,14 +10,17 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
 #include "core/apollo.h"
+#include "core/factory.h"
 #include "core/quantized_weights.h"
 #include "data/corpus.h"
 #include "fault/fault_injection.h"
 #include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "train/trainer.h"
 
 namespace apollo {
@@ -92,8 +95,11 @@ TEST(FaultInjector, CheckpointEventsRipen) {
 
 // --- in-process recovery ----------------------------------------------------
 
+// A tiny model trained by APOLLO (rank 2, refresh every 4 steps), or by
+// `opt` when given.
 train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
-                            bool fused = false, bool quantized = false) {
+                            bool fused = false, bool quantized = false,
+                            optim::Optimizer* opt = nullptr) {
   nn::LlamaConfig cfg;
   cfg.vocab = 64;
   cfg.hidden = 16;
@@ -108,7 +114,7 @@ train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
   core::ApolloConfig acfg;
   acfg.rank = 2;
   acfg.update_freq = 4;
-  core::Apollo opt(acfg);
+  core::Apollo apollo(acfg);
   train::TrainConfig tc;
   tc.steps = steps;
   tc.batch = 2;
@@ -122,51 +128,16 @@ train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
   }
   std::optional<core::QuantizedWeightStore> qstore;
   if (quantized) qstore.emplace(model.parameters(), 17);
-  train::Trainer t(model, opt, corpus, tc);
+  train::Trainer t(model, opt != nullptr ? *opt : apollo, corpus, tc);
   if (qstore) t.set_quantized_weights(&*qstore);
   return t.run();
 }
 
-TEST(FaultInjector, NanGradRecoversViaRollback) {
-  const std::string dir =
-      std::string(::testing::TempDir()) + "fault_nan_ckpts";
-  std::filesystem::remove_all(dir);
-  obs::Registry::instance().reset();
-  FaultGuard guard("nan_grad@6");
-  const auto res = run_tiny(dir, 12);
-  EXPECT_FALSE(res.diverged) << res.divergence_diagnostics;
-  EXPECT_GE(res.rollbacks, 1);
-  EXPECT_TRUE(std::isfinite(res.final_perplexity));
-  EXPECT_EQ(obs::Registry::instance().counter("fault.injected").value(), 1);
-  EXPECT_GE(obs::Registry::instance().counter("watchdog.rollbacks").value(),
-            1);
-  obs::Registry::instance().reset();
-  std::filesystem::remove_all(dir);
-}
-
-TEST(FaultInjector, NanGradRecoversOnFusedPath) {
-  // nan_grad composes with the fused update: the pipeline injects the NaN
-  // at leaf-completion and the watchdog catches the non-finite gradient
-  // norm post-hoc, rolling back the already-applied update.
-  const std::string dir =
-      std::string(::testing::TempDir()) + "fault_nan_fused_ckpts";
-  std::filesystem::remove_all(dir);
-  obs::Registry::instance().reset();
-  FaultGuard guard("nan_grad@6");
-  const auto res = run_tiny(dir, 12, /*fused=*/true);
-  EXPECT_FALSE(res.diverged) << res.divergence_diagnostics;
-  EXPECT_GE(res.rollbacks, 1);
-  EXPECT_TRUE(std::isfinite(res.final_perplexity));
-  EXPECT_EQ(obs::Registry::instance().counter("fault.injected").value(), 1);
-  obs::Registry::instance().reset();
-  std::filesystem::remove_all(dir);
-}
-
 TEST(FaultInjector, NanGradRecoversOnQuantizedFusedPath) {
-  // The fused path requantizes each leaf before the post-hoc norm check, so
-  // the NaN reaches the INT8 store's per-group residuals. Checkpoints carry
-  // fp32 weights only; rollback must re-absorb them from zeroed residuals,
-  // or every retry replays the NaN and the run diverges.
+  // The fused path requantizes each leaf it steps inside backward, before
+  // the step's gradient norm is known. The NaN slot is not stepped, so the
+  // NaN never reaches the INT8 store's residuals; checkpoints carry fp32
+  // weights only, and rollback re-absorbs them from zeroed residuals.
   const std::string dir =
       std::string(::testing::TempDir()) + "fault_nan_qfused_ckpts";
   std::filesystem::remove_all(dir);
@@ -178,6 +149,69 @@ TEST(FaultInjector, NanGradRecoversOnQuantizedFusedPath) {
   EXPECT_TRUE(std::isfinite(res.final_perplexity));
   EXPECT_EQ(obs::Registry::instance().counter("fault.injected").value(), 1);
   obs::Registry::instance().reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FaultInjector, EveryOptimizerRecoversFromOneNanOnBothDrivers) {
+  // One NaN gradient costs exactly one rollback on either driver. The fused
+  // driver steps slots inside backward, before the step's gradient norm
+  // exists, so only the pipeline's per-slot guard keeps the NaN out of
+  // optimizer state that the checkpoint does not carry.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "fault_nan_every_opt";
+  core::FactoryOptions fo;
+  fo.rank = 2;
+  fo.update_freq = 4;
+  obs::Registry& reg = obs::Registry::instance();
+  for (const std::string& name : core::known_optimizers()) {
+    for (const bool fused : {false, true}) {
+      SCOPED_TRACE(name + (fused ? " fused" : " classic"));
+      std::filesystem::remove_all(dir);
+      reg.reset();
+      FaultGuard guard("nan_grad@6");
+      auto opt = core::make_optimizer(name, fo);
+      ASSERT_NE(opt, nullptr);
+      const auto res = run_tiny(dir, 12, fused, /*quantized=*/false, opt.get());
+      EXPECT_FALSE(res.diverged) << res.divergence_diagnostics;
+      EXPECT_EQ(res.rollbacks, 1);
+      EXPECT_TRUE(std::isfinite(res.final_perplexity));
+      EXPECT_EQ(reg.counter("fault.injected").value(), 1);
+      EXPECT_EQ(reg.counter("watchdog.rollbacks").value(), 1);
+    }
+  }
+  reg.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FaultInjector, RolledBackStepLeavesNoTelemetry) {
+  // APOLLO samples its scaling factors per slot inside the fused backward.
+  // The rolled-back attempt at step 6 must not add its samples to the row
+  // of the step that replaces it: every row has one step's sample count.
+  const std::string dir =
+      std::string(::testing::TempDir()) + "fault_nan_telemetry";
+  const std::string metrics = dir + "/m.jsonl";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  obs::telemetry_set_path(metrics.c_str());
+  {
+    FaultGuard guard("nan_grad@6");
+    const auto res = run_tiny(dir + "/ckpts", 12, /*fused=*/true);
+    EXPECT_EQ(res.rollbacks, 1);
+  }
+  obs::telemetry_set_path("");  // writes the registry dump and closes
+  std::ifstream in(metrics);
+  std::set<std::string> counts;
+  int rows = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("{\"step\":", 0) != 0) continue;
+    ++rows;
+    const size_t at = line.find("\"opt.s_n\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    counts.insert(line.substr(at, line.find_first_of(",}", at) - at));
+  }
+  // Steps 5 and 6 are replayed after the rollback to step 4.
+  EXPECT_EQ(rows, 14);
+  EXPECT_EQ(counts.size(), 1u);
   std::filesystem::remove_all(dir);
 }
 

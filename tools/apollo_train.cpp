@@ -12,8 +12,10 @@
 //   $ apollo_train --ranks 4 --ckpt-dir ckpts --steps 400
 //   $ apollo_train --list-optimizers
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -26,7 +28,6 @@
 #include "dist/world.h"
 #include "fault/fault_injection.h"
 #include "nn/llama.h"
-#include "obs/csv_sink.h"
 #include "obs/telemetry.h"
 #include "train/checkpoint.h"
 #include "train/schedule.h"
@@ -135,6 +136,24 @@ RunOptions read_options(const tools::Args& args, const nn::LlamaConfig& cfg) {
   return o;
 }
 
+// Writes the --csv eval curve: a `step,val_loss,ppl` header, then one row
+// of `%.6g` values per eval point. False, after printing the error, when
+// the file cannot be written.
+bool write_csv(const std::string& path,
+               const std::vector<train::EvalPoint>& curve) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f != nullptr) {
+    std::fputs("step,val_loss,ppl\n", f);
+    for (const train::EvalPoint& pt : curve)
+      std::fprintf(f, "%.6g,%.6g,%.6g\n", static_cast<double>(pt.step),
+                   pt.val_loss, pt.perplexity);
+    if (std::fclose(f) == 0) return true;
+  }
+  std::fprintf(stderr, "error: --csv %s: %s\n", path.c_str(),
+               std::strerror(errno));
+  return false;
+}
+
 // The --data source (byte-level text, which sets the vocab to 256, or the
 // synthetic corpus). nullptr after printing the error when the file cannot
 // be read.
@@ -218,12 +237,12 @@ int run_training(const RunOptions& o, const nn::LlamaConfig& cfg,
   if (comm != nullptr) trainer.set_communicator(comm);
   auto result = trainer.run();
 
-  obs::CsvSink csv(csv_path, {"step", "val_loss", "ppl"});
-  for (const auto& pt : result.curve) {
+  for (const auto& pt : result.curve)
     std::printf("step %6d   val loss %.4f   ppl %8.2f\n", pt.step,
                 pt.val_loss, pt.perplexity);
-    csv.row({static_cast<double>(pt.step), pt.val_loss, pt.perplexity});
-  }
+  // A curve that cannot be written fails the run, but only after --save:
+  // the trained weights are worth more than the CSV.
+  const bool csv_ok = csv_path.empty() || write_csv(csv_path, result.curve);
   if (result.resumed_from_step > 0)
     std::printf("resumed from step %lld\n",
                 static_cast<long long>(result.resumed_from_step));
@@ -255,7 +274,7 @@ int run_training(const RunOptions& o, const nn::LlamaConfig& cfg,
     std::printf("saved checkpoint to %s%s\n", save_path.c_str(),
                 r.optimizer_state_restored ? " (with optimizer state)" : "");
   }
-  return 0;
+  return csv_ok ? 0 : 1;
 }
 
 }  // namespace
@@ -305,6 +324,9 @@ int main(int argc, char** argv) {
                  "(--list-optimizers)\n", opts.opt_name.c_str());
     return 1;
   }
+  // The curve is written after training: check its path before the first
+  // step, so a bad path cannot cost a finished run.
+  if (!opts.csv_path.empty() && !write_csv(opts.csv_path, {})) return 1;
   const std::unique_ptr<data::TokenSource> source = make_source(opts, cfg);
   if (!source) return 1;
   if (ranks == 1) return run_training(opts, cfg, *source, nullptr);
