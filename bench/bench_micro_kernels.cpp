@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "core/apollo.h"
@@ -64,17 +65,21 @@ void BM_RandomProjector(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomProjector)->Arg(32)->Arg(64)->Arg(128);
 
-// Per-step optimizer cost on one 128×512 weight.
+// Per-step optimizer cost on one 128×512 weight. The gradient is drawn once,
+// before the timed loop (no optimizer writes it), so the loop times the step
+// and not the Gaussian draws.
 template <typename MakeOpt>
 void optimizer_step_bench(benchmark::State& state, MakeOpt make) {
   nn::Parameter p("w", 128, 512);
   Rng rng(4);
   p.value.fill_gaussian(rng, 0.f, 0.1f);
+  p.grad.fill_gaussian(rng, 0.f, 0.1f);
   auto opt = make();
   opt->set_lr(1e-3f);
   for (auto _ : state) {
-    p.grad.fill_gaussian(rng, 0.f, 0.1f);
     opt->step({&p});
+    benchmark::DoNotOptimize(p.value.data());
+    benchmark::ClobberMemory();
   }
 }
 
@@ -256,6 +261,51 @@ bool run_simd_kernel_sweep(bool quick) {
           scalar_gemm = gflops;
         else if (gflops > best_vector_gemm)
           best_vector_gemm = gflops;
+      }
+    }
+  }
+
+  // Decode shapes: a few rows against the 7b proxy's MLP weights (out × in),
+  // read as rows by gemm_bt — what the serving decoder runs — and as their
+  // materialized transposes by gemm.
+  std::printf("\n%-10s %-8s %-9s %3s %12s\n", "kernel", "level", "weight",
+              "m", "GFLOP/s");
+  const int64_t decode_weights[][2] = {{344, 128}, {128, 344}};
+  for (simd::Level lv : simd::available_levels()) {
+    const simd::KernelTable& kt = simd::table(lv);
+    for (const auto& [out, in] : decode_weights) {
+      const Matrix weight = random_matrix(out, in, 18);
+      const Matrix weight_t = weight.transposed();
+      for (int64_t m : {1, 4, 8}) {
+        const Matrix act = random_matrix(m, in, 19);
+        Matrix res(m, out);
+        const double flops = 2. * static_cast<double>(m * out * in);
+        const std::pair<const char*, double> timed[] = {
+            {"gemm_bt", secs_per_call([&] {
+               kt.gemm_bt(res.data(), out, act.data(), in, weight.data(), in,
+                          0, m, out, in);
+             })},
+            {"gemm", secs_per_call([&] {
+               kt.gemm(res.data(), out, act.data(), in, false,
+                       weight_t.data(), out, 0, m, out, in);
+             })},
+        };
+        for (const auto& [kernel, secs] : timed) {
+          const double gflops = flops / secs * 1e-9;
+          std::printf("%-10s %-8s %4lldx%-4lld %3lld %12.2f\n", kernel,
+                      simd::level_name(lv), static_cast<long long>(out),
+                      static_cast<long long>(in), static_cast<long long>(m),
+                      gflops);
+          if (rep != nullptr) {
+            rep->add_row()
+                .col_str("name", std::string("simd_decode_") + kernel)
+                .col_str("level", simd::level_name(lv))
+                .col_int("out", out)
+                .col_int("in", in)
+                .col_int("m", m)
+                .col("gflops", gflops);
+          }
+        }
       }
     }
   }

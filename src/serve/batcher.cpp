@@ -11,22 +11,6 @@
 
 namespace apollo::serve {
 
-namespace {
-
-// Writes wᵀ (in × out) into dst. Cold path: runs once per weight at
-// decoder construction.
-void transpose_into(std::vector<float>& dst, const Matrix& w) {
-  const int64_t out = w.rows(), in = w.cols();
-  dst.resize(static_cast<size_t>(out * in));
-  for (int64_t o = 0; o < out; ++o) {
-    const float* row = w.row(o);
-    for (int64_t i = 0; i < in; ++i)
-      dst[static_cast<size_t>(i * out + o)] = row[i];
-  }
-}
-
-}  // namespace
-
 BatchDecoder::BatchDecoder(nn::LlamaModel& model, int max_batch)
     : model_(model),
       max_batch_(max_batch),
@@ -43,19 +27,6 @@ BatchDecoder::BatchDecoder(nn::LlamaModel& model, int max_batch)
   lanes_.resize(mb);
   outputs_.resize(mb);
   rows_.resize(mb);
-
-  panels_.resize(static_cast<size_t>(cfg.n_layers));
-  for (size_t l = 0; l < panels_.size(); ++l) {
-    const auto& lay = model.layers()[l];
-    transpose_into(panels_[l].wq_t, lay.wq->value);
-    transpose_into(panels_[l].wk_t, lay.wk->value);
-    transpose_into(panels_[l].wv_t, lay.wv->value);
-    transpose_into(panels_[l].wo_t, lay.wo->value);
-    transpose_into(panels_[l].w_gate_t, lay.w_gate->value);
-    transpose_into(panels_[l].w_up_t, lay.w_up->value);
-    transpose_into(panels_[l].w_down_t, lay.w_down->value);
-  }
-  transpose_into(lm_head_t_, model.lm_head().value);
 
   // RoPE table, computed with the same double-precision expression as the
   // tape forward's table (autograd/ops_attention.cpp), so both paths rotate
@@ -131,8 +102,9 @@ void BatchDecoder::release(int lane) {
   --active_;
 }
 
-void BatchDecoder::gemm_rows(float* c, const float* a, const float* bt,
-                             int64_t rows, int64_t n, int64_t k) const {
+void BatchDecoder::gemm_rows(float* c, const float* a, const Matrix& w,
+                             int64_t rows) const {
+  const int64_t n = w.rows(), k = w.cols();
   std::fill(c, c + rows * n, 0.f);
   const simd::KernelTable& kt = simd::table();
   // Same grain policy as tensor::matmul: don't split below ~32K flops/lane.
@@ -141,7 +113,7 @@ void BatchDecoder::gemm_rows(float* c, const float* a, const float* bt,
   core::parallel_for(
       rows,
       [&](int64_t i0, int64_t i1) {
-        kt.gemm(c, n, a, k, /*a_trans=*/false, bt, n, i0, i1, n, k);
+        kt.gemm_bt(c, n, a, k, w.data(), k, i0, i1, n, k);
       },
       grain, kt.gemm_row_align);
 }
@@ -235,7 +207,6 @@ void BatchDecoder::decode_step() {
   const auto& cfg = model_.config();
   const int64_t hidden = cfg.hidden;
   const int64_t inter = cfg.intermediate;
-  const int64_t vocab = cfg.vocab;
   const int64_t head_dim = hidden / cfg.n_heads;
   const int window = cfg.seq_len;
   const float scale = 1.f / std::sqrt(static_cast<float>(head_dim));
@@ -260,17 +231,16 @@ void BatchDecoder::decode_step() {
     std::copy(emb, emb + hidden, x_.data() + r * hidden);
   }
 
-  for (size_t l = 0; l < panels_.size(); ++l) {
+  for (size_t l = 0; l < model_.layers().size(); ++l) {
     const auto& lay = model_.layers()[l];
-    const LayerPanels& pan = panels_[l];
 
     // Attention block.
     for (int64_t r = 0; r < b; ++r)
       kt.rmsnorm_row(xn_.data() + r * hidden, x_.data() + r * hidden,
                      lay.attn_norm->value.row(0), hidden, 1e-6f);
-    gemm_rows(q_.data(), xn_.data(), pan.wq_t.data(), b, hidden, hidden);
-    gemm_rows(k_.data(), xn_.data(), pan.wk_t.data(), b, hidden, hidden);
-    gemm_rows(v_.data(), xn_.data(), pan.wv_t.data(), b, hidden, hidden);
+    gemm_rows(q_.data(), xn_.data(), lay.wq->value, b);
+    gemm_rows(k_.data(), xn_.data(), lay.wk->value, b);
+    gemm_rows(v_.data(), xn_.data(), lay.wv->value, b);
     for (int64_t r = 0; r < b; ++r) {
       const int lane_idx = rows_[static_cast<size_t>(r)];
       const Lane& lane = lanes_[static_cast<size_t>(lane_idx)];
@@ -322,7 +292,7 @@ void BatchDecoder::decode_step() {
         },
         1, 1);
 
-    gemm_rows(proj_.data(), att_.data(), pan.wo_t.data(), b, hidden, hidden);
+    gemm_rows(proj_.data(), att_.data(), lay.wo->value, b);
     for (int64_t i = 0; i < b * hidden; ++i)
       x_[static_cast<size_t>(i)] += proj_[static_cast<size_t>(i)];
 
@@ -330,13 +300,11 @@ void BatchDecoder::decode_step() {
     for (int64_t r = 0; r < b; ++r)
       kt.rmsnorm_row(xn_.data() + r * hidden, x_.data() + r * hidden,
                      lay.mlp_norm->value.row(0), hidden, 1e-6f);
-    gemm_rows(gate_.data(), xn_.data(), pan.w_gate_t.data(), b, inter,
-              hidden);
-    gemm_rows(up_.data(), xn_.data(), pan.w_up_t.data(), b, inter, hidden);
+    gemm_rows(gate_.data(), xn_.data(), lay.w_gate->value, b);
+    gemm_rows(up_.data(), xn_.data(), lay.w_up->value, b);
     kt.silu(gate_.data(), sig_.data(), gate_.data(), b * inter);
     kt.hadamard(gate_.data(), up_.data(), b * inter);
-    gemm_rows(proj_.data(), gate_.data(), pan.w_down_t.data(), b, hidden,
-              inter);
+    gemm_rows(proj_.data(), gate_.data(), lay.w_down->value, b);
     for (int64_t i = 0; i < b * hidden; ++i)
       x_[static_cast<size_t>(i)] += proj_[static_cast<size_t>(i)];
   }
@@ -344,7 +312,7 @@ void BatchDecoder::decode_step() {
   for (int64_t r = 0; r < b; ++r)
     kt.rmsnorm_row(xn_.data() + r * hidden, x_.data() + r * hidden,
                    model_.final_norm().value.row(0), hidden, 1e-6f);
-  gemm_rows(logits_.data(), xn_.data(), lm_head_t_.data(), b, vocab, hidden);
+  gemm_rows(logits_.data(), xn_.data(), model_.lm_head().value, b);
 
   // Advance lanes: sample where a full prefix is in cache, mark finishes.
   for (int64_t r = 0; r < b; ++r) {

@@ -4,16 +4,21 @@
 // Prefill piggybacks on decode: a lane that still has prompt tokens left
 // contributes its next prompt token to the step instead of a sampled one,
 // so admission never stalls lanes that are mid-generation and every step
-// is a uniform (b × hidden) batch. All activations, KV rows, projection
-// panels, and sampling scratch are allocated at construction — decode_step
-// is a hot root under the static analyzer's zero-allocation rule.
+// is a uniform (b × hidden) batch. All activations, KV rows and sampling
+// scratch are allocated at construction — decode_step is a hot root under
+// the static analyzer's zero-allocation rule.
+//
+// Weights: every projection is the dispatched gemm_bt on the model's own
+// Parameter values (out × in rows), so the decoder holds no copy of any
+// weight and always decodes with the weights as they are now. A band of at
+// most one register tile of lanes reads those rows in place (DESIGN.md §12).
 //
 // Numerics: per-lane output is a pure function of (weights, prompt,
-// GenParams). The dispatched gemm accumulates each output row over k in an
-// order that depends only on the shape of that row's dot products, never on
-// which other rows share the batch, and attention/sampling are strictly
-// per-lane — so a lane's tokens are bit-identical whether it runs alone or
-// beside 15 neighbours (tests/serve_test.cpp pins this).
+// GenParams). gemm_bt accumulates each output row over k in an order that
+// depends only on the shape of that row's dot products, never on which
+// other rows share the batch or how B is read, and attention/sampling are
+// strictly per-lane — so a lane's tokens are bit-identical whether it runs
+// alone or beside 15 neighbours (tests/serve_test.cpp pins this).
 #pragma once
 
 #include <cstdint>
@@ -22,6 +27,7 @@
 #include "nn/llama.h"
 #include "serve/kv_cache.h"
 #include "serve/request.h"
+#include "tensor/matrix.h"
 #include "tensor/rng.h"
 
 namespace apollo::serve {
@@ -81,22 +87,11 @@ class BatchDecoder {
     Rng rng{1};
   };
 
-  // Pre-transposed (in × out) weight panels for the dispatched gemm. Both
-  // gemm and gemm_bt repack B on every call, and gemm_bt on the weight rows
-  // gives the same bits, but its pack_bt is a scalar scatter: at the 7b
-  // proxy on one AVX-512 core, the 43 GEMMs of a 1–4-row decode step take
-  // 0.37–0.54 ms here and 0.85–1.11 ms through gemm_bt, about as long as a
-  // whole decode_step (0.58–0.72 ms). Dropping the panels waits for a
-  // vectorized pack_bt.
-  struct LayerPanels {
-    std::vector<float> wq_t, wk_t, wv_t, wo_t;
-    std::vector<float> w_gate_t, w_up_t, w_down_t;
-  };
-
-  // C(rows × n) = A(rows × k) · Bt(k × n), C zeroed first; band-parallel
-  // over rows with the same grain policy as tensor::matmul.
-  void gemm_rows(float* c, const float* a, const float* bt, int64_t rows,
-                 int64_t n, int64_t k) const;
+  // C(rows × out) = A(rows × in) · wᵀ for a weight w stored out × in, C
+  // zeroed first; band-parallel over rows with the same grain policy as
+  // tensor::matmul.
+  void gemm_rows(float* c, const float* a, const Matrix& w,
+                 int64_t rows) const;
 
   // In-place rotary embedding on one hidden-length row at position `pos`,
   // reading the precomputed cos/sin table.
@@ -112,9 +107,6 @@ class BatchDecoder {
   KvArena arena_;
   std::vector<Lane> lanes_;
   std::vector<DecodeOut> outputs_;
-
-  std::vector<LayerPanels> panels_;
-  std::vector<float> lm_head_t_;
 
   // RoPE table: window × (head_dim/2) cos and sin values.
   std::vector<float> rope_cos_, rope_sin_;

@@ -104,32 +104,19 @@ void matmul_bt(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate) {
   } else {
     APOLLO_CHECK(c.rows() == m && c.cols() == n);
   }
+  // gemm_bt reads Bᵀ straight from B's rows — packed into the panels gemm
+  // would pack from a materialized transpose, or in place for a band of one
+  // register tile — so the result equals matmul on Bᵀ bit for bit without
+  // building it, and a row's bits do not depend on how many rows come with
+  // it.
   const simd::KernelTable& kt = simd::table();
-  // Per-(i,j) dot products serialize on the reduction chain (~6× slower
-  // than the streaming kernel), so all but the smallest shapes go through
-  // gemm_bt, which packs Bᵀ's panels straight from B's rows: the same bits
-  // as matmul on a materialized transpose, without building one.
-  if (m >= 4 && k >= 16) {
-    core::parallel_for(
-        m,
-        [&](int64_t i0, int64_t i1) {
-          kt.gemm_bt(c.data(), c.cols(), a.data(), a.cols(), b.data(),
-                     b.cols(), i0, i1, n, k);
-        },
-        row_grain(2 * k * n), kt.gemm_row_align);
-    return;
-  }
   core::parallel_for(
       m,
       [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const float* __restrict arow = a.row(i);
-          float* __restrict crow = c.row(i);
-          for (int64_t j = 0; j < n; ++j)
-            crow[j] += kt.dot(arow, b.row(j), k);
-        }
+        kt.gemm_bt(c.data(), c.cols(), a.data(), a.cols(), b.data(), b.cols(),
+                   i0, i1, n, k);
       },
-      row_grain(2 * k * n));
+      row_grain(2 * k * n), kt.gemm_row_align);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

@@ -78,6 +78,26 @@ struct VecAvx2 {
     return _mm256_castsi256_ps(_mm256_slli_epi32(e, 23));
   }
 
+  // 8×8 transpose in registers: pairwise interleave, 64-bit shuffles, then
+  // 128-bit lane swaps.
+  static void transpose(F* t) {
+    F u[8], s[8];
+    for (int i = 0; i < 8; i += 2) {
+      u[i] = _mm256_unpacklo_ps(t[i], t[i + 1]);
+      u[i + 1] = _mm256_unpackhi_ps(t[i], t[i + 1]);
+    }
+    for (int i = 0; i < 8; i += 4) {
+      s[i] = _mm256_shuffle_ps(u[i], u[i + 2], 0x44);
+      s[i + 1] = _mm256_shuffle_ps(u[i], u[i + 2], 0xee);
+      s[i + 2] = _mm256_shuffle_ps(u[i + 1], u[i + 3], 0x44);
+      s[i + 3] = _mm256_shuffle_ps(u[i + 1], u[i + 3], 0xee);
+    }
+    for (int i = 0; i < 4; ++i) {
+      t[i] = _mm256_permute2f128_ps(s[i], s[i + 4], 0x20);
+      t[i + 4] = _mm256_permute2f128_ps(s[i], s[i + 4], 0x31);
+    }
+  }
+
   static DAcc dzero() {
     return {_mm256_setzero_pd(), _mm256_setzero_pd()};
   }

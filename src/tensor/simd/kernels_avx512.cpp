@@ -68,6 +68,41 @@ struct VecAvx512 {
     return _mm512_castsi512_ps(_mm512_slli_epi32(e, 23));
   }
 
+  // 16×16 transpose in registers. After the 32- and 64-bit interleaves,
+  // t[4g + c] holds, in 128-bit lane L, rows 4g..4g+3 of column 4L + c; two
+  // rounds of 128-bit lane shuffles then gather column 4L + c from the four
+  // row groups. The all-lanes maskz forms compile to the plain shuffles;
+  // GCC 12's unmasked ones draw a false -Wuninitialized from their
+  // undefined pass-through operand.
+  static void transpose(F* t) {
+    constexpr __mmask16 kAll = 0xffff;
+    constexpr __mmask8 kAllD = 0xff;
+    F u[16];
+    for (int i = 0; i < 16; i += 2) {
+      u[i] = _mm512_maskz_unpacklo_ps(kAll, t[i], t[i + 1]);
+      u[i + 1] = _mm512_maskz_unpackhi_ps(kAll, t[i], t[i + 1]);
+    }
+    for (int i = 0; i < 16; i += 4) {
+      const __m512d a = _mm512_castps_pd(u[i]), b = _mm512_castps_pd(u[i + 2]);
+      const __m512d c = _mm512_castps_pd(u[i + 1]);
+      const __m512d d = _mm512_castps_pd(u[i + 3]);
+      t[i] = _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(kAllD, a, b));
+      t[i + 1] = _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(kAllD, a, b));
+      t[i + 2] = _mm512_castpd_ps(_mm512_maskz_unpacklo_pd(kAllD, c, d));
+      t[i + 3] = _mm512_castpd_ps(_mm512_maskz_unpackhi_pd(kAllD, c, d));
+    }
+    for (int c = 0; c < 4; ++c) {
+      const F x0 = _mm512_maskz_shuffle_f32x4(kAll, t[c], t[4 + c], 0x88);
+      const F x1 = _mm512_maskz_shuffle_f32x4(kAll, t[c], t[4 + c], 0xdd);
+      const F y0 = _mm512_maskz_shuffle_f32x4(kAll, t[8 + c], t[12 + c], 0x88);
+      const F y1 = _mm512_maskz_shuffle_f32x4(kAll, t[8 + c], t[12 + c], 0xdd);
+      t[c] = _mm512_maskz_shuffle_f32x4(kAll, x0, y0, 0x88);
+      t[4 + c] = _mm512_maskz_shuffle_f32x4(kAll, x1, y1, 0x88);
+      t[8 + c] = _mm512_maskz_shuffle_f32x4(kAll, x0, y0, 0xdd);
+      t[12 + c] = _mm512_maskz_shuffle_f32x4(kAll, x1, y1, 0xdd);
+    }
+  }
+
   static DAcc dzero() {
     return {_mm512_setzero_pd(), _mm512_setzero_pd()};
   }

@@ -16,6 +16,8 @@
 //   store_i8(q,v)               W int8 codes of integral lanes, NaN → 0
 //   dzero() dadd_f(acc,v) dfma_f(acc,a,b) dreduce_ordered(acc)
 //   reduce_add_ordered(v) reduce_max(v)
+//   transpose(t)                in-register transpose of the kWidth×kWidth
+//                               tile t[0..kWidth) (t[q] ↦ column q)
 //
 // Determinism: every loop structure here is a pure function of the input
 // shape. Reductions use the fixed lane tree (lane j accumulates indices
@@ -27,6 +29,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/simd/kernels_decl.h"
@@ -273,30 +276,22 @@ struct Kern {
 
   // ---- GEMM --------------------------------------------------------------
 
-  // Register-tiled micro-kernel: kMr rows × NR columns of C accumulate in
-  // registers over the whole kc depth, then flow to memory once. `a` is
-  // either kMr row pointers' base (row-major, stride lda) or a packed
-  // p-major tile (stride kMr) for the transposed case.
-  template <int kMr, bool kPackedA>
-  static void micro(float* c, int64_t ldc, const float* a, int64_t lda,
-                    const float* bp, int64_t kc, int64_t nr) {
-    F acc0[kMr], acc1[kMr];
-    for (int r = 0; r < kMr; ++r) {
-      acc0[r] = V::zero();
-      acc1[r] = V::zero();
+  // Calls fn(std::integral_constant<int, mr>{}) for mr in [1, MR], so the
+  // micro-kernels keep a compile-time row count of accumulators in
+  // registers.
+  template <int kMr = 1, class Fn>
+  static void with_rows(int64_t mr, Fn&& fn) {
+    if constexpr (kMr < MR) {
+      if (mr > kMr) return with_rows<kMr + 1>(mr, fn);
     }
-    const float* arow[kMr];
-    for (int r = 0; r < kMr; ++r)
-      arow[r] = kPackedA ? nullptr : a + r * lda;
-    for (int64_t p = 0; p < kc; ++p) {
-      const F b0 = V::load(bp + p * NR);
-      const F b1 = V::load(bp + p * NR + W);
-      for (int r = 0; r < kMr; ++r) {
-        const F av = V::bcast(kPackedA ? a[p * kMr + r] : arow[r][p]);
-        acc0[r] = V::fmadd(av, b0, acc0[r]);
-        acc1[r] = V::fmadd(av, b1, acc1[r]);
-      }
-    }
+    fn(std::integral_constant<int, kMr>{});
+  }
+
+  // Adds a finished kMr × (≤ NR) tile to C, storing only nr columns. Lanes
+  // past nr hold exact zeros or are never stored.
+  template <int kMr>
+  static void add_tile(float* c, int64_t ldc, const F* acc0, const F* acc1,
+                       int64_t nr) {
     for (int r = 0; r < kMr; ++r) {
       float* crow = c + r * ldc;
       if (nr >= W) {
@@ -305,8 +300,6 @@ struct Kern {
         if (rest >= W) {
           V::store(crow + W, V::add(V::load(crow + W), acc1[r]));
         } else if (rest > 0) {
-          // Padded B lanes are zero, so the extra acc lanes are exact zeros
-          // and the masked add/store is safe and deterministic.
           V::store_partial(crow + W,
                            V::add(V::load_partial(crow + W, rest), acc1[r]),
                            rest);
@@ -318,20 +311,90 @@ struct Kern {
     }
   }
 
-  template <bool kPackedA>
-  static void micro_dispatch(int64_t mr, float* c, int64_t ldc,
-                             const float* a, int64_t lda, const float* bp,
-                             int64_t kc, int64_t nr) {
-    switch (mr) {
-      case 1: micro<1, kPackedA>(c, ldc, a, lda, bp, kc, nr); break;
-      case 2: micro<2, kPackedA>(c, ldc, a, lda, bp, kc, nr); break;
-      case 3: micro<3, kPackedA>(c, ldc, a, lda, bp, kc, nr); break;
-      case 4: micro<4, kPackedA>(c, ldc, a, lda, bp, kc, nr); break;
-      case 5: micro<5, kPackedA>(c, ldc, a, lda, bp, kc, nr); break;
-      case 6: micro<6, kPackedA>(c, ldc, a, lda, bp, kc, nr); break;
-      case 7: micro<7, kPackedA>(c, ldc, a, lda, bp, kc, nr); break;
-      default: micro<8, kPackedA>(c, ldc, a, lda, bp, kc, nr); break;
+  // Register-tiled micro-kernel: kMr rows × NR columns of C accumulate in
+  // registers over the whole kc depth, then flow to memory once. `a` is
+  // either kMr row pointers' base (row-major, stride lda) or a packed
+  // p-major tile (stride kMr) for the transposed case. Row p of the B panel
+  // is at b + p·ldb: a packed panel (ldb = NR, zero-padded) or B read where
+  // it lies. In place, a panel narrower than NR masks its loads (kMaskB):
+  // the masked lanes read as zero, as the packed padding does, and nothing
+  // past column nr is read.
+  template <int kMr, bool kPackedA, bool kMaskB>
+  static void micro(float* c, int64_t ldc, const float* a, int64_t lda,
+                    const float* b, int64_t ldb, int64_t kc, int64_t nr) {
+    F acc0[kMr], acc1[kMr];
+    for (int r = 0; r < kMr; ++r) {
+      acc0[r] = V::zero();
+      acc1[r] = V::zero();
     }
+    const float* arow[kMr];
+    for (int r = 0; r < kMr; ++r)
+      arow[r] = kPackedA ? nullptr : a + r * lda;
+    const int64_t w0 = std::min<int64_t>(nr, W);
+    const int64_t w1 = std::max<int64_t>(nr - W, 0);
+    for (int64_t p = 0; p < kc; ++p) {
+      const float* brow = b + p * ldb;
+      const F b0 = kMaskB ? V::load_partial(brow, w0) : V::load(brow);
+      F b1;
+      if (!kMaskB)
+        b1 = V::load(brow + W);
+      else
+        b1 = w1 > 0 ? V::load_partial(brow + W, w1) : V::zero();
+      for (int r = 0; r < kMr; ++r) {
+        const F av = V::bcast(kPackedA ? a[p * kMr + r] : arow[r][p]);
+        acc0[r] = V::fmadd(av, b0, acc0[r]);
+        acc1[r] = V::fmadd(av, b1, acc1[r]);
+      }
+    }
+    add_tile<kMr>(c, ldc, acc0, acc1, nr);
+  }
+
+  // Loads rows [0, nr) of a W×W tile of B (row stride ldb), w floats each,
+  // and transposes it: t[q] then holds column q, one lane per row. Rows past
+  // nr and columns past w are never read; their lanes are zero.
+  template <bool kFull>
+  static void load_tile_t(F* t, const float* b, int64_t ldb, int64_t nr,
+                          int64_t w) {
+#pragma GCC unroll 16
+    for (int64_t j = 0; j < W; ++j) {
+      if (kFull)
+        t[j] = V::load(b + j * ldb);
+      else
+        t[j] = j < nr ? V::load_partial(b + j * ldb, w) : V::zero();
+    }
+    V::transpose(t);
+  }
+
+  // micro() for C += A·Bᵀ with B's n×k rows read in place: W columns of C,
+  // fed by W×W tiles of their B rows transposed in registers. Each output
+  // accumulates fma by fma in ascending p from zero, exactly as micro()
+  // does on pack_bt's panels, so the bits are the same. kFull: nr == W.
+  template <int kMr, bool kFull>
+  static void micro_bt(float* c, int64_t ldc, const float* a, int64_t lda,
+                       const float* b, int64_t ldb, int64_t kc, int64_t nr) {
+    F acc[kMr];
+    for (int r = 0; r < kMr; ++r) acc[r] = V::zero();
+    const float* arow[kMr];
+    for (int r = 0; r < kMr; ++r) arow[r] = a + r * lda;
+    int64_t p = 0;
+    for (; p + W <= kc; p += W) {
+      F t[W];
+      load_tile_t<kFull>(t, b + p, ldb, nr, W);
+#pragma GCC unroll 16
+      for (int64_t q = 0; q < W; ++q)
+        for (int r = 0; r < kMr; ++r)
+          acc[r] = V::fmadd(V::bcast(arow[r][p + q]), t[q], acc[r]);
+    }
+    if (p < kc) {
+      // The k tail: a partial tile, masked along p.
+      const int64_t w = kc - p;
+      F t[W];
+      load_tile_t<false>(t, b + p, ldb, nr, w);
+      for (int64_t q = 0; q < w; ++q)
+        for (int r = 0; r < kMr; ++r)
+          acc[r] = V::fmadd(V::bcast(arow[r][p + q]), t[q], acc[r]);
+    }
+    add_tile<kMr>(c, ldc, acc, acc, nr);  // nr ≤ W: the second is unread
   }
 
   // Pack a kc×nc block of B (row stride ldb) into NR-wide column panels,
@@ -415,12 +478,22 @@ struct Kern {
   }
 
   // The blocked GEMM; kBTrans selects B stored n×k (packed by pack_bt)
-  // instead of k×n (pack_b).
+  // instead of k×n (pack_b). A packed panel pays for itself only when more
+  // than one register tile of rows reads it: a band of at most MR rows
+  // reads each B element once, so it reads B in place instead (one_tile).
+  // Both paths add the same per-KC-block sums to C in the same order.
   template <bool kBTrans>
   static void blocked(float* c, int64_t ldc, const float* a, int64_t lda,
                       bool a_trans, const float* b, int64_t ldb, int64_t i0,
                       int64_t i1, int64_t n, int64_t k) {
     if (i0 >= i1 || n <= 0 || k <= 0) return;
+    if (i1 - i0 <= MR) {
+      with_rows(i1 - i0, [&](auto rows) {
+        one_tile<decltype(rows)::value, kBTrans>(c, ldc, a, lda, a_trans, b,
+                                                 ldb, i0, n, k);
+      });
+      return;
+    }
     std::vector<float>& bpack = pack_scratch().b;
     std::vector<float>& apack = pack_scratch().a;
     for (int64_t jc = 0; jc < n; jc += NC) {
@@ -440,18 +513,62 @@ struct Kern {
           } else {
             abase = a + i * lda + kb;
           }
-          for (int64_t pan = 0; pan * NR < nc; ++pan) {
-            const int64_t nr = std::min<int64_t>(NR, nc - pan * NR);
-            float* ctile = c + i * ldc + jc + pan * NR;
-            const float* bpanel = bpack.data() + pan * kc * NR;
-            if (a_trans) {
-              micro_dispatch<true>(mr, ctile, ldc, abase, lda, bpanel, kc,
-                                   nr);
-            } else {
-              micro_dispatch<false>(mr, ctile, ldc, abase, lda, bpanel, kc,
-                                    nr);
+          with_rows(mr, [&](auto rows) {
+            constexpr int kMr = decltype(rows)::value;
+            for (int64_t pan = 0; pan * NR < nc; ++pan) {
+              const int64_t nr = std::min<int64_t>(NR, nc - pan * NR);
+              float* ctile = c + i * ldc + jc + pan * NR;
+              const float* bpanel = bpack.data() + pan * kc * NR;
+              if (a_trans)
+                micro<kMr, true, false>(ctile, ldc, abase, lda, bpanel, NR,
+                                        kc, nr);
+              else
+                micro<kMr, false, false>(ctile, ldc, abase, lda, bpanel, NR,
+                                         kc, nr);
             }
-          }
+          });
+        }
+      }
+    }
+  }
+
+  // The rows [i0, i0 + kMr) of C (kMr ≤ MR) with B read where it lies: by
+  // rows at stride ldb for gemm, by transposed W×W tiles for gemm_bt. Every
+  // tail load is masked, so nothing past B's last element is read.
+  template <int kMr, bool kBTrans>
+  static void one_tile(float* c, int64_t ldc, const float* a, int64_t lda,
+                       bool a_trans, const float* b, int64_t ldb, int64_t i0,
+                       int64_t n, int64_t k) {
+    float* crow = c + i0 * ldc;
+    for (int64_t kb = 0; kb < k; kb += KC) {
+      const int64_t kc = std::min(KC, k - kb);
+      if constexpr (kBTrans) {
+        const float* arow = a + i0 * lda + kb;
+        int64_t j = 0;
+        for (; j + W <= n; j += W)
+          micro_bt<kMr, true>(crow + j, ldc, arow, lda, b + j * ldb + kb, ldb,
+                              kc, W);
+        if (j < n)
+          micro_bt<kMr, false>(crow + j, ldc, arow, lda, b + j * ldb + kb,
+                               ldb, kc, n - j);
+      } else {
+        const float* bblock = b + kb * ldb;
+        auto panels = [&](const float* abase, auto packed_a) {
+          constexpr bool kPackedA = decltype(packed_a)::value;
+          int64_t j = 0;
+          for (; j + NR <= n; j += NR)
+            micro<kMr, kPackedA, false>(crow + j, ldc, abase, lda, bblock + j,
+                                        ldb, kc, NR);
+          if (j < n)
+            micro<kMr, kPackedA, true>(crow + j, ldc, abase, lda, bblock + j,
+                                       ldb, kc, n - j);
+        };
+        if (a_trans) {
+          std::vector<float>& apack = pack_scratch().a;
+          pack_at(apack, a + kb * lda + i0, lda, kc, kMr);
+          panels(apack.data(), std::true_type{});
+        } else {
+          panels(a + i0 * lda + kb, std::false_type{});
         }
       }
     }

@@ -64,7 +64,9 @@ struct KernelTable {
   Level level;
 
   // GEMM micro-kernel row-tile height; callers align threadpool partition
-  // boundaries to it so every lane starts on a fresh register tile.
+  // boundaries to it so every lane starts on a fresh register tile. A band
+  // of at most this many rows reads B in place instead of packing it, with
+  // the same bits.
   int64_t gemm_row_align;
 
   // C[i0..i1) += A(op)·B for the row band [i0, i1) of C (caller zeroes C
@@ -75,9 +77,10 @@ struct KernelTable {
                bool a_trans, const float* b, int64_t ldb, int64_t i0,
                int64_t i1, int64_t n, int64_t k);
   // C[i0..i1) += A·Bᵀ with A m×k row-major and B stored n×k row-major
-  // (element (j,p) at b[j*ldb + p]). Bᵀ is packed straight from B's rows
-  // into the panels gemm would pack from a materialized k×n transpose, so
-  // the result equals that gemm call bit for bit at every level.
+  // (element (j,p) at b[j*ldb + p]). Bᵀ is read straight from B's rows —
+  // packed into the panels gemm would pack from a materialized k×n
+  // transpose, or in place for a one-tile band — so the result equals that
+  // gemm call bit for bit at every level.
   void (*gemm_bt)(float* c, int64_t ldc, const float* a, int64_t lda,
                   const float* b, int64_t ldb, int64_t i0, int64_t i1,
                   int64_t n, int64_t k);

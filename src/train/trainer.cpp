@@ -305,9 +305,10 @@ TrainResult Trainer::run() {
       next_batch(ids, targets);
       if (!fused && micro > 0) model_.zero_grads();
       const bool last = micro + 1 == accum;
-      // Fused stashed gradients stay live across micro tapes, so the stash
-      // at micro entry rides on top of this tape's own high-water marks.
-      const int64_t stash0 = fused ? pipeline.stash_bytes() : 0;
+      // Under either driver the accumulation stash stays live across micro
+      // tapes, so the stash at micro entry rides on top of this tape's own
+      // high-water marks.
+      const int64_t stash0 = pipeline.stash_bytes();
       ag::Tape tape;
       ag::Var loss = model_.loss(tape, ids, targets);
       step_loss += tape.value(loss)[0] / batches;

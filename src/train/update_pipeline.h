@@ -88,9 +88,6 @@ class UpdatePipeline {
   // Stashed-but-dead and dead-leaf sweep, one all-gather of their weights
   // and the slot norms, then opt.end_step.
   void finish_fused();
-  // Bytes currently held by stashed accumulated gradients (folded into the
-  // trainer's peak-memory accounting: the stash is live across micro tapes).
-  int64_t stash_bytes() const { return stash_bytes_; }
 
   // --- classic driver ----------------------------------------------------
   // Accumulate the current complete per-micro gradients (accum > 1).
@@ -105,6 +102,9 @@ class UpdatePipeline {
   void apply_classic();
 
   // --- both drivers --------------------------------------------------------
+  // Bytes currently held by stashed accumulated gradients (folded into the
+  // trainer's peak-memory accounting: the stash is live across micro tapes).
+  int64_t stash_bytes() const { return stash_bytes_; }
   // Global gradient norm: slot-ordered std::fma reduction of the per-slot
   // norms (valid after reduce_classic_grads or finish_fused).
   double grad_norm() const;

@@ -32,6 +32,7 @@
 #include "serve/kv_cache.h"
 #include "serve/request.h"
 #include "serve/scheduler.h"
+#include "tensor/ops.h"
 #include "tensor/simd/simd.h"
 
 namespace apollo {
@@ -220,15 +221,14 @@ TEST(ServeBatcher, GenerateWithNoTokenBudgetReturnsNothing) {
   }
 }
 
-TEST(ServeBatcher, LogitsMatchTapeForwardExactly) {
-  // Feeding a window token by token reproduces the tape forward's logits
-  // at every position.
-  nn::LlamaModel model(tiny(), 3);
-  const std::vector<int32_t> window = {5, 1, 44, 2, 2, 30, 7, 19};
+// Feeds `window` token by token through a fresh lane of `dec` and expects
+// each step's logits within 5e-4 of the tape forward of `model` at that
+// position.
+void expect_decode_matches_tape(nn::LlamaModel& model,
+                                serve::BatchDecoder& dec,
+                                const std::vector<int32_t>& window) {
   ag::Tape tape;
   const Matrix& ref = tape.value(model.forward(tape, window));
-
-  serve::BatchDecoder dec(model, 1);
   serve::GenParams gp;
   gp.max_tokens = 1;
   const int lane = dec.admit(window, gp);
@@ -241,6 +241,25 @@ TEST(ServeBatcher, LogitsMatchTapeForwardExactly) {
           << "position " << t << " vocab " << v;
   }
   EXPECT_TRUE(dec.output(lane).done);
+}
+
+TEST(ServeBatcher, LogitsMatchTapeForwardExactly) {
+  // Feeding a window token by token reproduces the tape forward's logits
+  // at every position.
+  nn::LlamaModel model(tiny(), 3);
+  serve::BatchDecoder dec(model, 1);
+  expect_decode_matches_tape(model, dec, {5, 1, 44, 2, 2, 30, 7, 19});
+}
+
+TEST(ServeBatcher, DecodeReadsTheLiveWeights) {
+  // The decoder keeps no copy of the weights: a change made after it is
+  // built shows in the very next step's logits.
+  nn::LlamaModel model(tiny(), 3);
+  serve::BatchDecoder dec(model, 1);
+  scale_inplace(model.layers()[1].w_up->value, 1.5f);
+  for (nn::Parameter* p : model.parameters())
+    if (p == &model.lm_head()) scale_inplace(p->value, -2.f);
+  expect_decode_matches_tape(model, dec, {5, 1, 44, 2, 2, 30, 7, 19});
 }
 
 TEST(ServeBatcher, FirstTokenDependsOnlyOnItself) {

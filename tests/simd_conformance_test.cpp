@@ -375,6 +375,84 @@ TEST(SimdConformance, GemmBandComposition) {
   }
 }
 
+// ---------- one-tile bands: B read in place, the packed path's bits --------
+
+// A band of at most one register tile of rows reads B where it lies instead
+// of packing it. Shapes for those bands: n past NR and past the 1024-wide
+// panel cap, k past one 256-deep block with a tail that is a multiple of
+// neither lane width, and padded row strides (ld > the row length).
+struct TileCase {
+  int64_t n, k, pad;
+};
+const TileCase kTileCases[] = {
+    {1, 1, 0},     {17, 9, 1},    {33, 300, 3}, {344, 128, 0},
+    {128, 344, 2}, {1031, 21, 1}, {40, 517, 0},
+};
+
+// Exactly the floats of a rows × cols operand with row stride ld, so that
+// under ASan a read past its last row leaves the allocation.
+std::vector<float> exact_operand(Rng& rng, int64_t rows, int64_t cols,
+                                 int64_t ld) {
+  return rand_vec(rng, (rows - 1) * ld + cols);
+}
+
+// Rows [i0, i1) of `got` must equal those of `want` bit for bit, and every
+// other row must still equal `c0`.
+std::optional<std::string> band_mismatch(const std::vector<float>& want,
+                                         const std::vector<float>& got,
+                                         const std::vector<float>& c0,
+                                         int64_t ldc, int64_t i0,
+                                         int64_t i1) {
+  const int64_t rows = static_cast<int64_t>(c0.size()) / ldc;
+  for (int64_t i = 0; i < rows; ++i) {
+    const std::vector<float>& ref = i >= i0 && i < i1 ? want : c0;
+    if (std::memcmp(ref.data() + i * ldc, got.data() + i * ldc,
+                    static_cast<size_t>(ldc) * sizeof(float)) != 0) {
+      std::ostringstream os;
+      os << "row " << i << " of band [" << i0 << ", " << i1 << ")";
+      return os.str();
+    }
+  }
+  return std::nullopt;
+}
+
+// The rows of every one-tile band (1..MR rows, starting past row 0) equal
+// the same rows of a taller call, which packs B, for A row-major and
+// transposed.
+TEST(SimdConformance, GemmOneTileBandsMatchPackedRows) {
+  Rng rng(0x71e5u);
+  for (simd::Level lv : simd::available_levels()) {
+    const simd::KernelTable& kt = simd::table(lv);
+    const int64_t tile = kt.gemm_row_align, m = 2 * tile + 3;
+    for (const TileCase& tc : kTileCases) {
+      for (bool a_trans : {false, true}) {
+        const int64_t n = tc.n, k = tc.k;
+        const int64_t lda = (a_trans ? m : k) + tc.pad, ldb = n + tc.pad,
+                      ldc = n + tc.pad;
+        const std::vector<float> a = a_trans
+                                         ? exact_operand(rng, k, m, lda)
+                                         : exact_operand(rng, m, k, lda);
+        const std::vector<float> b = exact_operand(rng, k, n, ldb);
+        const std::vector<float> c0 = rand_vec(rng, m * ldc);
+        std::vector<float> want = c0;
+        kt.gemm(want.data(), ldc, a.data(), lda, a_trans, b.data(), ldb, 0, m,
+                n, k);
+        for (int64_t rows = 1; rows <= tile; ++rows) {
+          const int64_t i0 = m - rows - 1;
+          std::vector<float> got = c0;
+          kt.gemm(got.data(), ldc, a.data(), lda, a_trans, b.data(), ldb, i0,
+                  i0 + rows, n, k);
+          const auto bad = band_mismatch(want, got, c0, ldc, i0, i0 + rows);
+          ASSERT_FALSE(bad.has_value())
+              << "gemm level=" << simd::level_name(lv) << " n=" << n
+              << " k=" << k << " pad=" << tc.pad << " a_trans=" << a_trans
+              << ": " << *bad;
+        }
+      }
+    }
+  }
+}
+
 // ---------- GEMM with Bᵀ packed in the kernel: bit-exact vs gemm -----------
 
 // gemm_bt on B (n×k) must equal gemm on the materialized transpose (k×n) bit
@@ -423,6 +501,41 @@ TEST(SimdConformance, GemmBtEqualsGemmOnMaterializedTranspose) {
             << "gemm_bt level=" << simd::level_name(lv) << " m=" << m
             << " n=" << n << " k=" << k << " pad=" << tc.pad
             << " split=" << split;
+      }
+    }
+    // One-tile bands (1..MR rows, starting past row 0) read B's rows in
+    // place; gemm_bt there and gemm on the transpose must both give the
+    // rows of a taller, packed call. Operands are allocated at their exact
+    // size.
+    const int64_t tile = kt.gemm_row_align, m = 2 * tile + 3;
+    for (const TileCase& tc : kTileCases) {
+      const int64_t n = tc.n, k = tc.k;
+      const int64_t lda = k + tc.pad, ldb = k + tc.pad, ldt = n + tc.pad,
+                    ldc = n + tc.pad;
+      const std::vector<float> a = exact_operand(rng, m, k, lda);
+      const std::vector<float> b = exact_operand(rng, n, k, ldb);
+      std::vector<float> bt = exact_operand(rng, k, n, ldt);
+      for (int64_t j = 0; j < n; ++j)
+        for (int64_t p = 0; p < k; ++p)
+          bt[static_cast<size_t>(p * ldt + j)] =
+              b[static_cast<size_t>(j * ldb + p)];
+      const std::vector<float> c0 = rand_vec(rng, m * ldc);
+      std::vector<float> want = c0;
+      kt.gemm_bt(want.data(), ldc, a.data(), lda, b.data(), ldb, 0, m, n, k);
+      for (int64_t rows = 1; rows <= tile; ++rows) {
+        const int64_t i0 = m - rows - 1;
+        std::vector<float> got = c0, got_t = c0;
+        kt.gemm_bt(got.data(), ldc, a.data(), lda, b.data(), ldb, i0,
+                   i0 + rows, n, k);
+        kt.gemm(got_t.data(), ldc, a.data(), lda, false, bt.data(), ldt, i0,
+                i0 + rows, n, k);
+        for (const auto* out : {&got, &got_t}) {
+          const auto bad = band_mismatch(want, *out, c0, ldc, i0, i0 + rows);
+          ASSERT_FALSE(bad.has_value())
+              << (out == &got ? "gemm_bt" : "gemm")
+              << " one-tile level=" << simd::level_name(lv) << " n=" << n
+              << " k=" << k << " pad=" << tc.pad << ": " << *bad;
+        }
       }
     }
   }

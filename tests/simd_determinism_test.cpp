@@ -167,6 +167,45 @@ TEST(SimdDeterminism, KernelTableGoldenFingerprints) {
   }
 }
 
+// One CRC-32 over gemm_bt on the 7b proxy's weights (out × in, as the
+// decoder reads them) and gemm on their materialized transposes, at every
+// row count of one register tile: the decode shapes.
+uint32_t decode_shape_crc(const simd::KernelTable& kt) {
+  // q/k/v/o, gate/up, down and lm_head.
+  const int64_t weights[][2] = {{128, 128}, {344, 128}, {128, 344}, {256, 128}};
+  uint32_t crc = fault::kCrc32Init;
+  uint64_t seed = 41;
+  for (const auto& [n, k] : weights) {
+    const Matrix w = random_matrix(n, k, seed++);
+    const Matrix wt = w.transposed();
+    for (int64_t m = 1; m <= kt.gemm_row_align; ++m) {
+      const Matrix a = random_matrix(m, k, seed++);
+      Matrix c(m, n), ct(m, n);
+      kt.gemm_bt(c.data(), n, a.data(), k, w.data(), k, 0, m, n, k);
+      kt.gemm(ct.data(), n, a.data(), k, /*a_trans=*/false, wt.data(), n, 0,
+              m, n, k);
+      crc = crc_add(crc, c.data(), c.size());
+      crc = crc_add(crc, ct.data(), ct.size());
+    }
+  }
+  return fault::crc32_final(crc);
+}
+
+// Pins the decode-shape GEMM bits across commits, recorded when every band
+// still packed B: a band of one register tile must keep them however it
+// reads B.
+TEST(SimdDeterminism, DecodeShapeGemmGoldenFingerprints) {
+  const std::pair<simd::Level, uint32_t> golden[] = {
+      {simd::Level::kAvx2, 0x890520e7u},
+      {simd::Level::kAvx512, 0xb284e6e3u},
+  };
+  for (const auto& [lv, want] : golden) {
+    if (lv > simd::max_supported_level()) continue;
+    EXPECT_EQ(decode_shape_crc(simd::table(lv)), want)
+        << "decode-shape gemm bits moved at level " << simd::level_name(lv);
+  }
+}
+
 TEST(SimdDeterminism, KernelsBitIdenticalAcrossThreadsAndRuns) {
   for (simd::Level lv : simd::available_levels()) {
     LevelGuard level(lv);

@@ -11,6 +11,7 @@
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
+#include "tensor/simd/simd.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define APOLLO_TEST_ASAN 1
@@ -258,6 +259,33 @@ TEST(Ops, MatmulBtMatchesReference) {
   Matrix b = random_matrix(17, 9, 8);
   EXPECT_LT(max_abs_diff(matmul_bt(a, b), ref_matmul(a, b.transposed())),
             1e-4f);
+}
+
+// A row of A·Bᵀ has the same bits whether it comes alone, with a few rows
+// or inside a tall call, at every dispatch level.
+TEST(Ops, MatmulBtRowBitsIndependentOfRowCount) {
+  for (simd::Level lv : simd::available_levels()) {
+    ASSERT_TRUE(simd::set_level(lv));
+    for (int64_t k : {8, 29, 300}) {
+      const Matrix a = random_matrix(37, k, 40 + static_cast<uint64_t>(k));
+      const Matrix b = random_matrix(23, k, 41 + static_cast<uint64_t>(k));
+      const Matrix tall = matmul_bt(a, b);
+      for (int64_t rows : {1, 2, 3}) {
+        for (int64_t i0 : {int64_t{0}, int64_t{5}, 37 - rows}) {
+          Matrix part(rows, k);
+          for (int64_t r = 0; r < rows; ++r)
+            for (int64_t p = 0; p < k; ++p) part.at(r, p) = a.at(i0 + r, p);
+          const Matrix got = matmul_bt(part, b);
+          for (int64_t r = 0; r < rows; ++r)
+            for (int64_t j = 0; j < b.rows(); ++j)
+              ASSERT_EQ(got.at(r, j), tall.at(i0 + r, j))
+                  << simd::level_name(lv) << " k=" << k << " rows=" << rows
+                  << " row " << i0 + r << " col " << j;
+        }
+      }
+    }
+  }
+  simd::clear_level_override();
 }
 
 TEST(Ops, MatmulAccumulate) {

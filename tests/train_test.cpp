@@ -164,6 +164,31 @@ TEST(Trainer, FusedAccumQuantizedMatchesClassic) {
   // at accum == 1 — the memory-budget bench asserts that shape.
 }
 
+// The classic driver's accumulation stash holds a full gradient set while
+// the second micro-batch's tape runs, so accumulating over two micro-batches
+// raises the peak by exactly the stash's bytes.
+TEST(Trainer, ClassicAccumulationPeakCountsTheStash) {
+  auto run = [](int accum) {
+    nn::LlamaModel model(nn::llama_60m_proxy(), 7);
+    data::CorpusConfig ccfg;
+    ccfg.vocab = model.config().vocab;
+    data::SyntheticCorpus corpus(ccfg);
+    optim::AdamW opt;
+    train::TrainConfig tc;
+    tc.steps = 2;
+    tc.batch = 2;
+    tc.grad_accum = accum;
+    train::Trainer t(model, opt, corpus, tc);
+    return std::make_pair(t.run(), model.param_count());
+  };
+  const auto [one, params] = run(1);
+  const auto two = run(2).first;
+  const int64_t stash = params * static_cast<int64_t>(sizeof(float));
+  EXPECT_GT(one.peak_grad_bytes, 0);
+  EXPECT_EQ(two.peak_grad_bytes, one.peak_grad_bytes + stash);
+  EXPECT_EQ(two.peak_total_bytes, one.peak_total_bytes + stash);
+}
+
 // A steady-state step reuses the previous step's Matrix storage, so it
 // faults in no new pages. Faults are counted, not timed: the difference
 // between two run lengths is the cost of the extra steps alone, since set-up,
