@@ -3,7 +3,6 @@
 #include "nn/parameter.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
-#include "tensor/serialize.h"
 
 #include "core/threadpool.h"
 #include "linalg/projection.h"
@@ -11,6 +10,7 @@
 #include "obs/telemetry.h"
 #include "optim/adam_moments.h"
 #include "optim/norm_limiter.h"
+#include "optim/state_codec.h"
 
 namespace apollo::core {
 
@@ -35,9 +35,8 @@ void Apollo::begin_step(const nn::ParamList& params) {
     const nn::Parameter& p = *params[i];
     if (!projected(p)) continue;  // dense fallback: no per-slot decisions
     State& s = states_[i];
-    // A fresh slot's limiter starts at the configured γ (merge_state sets
-    // resumed slots', tighten_norm_limiter every slot's).
-    if (s.local_t == 0) s.limiter.set_gamma(cfg_.nl_gamma);
+    // Fresh, resumed and tightened slots alike run at the configured γ.
+    s.limiter.set_gamma(cfg_.nl_gamma);
     optim::advance_slot(s, p.value.rows(), p.value.cols(), cfg_.proj,
                         cfg_.update_freq, /*random_after=*/-1, seeder_);
   }
@@ -119,98 +118,14 @@ int64_t Apollo::state_bytes() const {
   return b;
 }
 
-// Pure serialization: `params` only fixes key order; merge_state checks
-// every record it reads back against its slot.
-// lint:allow(check-shape-preconditions)
-bool Apollo::save_state(std::FILE* f, const nn::ParamList& params) const {
-  if (!write_pod(f, t_) || !write_rng_state(f, seeder_.state()))
-    return false;
-  for (size_t i = 0; i < params.size(); ++i) {
-    // A slot is "present" once it has been projected at least once — the
-    // byte layout matches the old pointer-keyed format exactly (v3
-    // checkpoints stay readable). Under ZeRO-1 sharding, begin_step still
-    // advances local_t for *every* projected slot (the RNG stream must be
-    // rank-independent) but only owned slots carry moments, so a shard file
-    // records exactly the owned slots and the union over ranks is total.
-    const State* s = i < states_.size() && states_[i].local_t > 0 &&
-                             owns_slot(static_cast<int>(i))
-                         ? &states_[i]
-                         : nullptr;
-    const uint8_t present = s != nullptr ? 1 : 0;
-    if (!write_pod(f, present)) return false;
-    if (!present) continue;
-    const uint8_t side = s->side == ProjectionSide::kLeft ? 0 : 1;
-    const double nl = s->limiter.tracked_norm();
-    if (!write_pod(f, side) || !write_pod(f, s->proj_seed) ||
-        !write_pod(f, s->local_t) || !write_pod(f, nl) ||
-        !write_matrix(f, s->svd_projector) || !s->moments.save(f))
-      return false;
-  }
-  return dense_.save(f, static_cast<int64_t>(params.size()));
-}
-
-// A full load is a merge into cleared state; merge_state parses and checks
-// every record.
-// lint:allow(check-shape-preconditions)
-bool Apollo::load_state(std::FILE* f, const nn::ParamList& params) {
-  states_.clear();
-  dense_.reset();
-  return merge_state(f, params);
-}
-
-// Shard merge: every present record carries metadata this rank must know
-// even for slots it does not own (projection seed, per-slot step count,
-// side, limiter norm — begin_step would otherwise redraw seeds and diverge
-// from the pre-crash RNG stream), but the heavy moment matrices are kept
-// only for owned slots, so resident bytes stay at 1/R after merging all
-// shards. Works across a world-size change: ownership is re-evaluated under
-// the *current* shard configuration. Every record, owned or not, must
-// describe state its slot could hold — a projected weight, side 0 or 1, at
-// least one step, the projector an SVD refresh would give it (none under
-// random projection) and r×n / m×r moments — so a crafted blob fails the
-// merge on every rank instead of sizing a later step's reads.
-// lint:allow(check-shape-preconditions)
-bool Apollo::merge_state(std::FILE* f, const nn::ParamList& params) {
-  Rng::State rs;
-  if (!read_pod(f, t_) || !read_rng_state(f, rs)) return false;
-  seeder_.set_state(rs);  // identical in every shard of a step
-  if (states_.size() < params.size()) states_.resize(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    uint8_t present = 0;
-    if (!read_pod(f, present)) return false;
-    if (!present) continue;
-    const Matrix& w = params[i]->value;
-    uint8_t side = 0;
-    uint64_t seed = 0;
-    int64_t local_t = 0;
-    double nl = -1.0;
-    Matrix proj;
-    if (!read_pod(f, side) || !read_pod(f, seed) || !read_pod(f, local_t) ||
-        !read_pod(f, nl) || !read_matrix(f, proj))
-      return false;
-    if (!projected(*params[i]) || side > 1 || local_t < 1) return false;
-    const bool left = side == 0;
-    const int64_t r = cfg_.rank;
-    const bool svd = cfg_.proj == optim::ProjKind::kSvd;
-    if (proj.rows() != (svd ? r : 0) ||
-        proj.cols() != (svd ? (left ? w.rows() : w.cols()) : 0))
-      return false;
-    optim::AdamMoments moments;
-    if (!moments.load(f, left ? r : w.rows(), left ? w.cols() : r,
-                      /*may_be_empty=*/false))
-      return false;
-    State& s = states_[i];
-    s.side = left ? ProjectionSide::kLeft : ProjectionSide::kRight;
-    s.proj_seed = seed;
-    s.local_t = local_t;
-    s.limiter = optim::NormGrowthLimiter(cfg_.nl_gamma);
-    s.limiter.set_tracked_norm(nl);
-    if (owns_slot(static_cast<int>(i))) {
-      s.svd_projector = std::move(proj);
-      s.moments = std::move(moments);
-    }
-  }
-  return dense_.load_merge(f, params, shard_rank_, shard_world_);
+void Apollo::state_fields(optim::StateCodec& c) {
+  c.rng(seeder_);
+  c.slots(states_, [&](State& s, const nn::Parameter& p) {
+    optim::subspace_fields(c, s, p.value, projected(p), cfg_.rank, cfg_.proj,
+                           /*random_after=*/-1,
+                           optim::MomentPrecision::kFp32);
+  });
+  dense_.state_fields(c);
 }
 
 int64_t Apollo::reseed_projection(uint64_t salt) {
@@ -233,8 +148,8 @@ int64_t Apollo::reseed_projection(uint64_t salt) {
 bool Apollo::tighten_norm_limiter(float factor) {
   if (!cfg_.use_norm_limiter) return false;
   APOLLO_CHECK(factor > 0.f && factor <= 1.f);
+  // Every slot takes the new γ at the next begin_step.
   cfg_.nl_gamma = 1.f + (cfg_.nl_gamma - 1.f) * factor;
-  for (State& s : states_) s.limiter.set_gamma(cfg_.nl_gamma);
   return true;
 }
 

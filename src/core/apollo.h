@@ -72,12 +72,6 @@ class Apollo : public optim::Optimizer {
   std::string name() const override { return display_name_; }
   int64_t state_bytes() const override;
 
-  // Exact-resume serialization: auxiliary moments, projection seeds, step
-  // counters and limiter norms (plus the dense fallback's moments).
-  bool save_state(std::FILE* f, const nn::ParamList& params) const override;
-  bool load_state(std::FILE* f, const nn::ParamList& params) override;
-  bool merge_state(std::FILE* f, const nn::ParamList& params) override;
-
   // Recovery hooks (divergence watchdog): re-derive every per-parameter
   // projection seed (random projections only — the SVD ablation's projector
   // is data-dependent and refreshes itself), and tighten the norm-growth
@@ -105,6 +99,10 @@ class Apollo : public optim::Optimizer {
 
  protected:
   const char* step_trace_name() const override { return "Apollo::step"; }
+  // The seeder, every projected slot's subspace record (projection seed,
+  // step count, limiter norm, SVD projector, auxiliary moments), then the
+  // dense fallback's moments.
+  void state_fields(optim::StateCodec& c) override;
 
  private:
   struct State : optim::SubspaceSlot {

@@ -2,7 +2,6 @@
 
 #include "core/apollo.h"
 #include "core/structured_adamw.h"
-#include "optim/adafactor.h"
 #include "optim/adam_mini.h"
 #include "optim/adamw.h"
 #include "optim/galore.h"
@@ -14,11 +13,10 @@ namespace apollo::core {
 const std::vector<std::string>& known_optimizers() {
   static const std::vector<std::string> names = {
       "adamw",       "adamw-bf16",  "sgd",         "sgd-momentum", "adam-mini",
-      "adam8bit",    "adafactor",   "galore",       "galore-rp",
-      "galore8bit",  "golore",      "fira",        "flora",        "lora",
-      "relora",      "dora",        "lowrank",      "apollo",
-      "apollo-svd",  "apollo-mini", "structured-channel",
-      "structured-tensor",
+      "adam8bit",    "galore",      "galore-rp",   "galore8bit",   "golore",
+      "fira",        "flora",       "lora",        "relora",       "dora",
+      "lowrank",     "apollo",      "apollo-svd",  "apollo-mini",
+      "structured-channel",         "structured-tensor",
   };
   return names;
 }
@@ -54,11 +52,6 @@ std::unique_ptr<optim::Optimizer> make_optimizer(const std::string& name,
   if (name == "adam8bit")
     return std::make_unique<optim::AdamW>(hyper,
                                           optim::MomentPrecision::kInt8);
-  if (name == "adafactor") {
-    optim::AdafactorConfig cfg;
-    cfg.weight_decay = o.weight_decay;
-    return std::make_unique<optim::Adafactor>(cfg);
-  }
 
   if (name.rfind("galore", 0) == 0 || name == "golore" || name == "fira" ||
       name == "flora") {

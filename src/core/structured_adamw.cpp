@@ -4,6 +4,7 @@
 
 #include "linalg/projection.h"
 #include "nn/parameter.h"
+#include "optim/state_codec.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
 
@@ -50,6 +51,19 @@ void StructuredAdamW::step_param(nn::Parameter& p, int slot) {
   const float wd = cfg_.hyper.weight_decay;
   for (int64_t i = 0; i < p.value.size(); ++i)
     p.value[i] -= lr_ * (update[i] + wd * p.value[i]);
+}
+
+void StructuredAdamW::state_fields(optim::StateCodec& c) {
+  c.slots(states_, [&](State& s, const nn::Parameter& p) {
+    if (!c.present(s.local_t > 0)) return;
+    double norm = s.limiter.tracked_norm();
+    c.scalar(s.local_t);
+    c.scalar(norm);
+    c.check(s.local_t >= 1);
+    s.limiter.set_tracked_norm(norm);
+    c.moments(s.moments, p.value.rows(), p.value.cols(),
+              optim::MomentPrecision::kFp32);
+  });
 }
 
 int64_t StructuredAdamW::state_bytes() const {

@@ -48,6 +48,8 @@ class StructuredAdamW : public optim::Optimizer {
   const char* step_trace_name() const override {
     return "StructuredAdamW::step";
   }
+  // Each touched slot's step count, limiter norm and full-rank moments.
+  void state_fields(optim::StateCodec& c) override;
 
  private:
   struct State {

@@ -13,6 +13,7 @@
 
 #include "nn/parameter.h"
 #include "optim/optimizer.h"
+#include "optim/state_codec.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
 
@@ -37,7 +38,7 @@ class AdamMini : public Optimizer {
     if (s.m.size() == 0) {
       // Lazy first-step state init, sized to the parameter once.
       s.m.reshape_discard(rows, cols);
-      s.v.assign(static_cast<size_t>(rows), 0.f);  // lint:allow(hot-path-alloc)
+      s.v.reshape_discard(rows, 1);
     }
     for (int64_t r = 0; r < rows; ++r) {
       // Block mean of squared gradients for this row.
@@ -45,7 +46,7 @@ class AdamMini : public Optimizer {
       double sq = 0;
       for (int64_t c = 0; c < cols; ++c)
         sq += static_cast<double>(gr[c]) * gr[c];
-      float& v = s.v[static_cast<size_t>(r)];
+      float& v = s.v[r];
       v = b2 * v + (1.f - b2) * static_cast<float>(sq / cols);
       const float denom = std::sqrt(v / bc_.c2) + hp_.eps;
 
@@ -63,18 +64,25 @@ class AdamMini : public Optimizer {
   int64_t state_bytes() const override {
     int64_t b = 0;
     for (const State& s : states_)
-      b += (s.m.size() + static_cast<int64_t>(s.v.size())) *
-           static_cast<int64_t>(sizeof(float));
+      b += (s.m.size() + s.v.size()) * static_cast<int64_t>(sizeof(float));
     return b;
   }
 
  protected:
   const char* step_trace_name() const override { return "AdamMini::step"; }
+  // Each touched slot's M at its parameter's shape and its rows×1 V.
+  void state_fields(StateCodec& c) override {
+    c.slots(states_, [&](State& s, const nn::Parameter& p) {
+      if (!c.present(s.m.size() > 0)) return;
+      c.matrix(s.m, p.value.rows(), p.value.cols());
+      c.matrix(s.v, p.value.rows(), 1);
+    });
+  }
 
  private:
   struct State {
     Matrix m;
-    std::vector<float> v;  // one scalar per row-block
+    Matrix v;  // rows×1: one scalar per row-block
   };
   AdamHyper hp_;
   BiasCorrection bc_;

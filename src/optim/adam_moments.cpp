@@ -59,24 +59,57 @@ int64_t AdamMoments::bytes() const {
   return 2 * rows_ * cols_ * width;
 }
 
-bool AdamMoments::save(std::FILE* f) const {
-  APOLLO_CHECK(precision_ == MomentPrecision::kFp32);
-  return write_matrix(f, m_) && write_matrix(f, v_);
+bool AdamMoments::write_payload(std::FILE* f, int k) const {
+  const size_t n = static_cast<size_t>(rows_ * cols_);
+  if (precision_ == MomentPrecision::kFp32)
+    return write_bytes(f, (k == 0 ? m_ : v_).data(), n * sizeof(float));
+  if (precision_ == MomentPrecision::kBf16)
+    return write_bytes(f, (k == 0 ? m16_ : v16_).data(), n * sizeof(uint16_t));
+  const BlockQuantized& q = k == 0 ? m8_ : v8_;
+  const int64_t blocks = q.num_blocks();
+  return write_bytes(f, q.codes(), n) && write_pod(f, blocks) &&
+         write_bytes(f, q.scales(), static_cast<size_t>(blocks) * sizeof(float));
 }
 
+bool AdamMoments::read_payload(std::FILE* f, int k) {
+  const size_t n = static_cast<size_t>(rows_ * cols_);
+  if (precision_ == MomentPrecision::kFp32)
+    return read_bytes(f, (k == 0 ? m_ : v_).data(), n * sizeof(float));
+  if (precision_ == MomentPrecision::kBf16)
+    return read_bytes(f, (k == 0 ? m16_ : v16_).data(), n * sizeof(uint16_t));
+  BlockQuantized& q = k == 0 ? m8_ : v8_;
+  int64_t blocks = 0;
+  return read_bytes(f, q.codes(), n) && read_pod(f, blocks) &&
+         blocks == q.num_blocks() &&
+         read_bytes(f, q.scales(), static_cast<size_t>(blocks) * sizeof(float));
+}
+
+bool AdamMoments::save(std::FILE* f) const {
+  for (int k = 0; k < 2; ++k)
+    if (!write_pod(f, rows_) || !write_pod(f, cols_) ||
+        (!empty() && !write_payload(f, k)))
+      return false;
+  return true;
+}
+
+// Parses untrusted bytes: a record that does not fit fails the load instead
+// of aborting. Storage is allocated at the expected shape, never at one the
+// bytes name.
 bool AdamMoments::load(std::FILE* f, int64_t rows, int64_t cols,
-                       bool may_be_empty) {
-  Matrix m, v;
-  if (!read_matrix(f, m) || !read_matrix(f, v) || !m.same_shape(v))
+                       MomentPrecision precision, bool may_be_empty) {
+  int64_t r = 0, c = 0;
+  if (!read_pod(f, r) || !read_pod(f, c)) return false;
+  if (r == 0 && c == 0 && may_be_empty) {  // no state when saved
+    *this = AdamMoments();
+    return read_pod(f, r) && read_pod(f, c) && r == 0 && c == 0;
+  }
+  if (r != rows || c != cols || rows < 1 || cols < 1) return false;
+  AdamMoments in;
+  in.allocate(rows, cols, precision);
+  if (!in.read_payload(f, 0) || !read_pod(f, r) || !read_pod(f, c) ||
+      r != rows || c != cols || !in.read_payload(f, 1))
     return false;
-  const bool none = may_be_empty && m.size() == 0;
-  if (!none && (m.rows() != rows || m.cols() != cols)) return false;
-  *this = AdamMoments();
-  if (none) return true;
-  rows_ = rows;
-  cols_ = cols;
-  m_ = std::move(m);
-  v_ = std::move(v);
+  *this = std::move(in);
   return true;
 }
 

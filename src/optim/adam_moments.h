@@ -6,8 +6,9 @@
 // buffers, advances it through adam_direction, re-encodes it and hands the
 // block's direction m̂/(√v̂+ε) to the caller. Blocks are independent (the
 // int8 scale is per block), so they run on the deterministic pool and give
-// the same bits at any thread count. DenseAdamCore, SubspaceSlot and
-// StructuredAdamW keep their moments here; only the fp32 rung serializes.
+// the same bits at any thread count. DenseAdamCore, SubspaceSlot,
+// StructuredAdamW and the LoRA-family adapters keep their moments here, and
+// every rung serializes (optim/state_codec.h).
 #pragma once
 
 #include <algorithm>
@@ -61,15 +62,24 @@ class AdamMoments {
 
   int64_t bytes() const;
 
-  // fp32 only: M then V as matrices (0×0 when empty).
+  // M then V, each as i64 rows, i64 cols (0, 0 when empty) and then its
+  // payload at this rung: fp32 values (so the fp32 record is two matrices,
+  // tensor/serialize.h), bf16 codes, or int8 codes, an i64 block count and
+  // one fp32 scale per block.
   bool save(std::FILE* f) const;
-  // Adopts one record save wrote. False unless both matrices have the shape
-  // a rows×cols tensor's moments are allocated at, or, if `may_be_empty`,
-  // are both empty (no state when saved).
-  bool load(std::FILE* f, int64_t rows, int64_t cols, bool may_be_empty);
+  // Adopts one record save wrote at `precision`. False unless both moments
+  // have the shape a rows×cols tensor's moments are allocated at (and, at
+  // int8, its block count), or, if `may_be_empty`, are both empty (no state
+  // when saved).
+  bool load(std::FILE* f, int64_t rows, int64_t cols,
+            MomentPrecision precision, bool may_be_empty);
 
  private:
   static constexpr int64_t kBlock = 128;
+
+  // Moment k's (0 = M, 1 = V) payload, as save lays it out.
+  bool write_payload(std::FILE* f, int k) const;
+  bool read_payload(std::FILE* f, int k);
 
   // bf16 and int8 rungs: block b of M and V to fp32 and back.
   void decode_block(int64_t b, int64_t len, float* m, float* v) const;

@@ -26,20 +26,11 @@ class AdamW : public Optimizer {
   std::string name() const override;
   int64_t state_bytes() const override { return core_.state_bytes(); }
 
-  // Exact resume for fp32 moments only; at bf16 and int8 these return
-  // false, so checkpoints carry the weights alone.
-  bool save_state(std::FILE* f, const nn::ParamList& params) const override;
-  bool load_state(std::FILE* f, const nn::ParamList& params) override;
-  bool merge_state(std::FILE* f, const nn::ParamList& params) override;
-
  protected:
   const char* step_trace_name() const override { return "AdamW::step"; }
+  void state_fields(StateCodec& c) override { core_.state_fields(c); }
 
  private:
-  bool serializable() const {
-    return core_.precision() == MomentPrecision::kFp32;
-  }
-
   DenseAdamCore core_;
 };
 

@@ -14,17 +14,22 @@
 
 namespace apollo::optim {
 
+// One AdamW update of `value` from `grad` on the moments `s`, allocated at
+// `precision` on first use; `t` is the 1-based step index used for bias
+// correction.
+void adamw_update(AdamMoments& s, Matrix& value, const Matrix& grad,
+                  const AdamHyper& hp, float lr, int64_t t,
+                  MomentPrecision precision = MomentPrecision::kFp32);
+
 class DenseAdamCore {
  public:
   explicit DenseAdamCore(const AdamHyper& hp,
                          MomentPrecision precision = MomentPrecision::kFp32)
       : hp_(hp), precision_(precision) {}
 
-  // One AdamW update of `value` from `grad`; `t` is the 1-based step index
-  // used for bias correction. State is keyed by `slot` — the parameter's
-  // index in the owning optimizer's ParamList (owners with several moment
-  // sets per parameter map them to disjoint slot ranges). Slots are sparse:
-  // untouched slots hold no state.
+  // adamw_update on the moments keyed by `slot` — the parameter's index in
+  // the owning optimizer's ParamList. Slots are sparse: untouched slots hold
+  // no state.
   void update(int64_t slot, Matrix& value, const Matrix& grad,
               float lr, int64_t t);
 
@@ -36,27 +41,11 @@ class DenseAdamCore {
     return b;
   }
 
-  void reset() { states_.clear(); }
-  // Drop the moments of one slot (ReLoRA's optimizer-state reset on merge).
-  void reset_slot(int64_t slot) {
-    if (slot < static_cast<int64_t>(states_.size()))
-      states_[static_cast<size_t>(slot)] = AdamMoments();
-  }
-
-  // Serialize the fp32 moments of slots [0, n_slots) in order; slots without
-  // state are written as empty matrices. Used by the owning optimizer's
-  // save_state; the record layout matches the old pointer-keyed format, so
-  // existing checkpoints stay byte-compatible.
-  bool save(std::FILE* f, int64_t n_slots) const;
-  // Reads what save wrote for the slots of `params`, keeping state already
-  // merged from other shards; of the incoming records it keeps only the
-  // slots with `world <= 1 || slot % world == rank` (this instance's ZeRO-1
-  // shard) so resident moments stay at 1/R after a full merge pass. Every
-  // record must be empty or have its parameter's shape, whichever shard
-  // keeps it, so all ranks reach the same verdict. A full load is reset()
-  // then load_merge.
-  bool load_merge(std::FILE* f, const nn::ParamList& params, int rank,
-                  int world);
+  // One per-slot section without a present byte: each slot's moments, at
+  // its parameter's shape, or empty when the slot holds none. At fp32 this
+  // is the record layout of the pointer-keyed era, so AdamW checkpoints
+  // stay byte-compatible.
+  void state_fields(StateCodec& c);
 
  private:
   AdamHyper hp_;

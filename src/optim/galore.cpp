@@ -5,6 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "optim/adam_moments.h"
+#include "optim/state_codec.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -44,6 +45,15 @@ void GaLore::step_param(nn::Parameter& p, int slot) {
   update_matrix_param(&p, states_[static_cast<size_t>(slot)]);
 }
 
+void GaLore::state_fields(StateCodec& c) {
+  c.rng(seeder_);
+  c.slots(states_, [&](SubspaceSlot& s, const nn::Parameter& p) {
+    subspace_fields(c, s, p.value, projected(p), cfg_.rank, cfg_.proj,
+                    cfg_.switch_to_random_after, moment_precision());
+  });
+  dense_.state_fields(c);
+}
+
 void GaLore::update_matrix_param(nn::Parameter* p, SubspaceSlot& s) {
   APOLLO_CHECK_SAME_SHAPE(p->value, p->grad);
   const Matrix& g = p->grad;
@@ -53,9 +63,7 @@ void GaLore::update_matrix_param(nn::Parameter* p, SubspaceSlot& s) {
   // --- subspace AdamW ------------------------------------------------------
   const Matrix rg = project(g, proj, s.side);
   const Matrix norm_update =
-      subspace_adam(s, rg, cfg_.hyper,
-                    cfg_.quantize_states ? MomentPrecision::kInt8
-                                         : MomentPrecision::kFp32);
+      subspace_adam(s, rg, cfg_.hyper, moment_precision());
 
   // --- back-projected update ----------------------------------------------
   Matrix update = project_back(norm_update, proj, s.side);

@@ -89,6 +89,9 @@ class GaLore : public Optimizer {
 
  protected:
   const char* step_trace_name() const override { return "GaLore::step"; }
+  // The seeder, every projected slot's subspace record, then the dense
+  // fallback's moments.
+  void state_fields(StateCodec& c) override;
 
  private:
   // Pure routing predicate — nothing shape-dependent to verify.
@@ -98,6 +101,10 @@ class GaLore : public Optimizer {
            std::min(p.value.rows(), p.value.cols()) > cfg_.rank;
   }
   void update_matrix_param(nn::Parameter* p, SubspaceSlot& s);
+  MomentPrecision moment_precision() const {
+    return cfg_.quantize_states ? MomentPrecision::kInt8
+                                : MomentPrecision::kFp32;
+  }
 
   GaloreConfig cfg_;
   std::string display_name_;

@@ -4,6 +4,7 @@
 
 #include "linalg/svd.h"
 #include "nn/parameter.h"
+#include "optim/state_codec.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -11,7 +12,7 @@
 namespace apollo::optim {
 
 LowRankAdapter::LowRankAdapter(const AdapterConfig& cfg)
-    : cfg_(cfg), factor_adam_(cfg.hyper), dense_(cfg.hyper), rng_(cfg.seed) {
+    : cfg_(cfg), dense_(cfg.hyper), rng_(cfg.seed) {
   APOLLO_CHECK(cfg.rank >= 1);
 }
 
@@ -102,7 +103,6 @@ void LowRankAdapter::step_param(nn::Parameter& p, int slot) {
     return;
   }
   State& s = states_[static_cast<size_t>(slot)];
-  const int64_t sub = 3 * static_cast<int64_t>(slot);  // factor_adam_ base
 
   Matrix g = p.grad;  // dense dL/dW
   if (cfg_.kind == AdapterKind::kDora) {
@@ -126,14 +126,14 @@ void LowRankAdapter::step_param(nn::Parameter& p, int slot) {
       float* grow = g.row(i);
       for (int64_t c = 0; c < g.cols(); ++c) grow[c] *= rescale;
     }
-    factor_adam_.update(sub, s.mag, dmag, lr_, s.local_t);
+    adamw_update(s.mag_m, s.mag, dmag, cfg_.hyper, lr_, s.local_t);
   }
 
   // Exact factor gradients for W(+W0) = B·A: dB = G·Aᵀ, dA = Bᵀ·G.
   Matrix db = matmul_bt(g, s.a);
   Matrix da = matmul_at(s.b, g);
-  factor_adam_.update(sub + 1, s.b, db, lr_, s.local_t);
-  factor_adam_.update(sub + 2, s.a, da, lr_, s.local_t);
+  adamw_update(s.b_m, s.b, db, cfg_.hyper, lr_, s.local_t);
+  adamw_update(s.a_m, s.a, da, cfg_.hyper, lr_, s.local_t);
   recompose(&p, s);
 }
 
@@ -156,8 +156,8 @@ void LowRankAdapter::end_step(const nn::ParamList& params) {
                         1.f / std::sqrt(static_cast<float>(s.a.cols())));
       s.b.zero();
       s.local_t = 0;  // restart bias correction with the fresh subspace
-      factor_adam_.reset_slot(3 * static_cast<int64_t>(i) + 2);  // A
-      factor_adam_.reset_slot(3 * static_cast<int64_t>(i) + 1);  // B
+      s.a_m = AdamMoments();
+      s.b_m = AdamMoments();
     }
   }
   Optimizer::end_step(params);
@@ -165,11 +165,36 @@ void LowRankAdapter::end_step(const nn::ParamList& params) {
 
 int64_t LowRankAdapter::state_bytes() const {
   // Factors + their Adam moments + (DoRA) magnitudes.
-  int64_t b = dense_.state_bytes() + factor_adam_.state_bytes();
+  int64_t b = dense_.state_bytes();
   for (const State& s : states_)
     b += (s.a.size() + s.b.size() + s.mag.size()) *
-         static_cast<int64_t>(sizeof(float));
+             static_cast<int64_t>(sizeof(float)) +
+         s.mag_m.bytes() + s.b_m.bytes() + s.a_m.bytes();
   return b;
+}
+
+void LowRankAdapter::state_fields(StateCodec& c) {
+  using Keep = StateCodec::Keep;
+  c.rng(rng_);
+  c.slots(states_, [&](State& s, const nn::Parameter& p) {
+    if (!c.present(s.initialized)) return;
+    c.scalar(s.local_t);
+    c.check(adapted(p) && s.local_t >= 0);
+    if (!c.ok()) return;
+    s.initialized = true;
+    const int64_t out = p.value.rows(), in = p.value.cols(), r = cfg_.rank;
+    const bool lora = cfg_.kind != AdapterKind::kFactorized;
+    const bool dora = cfg_.kind == AdapterKind::kDora;
+    c.matrix(s.w0, lora ? out : 0, lora ? in : 0);
+    c.matrix(s.a, r, in, Keep::kEveryRank);
+    c.matrix(s.b, out, r, Keep::kEveryRank);
+    c.matrix(s.mag, dora ? out : 0, dora ? 1 : 0, Keep::kEveryRank);
+    // ReLoRA's restart drops A's and B's moments until the next step.
+    c.moments(s.mag_m, out, 1, MomentPrecision::kFp32, /*may_be_empty=*/true);
+    c.moments(s.b_m, out, r, MomentPrecision::kFp32, /*may_be_empty=*/true);
+    c.moments(s.a_m, r, in, MomentPrecision::kFp32, /*may_be_empty=*/true);
+  });
+  dense_.state_fields(c);
 }
 
 }  // namespace apollo::optim

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "nn/parameter.h"
+#include "optim/adam_moments.h"
 #include "optim/dense_adam.h"
 #include "optim/optimizer.h"
 #include "tensor/matrix.h"
@@ -57,6 +58,12 @@ class LowRankAdapter : public Optimizer {
   const char* step_trace_name() const override {
     return "LowRankAdapter::step";
   }
+  // rng_, each initialized slot's record (step count, w0/a/b/mag, the
+  // factor moments), then the dense fallback's moments. Every rank keeps
+  // every slot's factors a/b/mag, as a run that never stopped does: ReLoRA's
+  // restart draws from rng_ by their shapes, so a rank missing one would
+  // part from the others' stream.
+  void state_fields(StateCodec& c) override;
 
  private:
   struct State {
@@ -64,6 +71,7 @@ class LowRankAdapter : public Optimizer {
     Matrix a;       // r×in
     Matrix b;       // out×r
     Matrix mag;     // out×1 row magnitudes (kDora only)
+    AdamMoments mag_m, b_m, a_m;  // the factors' moments
     int64_t local_t = 0;
     bool initialized = false;
   };
@@ -78,9 +86,6 @@ class LowRankAdapter : public Optimizer {
   void recompose(nn::Parameter* p, State& s);
 
   AdapterConfig cfg_;
-  // Moments for the factors live in factor_adam_ under fixed sub-slots per
-  // parameter slot: mag = 3·slot, B = 3·slot+1, A = 3·slot+2.
-  DenseAdamCore factor_adam_;
   DenseAdamCore dense_;        // 1-D fallback (keyed by the param slot)
   std::vector<State> states_;  // indexed by slot
   Rng rng_;

@@ -3,6 +3,7 @@
 #include <climits>
 
 #include "obs/trace.h"
+#include "optim/state_codec.h"
 #include "tensor/check.h"
 #include "tensor/finite.h"
 
@@ -42,6 +43,34 @@ void Optimizer::step(const nn::ParamList& params) {
   for (size_t i = 0; i < params.size(); ++i)
     step_param(*params[i], static_cast<int>(i));
   end_step(params);
+}
+
+// The codec checks every field it reads against `params`.
+// lint:allow(check-shape-preconditions)
+bool Optimizer::run_codec(std::FILE* f, const nn::ParamList& params,
+                          CodecMode mode) {
+  StateCodec c(f, mode, params, shard_rank_, shard_world_);
+  c.scalar(t_);
+  c.check(t_ >= 0);
+  state_fields(c);
+  return c.ok();
+}
+
+// Saving runs the same field list as reading; the codec only reads the
+// fields then, so the cast never changes this optimizer.
+// lint:allow(check-shape-preconditions)
+bool Optimizer::save_state(std::FILE* f, const nn::ParamList& params) const {
+  return const_cast<Optimizer*>(this)->run_codec(f, params, CodecMode::kSave);
+}
+
+// lint:allow(check-shape-preconditions)
+bool Optimizer::load_state(std::FILE* f, const nn::ParamList& params) {
+  return run_codec(f, params, CodecMode::kLoad);
+}
+
+// lint:allow(check-shape-preconditions)
+bool Optimizer::merge_state(std::FILE* f, const nn::ParamList& params) {
+  return run_codec(f, params, CodecMode::kMerge);
 }
 
 }  // namespace apollo::optim

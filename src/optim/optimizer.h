@@ -28,7 +28,8 @@
 // Per-parameter state is keyed by the parameter's *slot* — its index in the
 // canonical ParamList — which also fixes the save_state/load_state record
 // order (unchanged from the pointer-keyed era, so v3 checkpoints stay
-// byte-compatible).
+// byte-compatible). Every optimizer serializes through one codec
+// (optim/state_codec.h) over the fields its state_fields hook lists.
 //
 // step(params) remains as a thin compatibility loop over the streaming API.
 #pragma once
@@ -41,6 +42,9 @@
 #include "nn/parameter.h"
 
 namespace apollo::optim {
+
+class StateCodec;
+enum class CodecMode { kSave, kLoad, kMerge };
 
 class Optimizer {
  public:
@@ -69,20 +73,14 @@ class Optimizer {
   virtual std::string name() const = 0;
   virtual int64_t state_bytes() const = 0;
 
-  // Optional state serialization for exact training resume. `params` fixes
-  // the key order (states are stored per-slot in list order). An
-  // optimizer without support returns false; checkpoints then carry only
-  // the weights. Implemented by AdamW and the APOLLO series.
-  // Default no-ops never touch the arguments, so there is nothing to check.
-  // lint:allow(check-shape-preconditions)
-  virtual bool save_state(std::FILE* /*f*/,
-                          const nn::ParamList& /*params*/) const {
-    return false;
-  }
-  // lint:allow(check-shape-preconditions)
-  virtual bool load_state(std::FILE* /*f*/, const nn::ParamList& /*params*/) {
-    return false;
-  }
+  // State serialization for exact training resume, one format for every
+  // optimizer (optim/state_codec.h): t_, then the fields state_fields
+  // lists. `params` fixes the slot order and every field's expected shape.
+  // False on a short write, or on bytes that do not describe state these
+  // parameters could hold. Virtual only so a wrapper can forward to the
+  // optimizer it wraps; no optimizer overrides them.
+  virtual bool save_state(std::FILE* f, const nn::ParamList& params) const;
+  virtual bool load_state(std::FILE* f, const nn::ParamList& params);
 
   // --- ZeRO-1 optimizer-state sharding (src/dist) ------------------------
   // Restricts state *ownership* to the slots with `slot % world == rank`.
@@ -95,18 +93,14 @@ class Optimizer {
     return shard_world_ <= 1 || slot % shard_world_ == shard_rank_;
   }
 
-  // Merge-loads one rank's state shard (a blob previously written by that
-  // rank's save_state under its shard configuration) WITHOUT clearing state
-  // already merged from other shards. Sharded optimizers keep per-slot
-  // metadata (projection seeds, per-slot step counts) for every slot in the
-  // shard but heavy moment matrices only for slots this instance owns, so a
-  // full merge pass reconstructs the exact pre-crash trajectory at 1/R
-  // resident bytes — and redistributes ownership when the world shrank.
-  // Default: unsupported.
-  // lint:allow(check-shape-preconditions)
-  virtual bool merge_state(std::FILE* /*f*/, const nn::ParamList& /*params*/) {
-    return false;
-  }
+  // Merge-loads one rank's state shard (a blob that rank's save_state wrote
+  // under its shard configuration) WITHOUT clearing state already merged
+  // from other shards: per-slot metadata (step counts, projection seeds)
+  // for every slot in the shard, heavy fields (moments, projectors) only for
+  // the slots this instance owns. A full merge pass reconstructs the exact
+  // pre-crash trajectory at 1/R resident bytes, and redistributes ownership
+  // when the world changed width.
+  virtual bool merge_state(std::FILE* f, const nn::ParamList& params);
 
   // Recovery hooks used by the divergence watchdog (train/resilience.h).
   // `reseed_projection` deterministically re-derives any internal
@@ -132,10 +126,18 @@ class Optimizer {
   // tracer stores the pointer, obs/trace.h).
   virtual const char* step_trace_name() const { return "Optimizer::step"; }
 
+  // Lists this optimizer's state for the codec, in file order: header
+  // fields (Rng streams), then per-slot sections. The default lists nothing,
+  // so a stateless optimizer saves t_ alone.
+  virtual void state_fields(StateCodec& /*c*/) {}
+
   float lr_ = 1e-3f;
   int64_t t_ = 0;
   int shard_rank_ = 0;
   int shard_world_ = 1;
+
+ private:
+  bool run_codec(std::FILE* f, const nn::ParamList& params, CodecMode mode);
 };
 
 // Hyper-parameters shared by every Adam-derived method (paper defaults).

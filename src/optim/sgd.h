@@ -9,6 +9,7 @@
 
 #include "nn/parameter.h"
 #include "optim/optimizer.h"
+#include "optim/state_codec.h"
 #include "tensor/check.h"
 #include "tensor/matrix.h"
 #include "tensor/ops.h"
@@ -53,6 +54,14 @@ class Sgd : public Optimizer {
 
  protected:
   const char* step_trace_name() const override { return "Sgd::step"; }
+  // With momentum, each touched slot's buffer at its parameter's shape.
+  void state_fields(StateCodec& c) override {
+    if (momentum_ == 0.f) return;
+    c.slots(momentum_buf_, [&](Matrix& buf, const nn::Parameter& p) {
+      if (c.present(buf.size() > 0))
+        c.matrix(buf, p.value.rows(), p.value.cols());
+    });
+  }
 
  private:
   float momentum_;

@@ -60,4 +60,16 @@ Matrix subspace_adam(SubspaceSlot& s, const Matrix& rg, const AdamHyper& hp,
 // 8-byte seed, and the limiter's tracked norm when `limiter`.
 int64_t slot_bytes(const SubspaceSlot& s, bool limiter);
 
+// One slot's state-codec record (optim/state_codec.h): a present byte (the
+// slot has taken a step), u8 side, u64 projection seed, i64 step count, f64
+// limiter norm, the projector and the moments. The slot's weight `w` must
+// be `projected`; the projector is r×(rows or cols of w, by side) when the
+// slot's last step used an SVD one (proj and random_after as advance_slot
+// takes them, so a GoLore slot past its switch holds none) and 0×0
+// otherwise; the moments are r×cols (left) or rows×r (right) at
+// `precision`.
+void subspace_fields(StateCodec& c, SubspaceSlot& s, const Matrix& w,
+                     bool projected, int64_t rank, ProjKind proj,
+                     int64_t random_after, MomentPrecision precision);
+
 }  // namespace apollo::optim

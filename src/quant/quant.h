@@ -51,7 +51,7 @@ class GroupQuantized {
   int64_t group() const { return group_; }
   int64_t num_groups() const { return static_cast<int64_t>(scales_.size()); }
 
-  // Raw payload access for checkpoint serialization (QuantizedWeightStore).
+  // Raw payload: the codes and one scale per group.
   const std::vector<int8_t>& codes() const { return q_; }
   const std::vector<float>& scales() const { return scales_; }
   static GroupQuantized from_payload(int64_t rows, int64_t cols, int64_t group,
@@ -105,6 +105,13 @@ class BlockQuantized {
     return static_cast<int64_t>(q_.size()) +
            static_cast<int64_t>(scales_.size()) * 4;
   }
+
+  // Raw payload for optimizer-state checkpoints (optim::AdamMoments):
+  // rows·cols codes and num_blocks() scales.
+  int8_t* codes() { return q_.data(); }
+  const int8_t* codes() const { return q_.data(); }
+  float* scales() { return scales_.data(); }
+  const float* scales() const { return scales_.data(); }
 
  private:
   int64_t rows_ = 0, cols_ = 0, block_ = 128;

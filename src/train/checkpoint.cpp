@@ -30,11 +30,10 @@ CheckpointResult fail(const std::string& msg) {
 // Writes the full v3 payload into an already-open temp file; returns "" or
 // what failed. `step` is forwarded to the fault-injection hooks. Sets
 // *opt_section_off to the file offset where the optimizer section begins
-// (for the bitflip_opt fault) and *saved_state when that section carries
-// optimizer state.
+// (for the bitflip_opt fault).
 std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
-                          const optim::Optimizer* opt, long* opt_section_off,
-                          bool* saved_state) {
+                          const optim::Optimizer* opt,
+                          long* opt_section_off) {
   CrcWriter w(f);
   auto params = model.parameters();
   const uint32_t count = static_cast<uint32_t>(params.size());
@@ -70,10 +69,11 @@ std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
 
   *opt_section_off = std::ftell(f);
   OptimizerBlob blob;
-  *saved_state = opt != nullptr && capture_optimizer_blob(*opt, params, &blob);
-  const uint8_t has_opt = *saved_state ? 1 : 0;
+  if (opt != nullptr && !capture_optimizer_blob(*opt, params, &blob))
+    return "write failed (optimizer state)";
+  const uint8_t has_opt = opt != nullptr ? 1 : 0;
   w.write_pod(has_opt);
-  if (*saved_state) {
+  if (opt != nullptr) {
     const std::string name = opt->name();
     const uint32_t name_len = static_cast<uint32_t>(name.size());
     w.write_pod(name_len);
@@ -143,17 +143,15 @@ CheckpointResult save_checkpoint(const std::string& path,
   for (int attempt = 0; attempt < kSaveAttempts; ++attempt) {
     if (attempt > 0) backoff_sleep(attempt - 1);
     long opt_section_off = 0;
-    bool saved_state = false;
     err = commit_file(path, [&](std::FILE* f) {
-      return write_payload(f, model, step, opt, &opt_section_off,
-                           &saved_state);
+      return write_payload(f, model, step, opt, &opt_section_off);
     });
     if (err.empty()) {
       apply_post_commit_faults(path, step, opt_section_off);
       CheckpointResult r;
       r.ok = true;
       r.step = step;
-      r.optimizer_state_restored = saved_state;  // saved, symmetrically
+      r.optimizer_state_restored = opt != nullptr;  // saved, symmetrically
       return r;
     }
   }

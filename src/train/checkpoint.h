@@ -36,10 +36,9 @@ struct CheckpointResult {
   std::string error;
 };
 
-// Saves weights; when `opt` is non-null and supports serialization, its
-// state is appended (AdamW and the APOLLO series do; others save weights
-// only). Write-temp → fsync → atomic-rename, with bounded retry on
-// transient I/O errors.
+// Saves weights, and the state of `opt` when it is non-null (every
+// optimizer's, through Optimizer::save_state). Write-temp → fsync →
+// atomic-rename, with bounded retry on transient I/O errors.
 CheckpointResult save_checkpoint(const std::string& path,
                                  nn::LlamaModel& model, int64_t step,
                                  const optim::Optimizer* opt = nullptr);

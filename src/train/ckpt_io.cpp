@@ -48,11 +48,11 @@ bool capture_optimizer_blob(const optim::Optimizer& opt,
   size_t len = 0;
   std::FILE* mf = open_memstream(&buf, &len);
   if (mf == nullptr) return false;
-  const bool supported = opt.save_state(mf, params);
+  const bool saved = opt.save_state(mf, params);
   std::fclose(mf);
   out->bytes.reset(buf);
   out->size = len;
-  return supported;
+  return saved;
 }
 
 }  // namespace apollo::train

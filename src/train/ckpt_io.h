@@ -50,8 +50,8 @@ struct OptimizerBlob {
 };
 
 // Serializes the optimizer state into memory so a section can
-// length-prefix and checksum it. Returns false when the optimizer does not
-// support serialization. First gives the thread's cached Matrix storage
+// length-prefix and checksum it. Returns false when the state could not be
+// written (save_state failed). First gives the thread's cached Matrix storage
 // back to malloc: the blob is the one large allocation of a training step
 // that is not a Matrix, and it should reuse those pages rather than grow
 // the process.

@@ -1,6 +1,7 @@
 #include "train/resilience.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -56,21 +57,32 @@ double DivergenceWatchdog::running_median() const {
 
 namespace {
 
+// Parses the decimal digits s[b, e) into *out. False when there are none,
+// a character is not a digit, or the value passes INT_MAX: steps, ranks and
+// widths are ints in the trainer.
+bool parse_digits(const std::string& s, size_t b, size_t e, int* out) {
+  if (e <= b) return false;
+  int64_t v = 0;
+  for (size_t i = b; i < e; ++i) {
+    if (s[i] < '0' || s[i] > '9') return false;
+    v = v * 10 + (s[i] - '0');
+    if (v > INT_MAX) return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool has_ckpt_affixes(const std::string& name) {
+  return name.rfind("ckpt_", 0) == 0 && name.size() > 10 &&
+         name.compare(name.size() - 5, 5, ".aplo") == 0;
+}
+
 // Parses `ckpt_<step>.aplo` filenames; returns -1 for anything else.
 int64_t step_of_filename(const std::string& name) {
-  constexpr const char* kPrefix = "ckpt_";
-  constexpr const char* kSuffix = ".aplo";
-  if (name.rfind(kPrefix, 0) != 0) return -1;
-  const size_t suffix_at = name.size() >= 5 ? name.size() - 5 : 0;
-  if (name.compare(suffix_at, 5, kSuffix) != 0) return -1;
-  int64_t step = 0;
-  const size_t digits_begin = 5;  // strlen("ckpt_")
-  if (suffix_at <= digits_begin) return -1;
-  for (size_t i = digits_begin; i < suffix_at; ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    step = step * 10 + (name[i] - '0');
-  }
-  return step;
+  int step = 0;
+  return has_ckpt_affixes(name) && parse_digits(name, 5, name.size() - 5, &step)
+             ? step
+             : -1;
 }
 
 }  // namespace
@@ -161,6 +173,21 @@ ResumeResult resume_newest_first(const std::string& dir,
   return rr;
 }
 
+// Loads the weights file named for `step`, refusing one whose header holds
+// another step (a renamed copy would resume elsewhere than its name says).
+// False with the reason in *why.
+bool load_named(const std::string& dir, int64_t step, nn::LlamaModel& model,
+                optim::Optimizer* opt, CheckpointResult* r,
+                std::string* why) {
+  const std::string path = CheckpointRotator::path_for(dir, step);
+  *r = load_checkpoint(path, model, opt);
+  if (r->ok && r->step == step) return true;
+  *why = path + ": " +
+         (r->ok ? "step mismatch: holds " + std::to_string(r->step)
+                : r->error);
+  return false;
+}
+
 }  // namespace
 
 ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
@@ -168,12 +195,8 @@ ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
   return resume_newest_first(
       dir, model, "checkpoint",
       [&](int64_t step, ResumeResult* rr, std::string* why) {
-        const std::string path = CheckpointRotator::path_for(dir, step);
-        const CheckpointResult r = load_checkpoint(path, model, opt);
-        if (!r.ok) {
-          *why = path + ": " + r.error;
-          return false;
-        }
+        CheckpointResult r;
+        if (!load_named(dir, step, model, opt, &r, why)) return false;
         rr->step = r.step;
         rr->optimizer_state_restored = r.optimizer_state_restored;
         return true;
@@ -191,35 +214,18 @@ constexpr uint32_t kShardVersion = 1;
 // Parses `ckpt_<step>.shard<rank>of<world>.aplo`; false for anything else.
 bool parse_shard_filename(const std::string& name, int64_t* step, int* rank,
                           int* world) {
-  const auto digits = [](const std::string& s, size_t b, size_t e,
-                         int64_t* out) {
-    if (e <= b) return false;
-    int64_t v = 0;
-    for (size_t i = b; i < e; ++i) {
-      if (s[i] < '0' || s[i] > '9') return false;
-      v = v * 10 + (s[i] - '0');
-      if (v > (int64_t{1} << 40)) return false;
-    }
-    *out = v;
-    return true;
-  };
-  if (name.rfind("ckpt_", 0) != 0) return false;
-  if (name.size() < 5 || name.compare(name.size() - 5, 5, ".aplo") != 0)
-    return false;
+  if (!has_ckpt_affixes(name)) return false;
   const size_t shard_at = name.find(".shard");
   if (shard_at == std::string::npos) return false;
   const size_t of_at = name.find("of", shard_at + 6);
   if (of_at == std::string::npos) return false;
-  int64_t s = 0, r = 0, w = 0;
-  if (!digits(name, 5, shard_at, &s) ||
-      !digits(name, shard_at + 6, of_at, &r) ||
-      !digits(name, of_at + 2, name.size() - 5, &w))
+  int s = 0;
+  if (!parse_digits(name, 5, shard_at, &s) ||
+      !parse_digits(name, shard_at + 6, of_at, rank) ||
+      !parse_digits(name, of_at + 2, name.size() - 5, world))
     return false;
-  if (w < 1 || r >= w) return false;
   *step = s;
-  *rank = static_cast<int>(r);
-  *world = static_cast<int>(w);
-  return true;
+  return *world >= 1 && *rank < *world;
 }
 
 }  // namespace
@@ -239,8 +245,7 @@ bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
   };
   OptimizerBlob blob;
   if (!capture_optimizer_blob(opt, params, &blob))
-    return fail("optimizer '" + opt.name() +
-                "' does not support state serialization");
+    return fail("write failed (optimizer state): " + path);
   const std::string e = commit_file(path, [&](std::FILE* f) {
     CrcWriter w(f);
     w.write_raw(kShardMagic, sizeof kShardMagic);
@@ -261,8 +266,9 @@ bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
 }
 
 bool read_state_shard(const std::string& path, int64_t expect_step,
-                      int expect_rank, int* world_out, std::string* opt_name,
-                      std::vector<char>* blob, std::string* err) {
+                      int expect_rank, int expect_world,
+                      std::string* opt_name, std::vector<char>* blob,
+                      std::string* err) {
   const auto fail = [err, &path](const std::string& msg) {
     if (err != nullptr) *err = path + ": " + msg;
     return false;
@@ -289,6 +295,8 @@ bool read_state_shard(const std::string& path, int64_t expect_step,
     return fail("step mismatch: holds " + std::to_string(step));
   if (static_cast<int>(rank) != expect_rank)
     return fail("rank mismatch: holds " + std::to_string(rank));
+  if (static_cast<int>(world) != expect_world)
+    return fail("world mismatch: holds " + std::to_string(world));
   std::vector<char> bytes;
   std::string bad_length;
   if (!rd.read_blob(&bytes, &bad_length))
@@ -299,7 +307,6 @@ bool read_state_shard(const std::string& path, int64_t expect_step,
   if (std::fread(end, 1, sizeof end, f.get()) != sizeof end ||
       std::memcmp(end, kShardEndMagic, sizeof end) != 0)
     return fail("missing end magic");
-  if (world_out != nullptr) *world_out = static_cast<int>(world);
   if (opt_name != nullptr) *opt_name = std::move(name);
   if (blob != nullptr) *blob = std::move(bytes);
   return true;
@@ -387,34 +394,35 @@ ResumeResult auto_resume_ddp(const std::string& dir, nn::LlamaModel& model,
         // transient cost is one unsharded optimizer footprint, paid only
         // during resume.
         std::vector<std::vector<char>> blobs(static_cast<size_t>(w));
+        std::string saved_by;
         for (int r = 0; r < w; ++r)
-          if (!read_state_shard(shard_path_for(dir, step, r, w), step, r,
-                                nullptr, nullptr,
-                                &blobs[static_cast<size_t>(r)], why))
+          if (!read_state_shard(shard_path_for(dir, step, r, w), step, r, w,
+                                &saved_by, &blobs[static_cast<size_t>(r)],
+                                why))
             return false;
-        const CheckpointResult wres = load_checkpoint(wpath, model, nullptr);
-        if (!wres.ok) {
-          *why = wpath + ": " + wres.error;
-          return false;
-        }
+        CheckpointResult wres;
+        if (!load_named(dir, step, model, nullptr, &wres, why)) return false;
+        // As in a single-process load, another optimizer's state is not
+        // ours to merge: the weights resume alone.
+        const bool ours = opt != nullptr && saved_by == opt->name();
         const nn::ParamList params = model.parameters();
-        bool merged = opt != nullptr;
+        bool merged = ours;
         for (int r = 0; r < w && merged; ++r) {
           std::vector<char>& blob = blobs[static_cast<size_t>(r)];
           std::FILE* mf = fmemopen(blob.data(), blob.size(), "rb");
           merged = mf != nullptr && opt->merge_state(mf, params);
           if (mf != nullptr) std::fclose(mf);
         }
-        if (opt != nullptr && !merged) {
+        if (ours && !merged) {
           // CRC-valid bytes failing the structured parse means a writer bug
-          // or an optimizer-family mismatch: resuming older state underneath
-          // a half-merged optimizer would silently corrupt the trajectory.
+          // or crafted bytes: resuming older state underneath a half-merged
+          // optimizer would silently corrupt the trajectory.
           rr->error = "optimizer shard merge failed at step " +
                       std::to_string(step) + " in " + dir;
           return false;
         }
         rr->step = wres.step;
-        rr->optimizer_state_restored = opt != nullptr;
+        rr->optimizer_state_restored = ours;
         return true;
       });
 }

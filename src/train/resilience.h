@@ -138,8 +138,10 @@ struct ResumeResult {
 };
 
 // Scans `dir` newest-to-oldest and loads the first checkpoint that passes
-// all CRC/shape validation, skipping corrupt ones with a readable reason
-// (each skip increments the `ckpt.corrupt_skipped` registry counter).
+// all CRC/shape validation and whose header holds the step its name gives,
+// skipping the others with a readable reason (each skip increments the
+// `ckpt.corrupt_skipped` registry counter). Names whose step passes INT_MAX
+// are not checkpoints and are not listed.
 // An empty or missing directory resumes nothing and is not an error.
 ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
                          optim::Optimizer* opt);
@@ -160,17 +162,19 @@ ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
 std::string shard_path_for(const std::string& dir, int64_t step, int rank,
                            int world);
 
-// Atomically writes one rank's optimizer shard. The optimizer must be
-// serializable (save_state true) — DDP training requires it.
+// Atomically writes one rank's optimizer shard: what Optimizer::save_state
+// writes under that rank's shard configuration.
 bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
                       const nn::ParamList& params, int64_t step, int rank,
                       int world, std::string* err);
 
-// Validates one shard file end-to-end (magic, CRCs, step/rank match) and
-// hands back the raw optimizer blob + the world size it was saved under.
+// Validates one shard file end-to-end (magic, CRCs, and the step, rank and
+// world its name gives) and hands back the name of the optimizer that wrote
+// it and the raw optimizer blob.
 bool read_state_shard(const std::string& path, int64_t expect_step,
-                      int expect_rank, int* world_out, std::string* opt_name,
-                      std::vector<char>* blob, std::string* err);
+                      int expect_rank, int expect_world,
+                      std::string* opt_name, std::vector<char>* blob,
+                      std::string* err);
 
 // World size of the complete shard set stored for `step`: the largest W
 // such that all of shard0..shard(W-1) exist. 0 when none is complete.
@@ -201,10 +205,11 @@ class DdpCheckpointRotator {
 // steps (same skip counting and weight restore), where each step requires
 // a fully CRC-valid shard set (validated in memory *before* any state is
 // merged, so a bad set never leaves the optimizer half-merged), loads the
-// weights, then merges every shard in rank order through
-// Optimizer::merge_state under the optimizer's current shard configuration
-// — which redistributes ownership when the world width changed. Every rank
-// performs the identical scan and reaches the identical verdict.
+// weights, then, when the set was written by an optimizer of `opt`'s name,
+// merges every shard in rank order through Optimizer::merge_state under the
+// optimizer's current shard configuration — which redistributes ownership
+// when the world width changed. Every rank performs the identical scan and
+// reaches the identical verdict.
 ResumeResult auto_resume_ddp(const std::string& dir, nn::LlamaModel& model,
                              optim::Optimizer* opt);
 

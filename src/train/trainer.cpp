@@ -84,6 +84,7 @@ TrainResult Trainer::run() {
   const std::string who =
       comm_ != nullptr ? "rank " + std::to_string(rank) + " " : "";
   int start_step = 0;
+  int64_t last_ckpt_step = -1;  // the watchdog's rollback target
   if (rotating && rc.auto_resume) {
     ResumeResult rr = comm_ != nullptr
                           ? auto_resume_ddp(rc.ckpt_dir, model_, &opt_)
@@ -95,6 +96,8 @@ TrainResult Trainer::run() {
     if (rr.resumed) {
       start_step = static_cast<int>(rr.step);
       res.resumed_from_step = rr.step;
+      // Newer files the scan skipped are no rollback target.
+      last_ckpt_step = rr.step;
       // Checkpoints carry fp32 weights; absorb them back into the INT8
       // store so the streaming per-slot requantization resumes from the
       // restored trajectory instead of the construction-time codes.
@@ -131,8 +134,7 @@ TrainResult Trainer::run() {
   LrBackoff backoff(rc.wd.lr_backoff, rc.wd.min_history);
   int retries = 0;
   bool limiter_tightened = false;
-  int64_t last_ckpt_step = -1;
-  if (rotating) {
+  if (rotating && last_ckpt_step < 0) {
     const std::vector<int64_t> existing =
         CheckpointRotator::list_steps(rc.ckpt_dir);
     if (!existing.empty()) {

@@ -27,11 +27,11 @@
 //            all-gather of every weight).
 //
 // Armed with the watchdog on, neither driver steps a slot whose recorded
-// gradient norm is not finite: the trainer rolls such a step back, and a
-// NaN stepped into optimizer state or the INT8 residuals would outlive the
-// rollback wherever the checkpoint does not carry that state. The fused
-// driver steps slots inside backward, before the step's gradient norm is
-// known, so this per-slot guard is what keeps its state clean.
+// gradient norm is not finite: the trainer rolls such a step back. The
+// fused driver steps slots inside backward, before the step's gradient
+// norm is known, so this per-slot guard is what keeps the NaN out of its
+// optimizer state and INT8 residuals; the rollback restores both (the
+// state from the checkpoint, the codes by requantizing the weights).
 //
 // Under a world (dist::Communicator) slot i is owned by rank i % W, the
 // ZeRO-1 shard of Optimizer::owns_slot. After the reduce-scatter only the

@@ -7,16 +7,20 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/apollo.h"
+#include "core/factory.h"
 #include "fault/crc32.h"
 #include "optim/adamw.h"
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
+#include "tensor/simd/simd.h"
 #include "train/checkpoint.h"
 #include "train/resilience.h"
 
@@ -348,6 +352,11 @@ class BlobBuilder {
     EXPECT_TRUE(write_matrix(f_, rows == 0 ? Matrix() : Matrix(rows, cols)));
     return *this;
   }
+  BlobBuilder& zeros(int64_t n) {
+    EXPECT_TRUE(write_bytes(f_, std::vector<char>(static_cast<size_t>(n)).data(),
+                            static_cast<size_t>(n)));
+    return *this;
+  }
   std::vector<char> bytes() {
     std::vector<char> out(static_cast<size_t>(std::ftell(f_)));
     std::rewind(f_);
@@ -376,32 +385,114 @@ std::vector<char> adamw_blob(const nn::ParamList& params, Shape shape) {
   return b.bytes();
 }
 
-// The first slot APOLLO projects at its default rank 4.
+// The first slot APOLLO, GaLore and the adapters project at rank 4.
 size_t first_projected(const nn::ParamList& params) {
   for (size_t i = 0; i < params.size(); ++i)
     if (params[i]->matrix_shaped &&
-        std::min(params[i]->value.rows(), params[i]->value.cols()) >= 4)
+        std::min(params[i]->value.rows(), params[i]->value.cols()) > 4)
       return i;
   ADD_FAILURE() << "no projected slot";
   return 0;
 }
 
-// APOLLO state after one step in which only the first projected slot has a
-// record (random projection: no stored projector), with the given side byte
-// and moment shapes, and no dense moments.
-std::vector<char> apollo_blob(const nn::ParamList& params, uint8_t side,
-                              Shape m, Shape v) {
+using RecordFn = std::function<void(BlobBuilder&, const nn::Parameter&)>;
+
+// State after one step in which only the first projected slot has a record,
+// `record`; every other slot writes `none` (the absent record). `rng` adds
+// the header Rng, and `dense` the dense fallback's section of empty moments.
+std::vector<char> one_slot_blob(const nn::ParamList& params, bool rng,
+                                const RecordFn& record,
+                                const std::function<void(BlobBuilder&)>& none,
+                                bool dense) {
   const size_t slot = first_projected(params);
   BlobBuilder b;
-  b.pod(int64_t{1}).rng(Rng(1).state());
-  for (size_t i = 0; i < params.size(); ++i) {
-    b.pod(static_cast<uint8_t>(i == slot ? 1 : 0));
-    if (i != slot) continue;
-    b.pod(side).pod(uint64_t{7}).pod(int64_t{1}).pod(-1.0);
-    b.matrix(0, 0).matrix(m.rows, m.cols).matrix(v.rows, v.cols);
-  }
-  for (size_t i = 0; i < params.size(); ++i) b.matrix(0, 0).matrix(0, 0);
+  b.pod(int64_t{1});
+  if (rng) b.rng(Rng(1).state());
+  for (size_t i = 0; i < params.size(); ++i)
+    i == slot ? record(b, *params[i]) : none(b);
+  if (dense)
+    for (size_t i = 0; i < params.size(); ++i) b.matrix(0, 0).matrix(0, 0);
   return b.bytes();
+}
+
+void absent(BlobBuilder& b) { b.pod(uint8_t{0}); }
+void empty_moments(BlobBuilder& b) { b.matrix(0, 0).matrix(0, 0); }
+
+// APOLLO or GaLore state whose record holds the given side byte, step
+// count, projector and moment shapes.
+std::vector<char> subspace_blob(const nn::ParamList& params, uint8_t side,
+                                int64_t local_t, Shape proj, Shape m,
+                                Shape v) {
+  return one_slot_blob(
+      params, true,
+      [&](BlobBuilder& b, const nn::Parameter&) {
+        b.pod(uint8_t{1}).pod(side).pod(uint64_t{7}).pod(local_t).pod(-1.0);
+        b.matrix(proj.rows, proj.cols)
+            .matrix(m.rows, m.cols)
+            .matrix(v.rows, v.cols);
+      },
+      absent, true);
+}
+
+std::vector<char> apollo_blob(const nn::ParamList& params, uint8_t side,
+                              Shape m, Shape v) {
+  return subspace_blob(params, side, 1, {0, 0}, m, v);
+}
+
+// One low-precision moment: the rows×cols header, zero bf16 codes or zero
+// int8 codes, and (int8) `blocks` zero scales.
+void bf16_moment(BlobBuilder& b, Shape s) {
+  b.pod(s.rows).pod(s.cols).zeros(2 * s.rows * s.cols);
+}
+void int8_moment(BlobBuilder& b, Shape s, int64_t blocks) {
+  b.pod(s.rows).pod(s.cols).zeros(s.rows * s.cols).pod(blocks).zeros(4 * blocks);
+}
+
+// AdamW state at bf16 or int8 moments for the first projected slot, whose
+// moments are `s` (int8: with `blocks` scales).
+std::vector<char> low_precision_blob(const nn::ParamList& params, bool int8,
+                                     Shape s, int64_t blocks) {
+  return one_slot_blob(
+      params, false,
+      [&](BlobBuilder& b, const nn::Parameter&) {
+        for (int k = 0; k < 2; ++k)
+          int8 ? int8_moment(b, s, blocks) : bf16_moment(b, s);
+      },
+      empty_moments, false);
+}
+
+// Adam-mini state whose first projected slot holds M of `m`, V of `v`.
+std::vector<char> adam_mini_blob(const nn::ParamList& params, Shape m,
+                                 Shape v) {
+  return one_slot_blob(
+      params, false,
+      [&](BlobBuilder& b, const nn::Parameter&) {
+        b.pod(uint8_t{1}).matrix(m.rows, m.cols).matrix(v.rows, v.cols);
+      },
+      absent, false);
+}
+
+// LoRA state whose first adapted slot holds A of `a` (rank 4 fits).
+std::vector<char> lora_blob(const nn::ParamList& params, Shape a) {
+  return one_slot_blob(
+      params, true,
+      [&](BlobBuilder& b, const nn::Parameter& p) {
+        const int64_t out = p.value.rows(), in = p.value.cols();
+        b.pod(uint8_t{1}).pod(int64_t{1});
+        b.matrix(out, in).matrix(a.rows, a.cols).matrix(out, 4).matrix(0, 0);
+        for (int k = 0; k < 3; ++k) empty_moments(b);
+      },
+      absent, true);
+}
+
+// SGD-momentum state whose first projected slot holds a buffer of `s`.
+std::vector<char> sgd_blob(const nn::ParamList& params, Shape s) {
+  return one_slot_blob(
+      params, false,
+      [&](BlobBuilder& b, const nn::Parameter&) {
+        b.pod(uint8_t{1}).matrix(s.rows, s.cols);
+      },
+      absent, false);
 }
 
 // The r×n moments a left-projected slot holds at rank 4.
@@ -413,40 +504,68 @@ TEST(CraftedState, WrongShapedMomentsFailTheLoadCleanly) {
   nn::LlamaModel model(tiny(), 1);
   const nn::ParamList params = model.parameters();
   const Shape fit = left_moments(params);
+  const nn::Parameter& w = *params[first_projected(params)];
+  const Shape shape{w.value.rows(), w.value.cols()};
+  const Shape proj{4, w.value.rows()};  // a left SVD projector
+  const int64_t blocks = (shape.rows * shape.cols + 127) / 128;
   struct Case {
     const char* label;
-    bool apollo;
+    const char* optimizer;  // factory name
     std::vector<char> blob;
     bool loads;
   };
   const Case cases[] = {
-      {"AdamW, parameter-shaped moments", false, adamw_blob(params, {0, 0}),
+      {"AdamW, parameter-shaped moments", "adamw", adamw_blob(params, {0, 0}),
        true},
-      {"AdamW, 1x1 moments", false, adamw_blob(params, {1, 1}), false},
-      {"APOLLO, r x n moments", true, apollo_blob(params, 0, fit, fit), true},
-      {"APOLLO, M 1x1 and V 2x2", true,
+      {"AdamW, 1x1 moments", "adamw", adamw_blob(params, {1, 1}), false},
+      {"APOLLO, r x n moments", "apollo", apollo_blob(params, 0, fit, fit),
+       true},
+      {"APOLLO, M 1x1 and V 2x2", "apollo",
        apollo_blob(params, 0, {1, 1}, {2, 2}), false},
-      {"APOLLO, M and V 1x1", true, apollo_blob(params, 0, {1, 1}, {1, 1}),
+      {"APOLLO, M and V 1x1", "apollo",
+       apollo_blob(params, 0, {1, 1}, {1, 1}), false},
+      {"APOLLO, side byte 2", "apollo", apollo_blob(params, 2, fit, fit),
        false},
-      {"APOLLO, side byte 2", true, apollo_blob(params, 2, fit, fit), false},
+      // GoLore switches to random projections after step 200.
+      {"GoLore, SVD projector at step 200", "golore",
+       subspace_blob(params, 0, 200, proj, fit, fit), true},
+      {"GoLore, SVD projector at step 201", "golore",
+       subspace_blob(params, 0, 201, proj, fit, fit), false},
+      {"GoLore, no projector at step 200", "golore",
+       subspace_blob(params, 0, 200, {0, 0}, fit, fit), false},
+      {"8-bit Adam, one scale per block", "adam8bit",
+       low_precision_blob(params, true, shape, blocks), true},
+      {"8-bit Adam, one block short", "adam8bit",
+       low_precision_blob(params, true, shape, blocks - 1), false},
+      {"bf16 AdamW, parameter-shaped codes", "adamw-bf16",
+       low_precision_blob(params, false, shape, 0), true},
+      {"bf16 AdamW, one code too many per row", "adamw-bf16",
+       low_precision_blob(params, false, {shape.rows, shape.cols + 1}, 0),
+       false},
+      {"Adam-mini, one V per row", "adam-mini",
+       adam_mini_blob(params, shape, {shape.rows, 1}), true},
+      {"Adam-mini, one V too many", "adam-mini",
+       adam_mini_blob(params, shape, {shape.rows + 1, 1}), false},
+      {"LoRA, r x in A", "lora", lora_blob(params, {4, shape.cols}), true},
+      {"LoRA, (r+1) x in A", "lora", lora_blob(params, {5, shape.cols}),
+       false},
+      {"SGD-momentum, parameter-shaped buffer", "sgd-momentum",
+       sgd_blob(params, shape), true},
+      {"SGD-momentum, 1x1 buffer", "sgd-momentum", sgd_blob(params, {1, 1}),
+       false},
   };
   const std::string path = temp_path("crafted_state.aplo");
   for (const Case& c : cases) {
     SCOPED_TRACE(c.label);
-    const std::string name = c.apollo ? "APOLLO" : "AdamW";
-    BlobOptimizer stub(name, c.blob);
+    std::unique_ptr<optim::Optimizer> opt = core::make_optimizer(c.optimizer);
+    BlobOptimizer stub(opt->name(), c.blob);
     ASSERT_TRUE(train::save_checkpoint(path, model, 1, &stub).ok);
-    std::unique_ptr<optim::Optimizer> opt;
-    if (c.apollo)
-      opt = std::make_unique<core::Apollo>(core::ApolloConfig{});
-    else
-      opt = std::make_unique<optim::AdamW>();
-    ASSERT_EQ(opt->name(), name);
     nn::LlamaModel fresh(tiny(), 2);
     const auto l = train::load_checkpoint(path, fresh, opt.get());
     EXPECT_EQ(l.ok, c.loads) << l.error;
     if (!c.loads) {
-      EXPECT_EQ(l.error, "failed to restore optimizer state (" + name + ")");
+      EXPECT_EQ(l.error,
+                "failed to restore optimizer state (" + opt->name() + ")");
       continue;
     }
     // A state that loads must also step.
@@ -534,6 +653,64 @@ TEST(FormatFingerprint, CheckpointAndShardBytesAreUnchanged) {
   EXPECT_EQ(file_crc(with_state), 0x6706653fu);
   EXPECT_EQ(file_crc(weights_only), 0xcf51c8e0u);
   EXPECT_EQ(file_crc(shard), 0x71b72b67u);
+}
+
+// CRC-32 of the state APOLLO, APOLLO w. SVD and APOLLO-Mini save after three
+// steps on the tiny model (rank 4, refresh every 2 steps, so the third step
+// re-seeds or re-runs the SVD). The projections run through the GEMM
+// kernels, so the bits are pinned per vector level, and the plain C++ loops
+// around them contract into fma only where the build targets a CPU with
+// fma, so each level has a value for either kind of build (the portable
+// APOLLO_NATIVE=OFF build has no fma). The values were recorded before
+// every optimizer's state went through one codec.
+uint32_t apollo_state_crc(const std::string& name) {
+  core::FactoryOptions fo;
+  fo.rank = 4;
+  fo.update_freq = 2;
+  auto opt = core::make_optimizer(name, fo);
+  nn::LlamaModel model(tiny(), 1);
+  const nn::ParamList params = model.parameters();
+  opt->set_lr(1e-2f);
+  for (uint64_t step = 0; step < 3; ++step) {
+    Rng rng(50 + step);
+    for (nn::Parameter* p : params) p->grad.fill_gaussian(rng, 0.f, 0.1f);
+    opt->step(params);
+  }
+  const std::string path = temp_path("apollo_state_crc.bin");
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  EXPECT_TRUE(opt->save_state(f, params));
+  std::fclose(f);
+  return file_crc(path);
+}
+
+TEST(FormatFingerprint, ApolloStateBytesAreUnchanged) {
+#ifdef __FMA__
+  constexpr bool kFmaBuild = true;
+#else
+  constexpr bool kFmaBuild = false;
+#endif
+  struct Golden {
+    simd::Level level;
+    const char* optimizer;
+    uint32_t fma_build, plain_build;
+  };
+  const Golden golden[] = {
+      {simd::Level::kAvx2, "apollo", 0xbe78d3deu, 0x428efc40u},
+      {simd::Level::kAvx2, "apollo-svd", 0x8f9fbdc8u, 0x143634b6u},
+      {simd::Level::kAvx2, "apollo-mini", 0x15fe8ffbu, 0xd41d6f90u},
+      {simd::Level::kAvx512, "apollo", 0x41069312u, 0x9481d019u},
+      {simd::Level::kAvx512, "apollo-svd", 0xeb1e7448u, 0xf12b5bccu},
+      {simd::Level::kAvx512, "apollo-mini", 0x8069090fu, 0x418ae964u},
+  };
+  for (const Golden& g : golden) {
+    if (g.level > simd::max_supported_level()) continue;
+    SCOPED_TRACE(std::string(simd::level_name(g.level)) + " " + g.optimizer);
+    ASSERT_TRUE(simd::set_level(g.level));
+    EXPECT_EQ(apollo_state_crc(g.optimizer),
+              kFmaBuild ? g.fma_build : g.plain_build);
+    simd::clear_level_override();
+  }
 }
 
 }  // namespace

@@ -16,9 +16,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/apollo.h"
@@ -26,7 +28,9 @@
 #include "dist/world.h"
 #include "fault/fault_injection.h"
 #include "nn/llama.h"
+#include "optim/lowrank.h"
 #include "tensor/matrix.h"
+#include "train/checkpoint.h"
 #include "train/resilience.h"
 
 namespace apollo {
@@ -385,98 +389,154 @@ void fill_model_grads(const nn::ParamList& params, uint64_t seed) {
   for (nn::Parameter* p : params) p->grad.fill_gaussian(rng, 0.f, 0.1f);
 }
 
-// Saves shard sets at two widths from one trained optimizer, resumes them
-// into fresh models/optimizers at *different* widths (2→1 and 4→2), and
-// proves the merged state continues the exact trajectory: one more
-// identical-gradient step lands on bit-identical weights everywhere.
+// One rank of a world: its model and optimizer.
+struct Replica {
+  std::unique_ptr<nn::LlamaModel> model;
+  std::unique_ptr<optim::Optimizer> opt;
+};
+
+using OptimizerMaker = std::function<std::unique_ptr<optim::Optimizer>()>;
+
+// Every factory optimizer at rank 2, crossing a projector refresh (and
+// GoLore's switch) every 2 steps, and a ReLoRA that restarts every 2 steps:
+// each rank's restart draws from rng_ by the factor shapes of every slot,
+// owned or not.
+std::vector<std::pair<std::string, OptimizerMaker>> shard_test_optimizers() {
+  std::vector<std::pair<std::string, OptimizerMaker>> out;
+  for (const std::string& name : core::known_optimizers())
+    out.emplace_back(name, [name] {
+      core::FactoryOptions fo;
+      fo.rank = 2;
+      fo.update_freq = 2;
+      return core::make_optimizer(name, fo);
+    });
+  out.emplace_back("relora, merging every 2 steps", [] {
+    optim::AdapterConfig cfg;
+    cfg.kind = optim::AdapterKind::kRelora;
+    cfg.rank = 2;
+    cfg.merge_freq = 2;
+    return std::make_unique<optim::LowRankAdapter>(cfg);
+  });
+  return out;
+}
+
+// A world of `width` replicas, rank r's model initialized with seed
+// `seed(r)` and its optimizer sharded r of `width`.
+template <class Seed>
+std::vector<Replica> make_world(const OptimizerMaker& make, int width,
+                                Seed seed) {
+  std::vector<Replica> world;
+  for (int r = 0; r < width; ++r) {
+    world.push_back(
+        {std::make_unique<nn::LlamaModel>(tiny_config(), seed(r)), make()});
+    world.back().opt->set_lr(1e-2f);
+    world.back().opt->set_shard(r, width);
+  }
+  return world;
+}
+
+// A world of `width` fresh replicas (their own inits, so every weight must
+// come from the files) resumed from the shard sets in `dir`.
+std::vector<Replica> resume_world(const OptimizerMaker& make,
+                                  const std::string& dir, int width) {
+  std::vector<Replica> world =
+      make_world(make, width, [](int r) { return 20 + r; });
+  for (Replica& rep : world) {
+    const auto rr = train::auto_resume_ddp(dir, *rep.model, rep.opt.get());
+    EXPECT_TRUE(rr.resumed) << rr.error;
+    EXPECT_EQ(rr.step, 7);
+    EXPECT_TRUE(rr.optimizer_state_restored);
+  }
+  return world;
+}
+
+// One step of a world on the gradients of `seed`, in the classic driver's
+// order: every rank begins, owners step their slots, every rank ends, and
+// each slot's owner's weights reach the other ranks (the all-gather).
+void step_world(std::vector<Replica>& world, uint64_t seed) {
+  std::vector<nn::ParamList> params;
+  for (Replica& rep : world) {
+    params.push_back(rep.model->parameters());
+    fill_model_grads(params.back(), seed);
+    rep.opt->begin_step(params.back());
+  }
+  const int n = static_cast<int>(params[0].size());
+  for (size_t r = 0; r < world.size(); ++r)
+    for (int i = 0; i < n; ++i)
+      if (world[r].opt->owns_slot(i))
+        world[r].opt->step_param(*params[r][static_cast<size_t>(i)], i);
+  for (size_t r = 0; r < world.size(); ++r) world[r].opt->end_step(params[r]);
+  for (int i = 0; i < n; ++i) {
+    const size_t owner = static_cast<size_t>(i) % world.size();
+    for (size_t r = 0; r < world.size(); ++r)
+      params[r][static_cast<size_t>(i)]->value =
+          params[owner][static_cast<size_t>(i)]->value;
+  }
+}
+
+// For every optimizer: trains worlds of widths 2 and 4 for three steps and
+// saves their shard sets, resumes them onto fresh worlds of other widths
+// (2→1, 2→3, 4→2), and proves each merged state is the state of a world of
+// that width that was never interrupted: every rank holds the same resident
+// state bytes (heavy fields for its own slots only), and two more
+// identical-gradient steps land every rank on the bits of one unsharded
+// optimizer.
 TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
   const std::string dir2 =
       std::string(::testing::TempDir()) + "dist_shards_w2";
   const std::string dir4 =
       std::string(::testing::TempDir()) + "dist_shards_w4";
-  std::filesystem::remove_all(dir2);
-  std::filesystem::remove_all(dir4);
+  for (const auto& [name, make] : shard_test_optimizers()) {
+    SCOPED_TRACE(name);
+    std::filesystem::remove_all(dir2);
+    std::filesystem::remove_all(dir4);
+    nn::LlamaModel model(tiny_config(), 3);
+    auto opt = make();
+    opt->set_lr(1e-2f);
+    nn::ParamList params = model.parameters();
+    for (uint64_t seed = 100; seed < 103; ++seed) {
+      fill_model_grads(params, seed);
+      opt->step(params);
+    }
 
-  const nn::LlamaConfig cfg = tiny_config();
-  core::ApolloConfig acfg;
-  acfg.rank = 2;
-  acfg.update_freq = 2;  // cross a projector refresh before saving
-  nn::LlamaModel model(cfg, 3);
-  core::Apollo opt(acfg);
-  opt.set_lr(1e-2f);
-  nn::ParamList params = model.parameters();
-  for (int s = 0; s < 3; ++s) {
-    fill_model_grads(params, 100 + static_cast<uint64_t>(s));
-    opt.step(params);
-  }
+    std::string err;
+    for (const auto& [dir, width] : {std::pair{dir2, 2}, std::pair{dir4, 4}}) {
+      std::vector<Replica> world =
+          make_world(make, width, [](int) { return 3; });
+      for (uint64_t seed = 100; seed < 103; ++seed) step_world(world, seed);
+      for (int r = 0; r < width; ++r) {
+        train::DdpCheckpointRotator rot(dir, 2, r, width);
+        const Replica& rep = world[static_cast<size_t>(r)];
+        ASSERT_TRUE(rot.save(*rep.model, 7, *rep.opt, &err)) << err;
+      }
+      EXPECT_EQ(train::shard_world_at(dir, 7), width);
+    }
 
-  std::string err;
-  for (int r = 0; r < 2; ++r) {
-    train::DdpCheckpointRotator rot(dir2, 2, r, 2);
-    opt.set_shard(r, 2);
-    ASSERT_TRUE(rot.save(model, 7, opt, &err)) << err;
+    for (const uint64_t seed : {777, 778}) {
+      fill_model_grads(params, seed);
+      opt->step(params);
+    }
+    for (const auto& [dir, width] :
+         {std::pair{dir2, 1}, std::pair{dir2, 3}, std::pair{dir4, 2}}) {
+      SCOPED_TRACE(dir + " onto width " + std::to_string(width));
+      std::vector<Replica> world = resume_world(make, dir, width);
+      ASSERT_FALSE(HasFailure()) << "the world did not resume";
+      std::vector<Replica> straight =
+          make_world(make, width, [](int) { return 3; });
+      for (uint64_t seed = 100; seed < 103; ++seed) step_world(straight, seed);
+      for (const uint64_t seed : {777, 778}) {
+        step_world(world, seed);
+        step_world(straight, seed);
+      }
+      for (size_t r = 0; r < world.size(); ++r) {
+        EXPECT_EQ(world[r].opt->state_bytes(), straight[r].opt->state_bytes())
+            << "rank " << r;
+        const nn::ParamList got = world[r].model->parameters();
+        for (size_t i = 0; i < params.size(); ++i)
+          EXPECT_TRUE(got[i]->value == params[i]->value) << params[i]->name;
+      }
+    }
   }
-  for (int r = 0; r < 4; ++r) {
-    train::DdpCheckpointRotator rot(dir4, 2, r, 4);
-    opt.set_shard(r, 4);
-    ASSERT_TRUE(rot.save(model, 7, opt, &err)) << err;
-  }
-  opt.set_shard(0, 1);
-  EXPECT_EQ(train::shard_world_at(dir2, 7), 2);
-  EXPECT_EQ(train::shard_world_at(dir4, 7), 4);
-
-  // Width 2 → 1: a single process absorbs the whole shard set.
-  nn::LlamaModel m1(cfg, 9);
-  core::Apollo o1(acfg);
-  o1.set_lr(1e-2f);
-  const auto r1 = train::auto_resume_ddp(dir2, m1, &o1);
-  ASSERT_TRUE(r1.resumed) << r1.error;
-  EXPECT_EQ(r1.step, 7);
-  EXPECT_TRUE(r1.optimizer_state_restored);
-  nn::ParamList p1 = m1.parameters();
-  for (size_t i = 0; i < params.size(); ++i)
-    ASSERT_TRUE(p1[i]->value == params[i]->value) << params[i]->name;
-
-  // Width 4 → 2: two ranks each merge all four shards, keeping only the
-  // heavy state for their redistributed ownership.
-  nn::LlamaModel m2a(cfg, 13), m2b(cfg, 14);
-  core::Apollo o2a(acfg), o2b(acfg);
-  o2a.set_lr(1e-2f);
-  o2b.set_lr(1e-2f);
-  o2a.set_shard(0, 2);
-  o2b.set_shard(1, 2);
-  ASSERT_TRUE(train::auto_resume_ddp(dir4, m2a, &o2a).resumed);
-  ASSERT_TRUE(train::auto_resume_ddp(dir4, m2b, &o2b).resumed);
-  nn::ParamList p2a = m2a.parameters();
-  nn::ParamList p2b = m2b.parameters();
-
-  // One more identical-gradient step from every resume point.
-  fill_model_grads(params, 777);
-  opt.step(params);
-  fill_model_grads(p1, 777);
-  o1.step(p1);
-  fill_model_grads(p2a, 777);
-  fill_model_grads(p2b, 777);
-  o2a.begin_step(p2a);
-  o2b.begin_step(p2b);
-  for (int i = 0; i < static_cast<int>(p2a.size()); ++i) {
-    if (o2a.owns_slot(i)) o2a.step_param(*p2a[static_cast<size_t>(i)], i);
-    if (o2b.owns_slot(i)) o2b.step_param(*p2b[static_cast<size_t>(i)], i);
-  }
-  o2a.end_step(p2a);
-  o2b.end_step(p2b);
-  for (int i = 0; i < static_cast<int>(p2a.size()); ++i) {
-    // The trainer's broadcast: the slot owner's weights win on both ranks.
-    if (o2a.owns_slot(i))
-      p2b[static_cast<size_t>(i)]->value = p2a[static_cast<size_t>(i)]->value;
-    else
-      p2a[static_cast<size_t>(i)]->value = p2b[static_cast<size_t>(i)]->value;
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    EXPECT_TRUE(p1[i]->value == params[i]->value) << params[i]->name;
-    EXPECT_TRUE(p2a[i]->value == params[i]->value) << params[i]->name;
-  }
-
   std::filesystem::remove_all(dir2);
   std::filesystem::remove_all(dir4);
 }
@@ -583,6 +643,60 @@ TEST(DistE2E, FusedFourRanksBitIdenticalToGradAccum) {
     EXPECT_EQ(solo, metric_stream(dir + "/fused.jsonl.rank0", key));
     EXPECT_EQ(solo, metric_stream(dir + "/fused.jsonl.rank3", key));
   }
+  std::filesystem::remove_all(dir);
+}
+
+// Under --ranks a rank holds one ZeRO-1 shard of the optimizer state, so
+// `--save` writes the weights alone; the run's optimizer state is its shard
+// set in --ckpt-dir.
+TEST(DistE2E, SaveUnderRanksHoldsWeightsOnly) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_save";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(run_cmd("cd " + dir + " && " + APOLLO_TRAIN_BIN + kShape +
+                    " --steps 2 --ranks 2 --save s.aplo > out.log 2>&1"),
+            0);
+  EXPECT_NE(file_contents(dir + "/out.log").find("(weights only;"),
+            std::string::npos);
+  nn::LlamaConfig cfg;
+  cfg.hidden = 64;
+  cfg.n_layers = 2;
+  cfg.n_heads = 4;
+  cfg.intermediate = 128;
+  cfg.vocab = 128;
+  cfg.seq_len = 32;
+  nn::LlamaModel model(cfg, 1);
+  core::FactoryOptions fo;
+  fo.rank = 4;
+  auto opt = core::make_optimizer("apollo", fo);
+  const auto l = train::load_checkpoint(dir + "/s.aplo", model, opt.get());
+  EXPECT_TRUE(l.ok) << l.error;
+  EXPECT_EQ(l.step, 2);
+  EXPECT_FALSE(l.optimizer_state_restored);
+  std::filesystem::remove_all(dir);
+}
+
+// A single-process checkpoint loaded under --ranks leaves each rank its
+// ZeRO-1 shard of the optimizer state, as a run that started sharded holds.
+TEST(DistE2E, LoadUnderRanksKeepsEachRanksShard) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_load";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string run = "cd " + dir + " && " + APOLLO_TRAIN_BIN + kShape +
+                          " --optimizer adamw --steps 2";
+  ASSERT_EQ(run_cmd(run + " --save s.aplo > solo.log 2>&1"), 0);
+  ASSERT_EQ(run_cmd(run + " --ranks 2 > fresh.log 2>&1"), 0);
+  ASSERT_EQ(run_cmd(run + " --ranks 2 --load s.aplo > loaded.log 2>&1"), 0);
+  const std::string fresh = file_contents(dir + "/fresh.log");
+  const std::string loaded = file_contents(dir + "/loaded.log");
+  const auto state_line = [](const std::string& log) {
+    const size_t at = log.find("optimizer state:");
+    return at == std::string::npos ? std::string()
+                                   : log.substr(at, log.find('\n', at) - at);
+  };
+  EXPECT_NE(loaded.find("with optimizer state"), std::string::npos) << loaded;
+  EXPECT_NE(state_line(fresh), "");
+  EXPECT_EQ(state_line(loaded), state_line(fresh));
   std::filesystem::remove_all(dir);
 }
 

@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/apollo.h"
 #include "core/factory.h"
@@ -21,6 +22,8 @@
 #include "fault/fault_injection.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "tensor/matrix.h"
+#include "train/resilience.h"
 #include "train/trainer.h"
 
 namespace apollo {
@@ -96,10 +99,11 @@ TEST(FaultInjector, CheckpointEventsRipen) {
 // --- in-process recovery ----------------------------------------------------
 
 // A tiny model trained by APOLLO (rank 2, refresh every 4 steps), or by
-// `opt` when given.
+// `opt` when given; its final weights go to `weights` when given.
 train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
                             bool fused = false, bool quantized = false,
-                            optim::Optimizer* opt = nullptr) {
+                            optim::Optimizer* opt = nullptr,
+                            std::vector<Matrix>* weights = nullptr) {
   nn::LlamaConfig cfg;
   cfg.vocab = 64;
   cfg.hidden = 16;
@@ -130,7 +134,11 @@ train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
   if (quantized) qstore.emplace(model.parameters(), 17);
   train::Trainer t(model, opt != nullptr ? *opt : apollo, corpus, tc);
   if (qstore) t.set_quantized_weights(&*qstore);
-  return t.run();
+  const train::TrainResult res = t.run();
+  if (weights != nullptr)
+    for (const nn::Parameter* p : model.parameters())
+      weights->push_back(p->value);
+  return res;
 }
 
 TEST(FaultInjector, NanGradRecoversOnQuantizedFusedPath) {
@@ -153,10 +161,10 @@ TEST(FaultInjector, NanGradRecoversOnQuantizedFusedPath) {
 }
 
 TEST(FaultInjector, EveryOptimizerRecoversFromOneNanOnBothDrivers) {
-  // One NaN gradient costs exactly one rollback on either driver. The fused
-  // driver steps slots inside backward, before the step's gradient norm
-  // exists, so only the pipeline's per-slot guard keeps the NaN out of
-  // optimizer state that the checkpoint does not carry.
+  // One NaN gradient costs exactly one rollback on either driver, and the
+  // two drivers end on the same bits: the fused driver steps slots inside
+  // backward, before the step's gradient norm exists, and the rollback
+  // restores the optimizer state those steps advanced.
   const std::string dir =
       std::string(::testing::TempDir()) + "fault_nan_every_opt";
   core::FactoryOptions fo;
@@ -164,6 +172,7 @@ TEST(FaultInjector, EveryOptimizerRecoversFromOneNanOnBothDrivers) {
   fo.update_freq = 4;
   obs::Registry& reg = obs::Registry::instance();
   for (const std::string& name : core::known_optimizers()) {
+    std::vector<Matrix> weights[2];
     for (const bool fused : {false, true}) {
       SCOPED_TRACE(name + (fused ? " fused" : " classic"));
       std::filesystem::remove_all(dir);
@@ -171,16 +180,49 @@ TEST(FaultInjector, EveryOptimizerRecoversFromOneNanOnBothDrivers) {
       FaultGuard guard("nan_grad@6");
       auto opt = core::make_optimizer(name, fo);
       ASSERT_NE(opt, nullptr);
-      const auto res = run_tiny(dir, 12, fused, /*quantized=*/false, opt.get());
+      const auto res = run_tiny(dir, 12, fused, /*quantized=*/false, opt.get(),
+                                &weights[fused ? 1 : 0]);
       EXPECT_FALSE(res.diverged) << res.divergence_diagnostics;
       EXPECT_EQ(res.rollbacks, 1);
       EXPECT_TRUE(std::isfinite(res.final_perplexity));
       EXPECT_EQ(reg.counter("fault.injected").value(), 1);
       EXPECT_EQ(reg.counter("watchdog.rollbacks").value(), 1);
     }
+    ASSERT_EQ(weights[0].size(), weights[1].size()) << name;
+    for (size_t i = 0; i < weights[0].size(); ++i)
+      EXPECT_TRUE(weights[0][i] == weights[1][i])
+          << name << ": classic and fused part at parameter " << i;
   }
   reg.reset();
   std::filesystem::remove_all(dir);
+}
+
+// The rollback target of a resumed run is the checkpoint it resumed from:
+// with a copy of ckpt_4 named ckpt_12 beside ckpt_8, the run resumes at 8
+// (the copy is skipped) and a NaN at step 9 rolls back to 8, so the run ends
+// on the bits of one resumed from ckpt_4 and ckpt_8 alone.
+TEST(FaultInjector, RollbackTargetIsTheResumedCheckpoint) {
+  namespace fs = std::filesystem;
+  const std::string base = std::string(::testing::TempDir()) + "fault_target";
+  const std::string clean = base + "/clean", renamed = base + "/renamed";
+  fs::remove_all(base);
+  run_tiny(clean, 8);
+  fs::copy(clean, renamed);
+  fs::copy_file(train::CheckpointRotator::path_for(renamed, 4),
+                train::CheckpointRotator::path_for(renamed, 12));
+  std::vector<Matrix> weights[2];
+  for (int k = 0; k < 2; ++k) {
+    FaultGuard guard("nan_grad@9");
+    const auto res = run_tiny(k == 0 ? clean : renamed, 12, /*fused=*/false,
+                              /*quantized=*/false, nullptr, &weights[k]);
+    EXPECT_EQ(res.resumed_from_step, 8);
+    EXPECT_EQ(res.rollbacks, 1);
+    EXPECT_EQ(res.corrupt_checkpoints_skipped, k);
+  }
+  for (size_t i = 0; i < weights[0].size(); ++i)
+    EXPECT_TRUE(weights[0][i] == weights[1][i]) << "parameter " << i;
+  obs::Registry::instance().reset();
+  fs::remove_all(base);
 }
 
 TEST(FaultInjector, RolledBackStepLeavesNoTelemetry) {

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/apollo.h"
+#include "core/factory.h"
 #include "data/corpus.h"
 #include "obs/metrics.h"
 #include "train/resilience.h"
@@ -180,34 +181,35 @@ TEST(Rotator, KeepsNewestKAndSweepsTmpLeftovers) {
 }
 
 TEST(Rotator, RollbackRestoresBitIdenticalWeightsAndOptimizerState) {
-  const std::string dir = fresh_dir("rot_bitident");
   const FixedBatches data(13);
-  nn::LlamaModel model(tiny(), 1);
-  core::ApolloConfig acfg;
-  acfg.rank = 4;
-  acfg.update_freq = 6;
-  acfg.seed = 9;
-  auto opt = core::Apollo::standard(acfg);
-  train_steps(model, *opt, data, 0, 10);
+  for (const std::string& name : core::known_optimizers()) {
+    SCOPED_TRACE(name);
+    const std::string dir = fresh_dir("rot_bitident");
+    nn::LlamaModel model(tiny(), 1);
+    core::FactoryOptions fo;
+    fo.update_freq = 6;
+    auto opt = core::make_optimizer(name, fo);
+    train_steps(model, *opt, data, 0, 10);
 
-  train::CheckpointRotator rot(dir, 4);
-  ASSERT_TRUE(rot.save(model, 10, opt.get()).ok);
-  const std::string before =
-      read_bytes(train::CheckpointRotator::path_for(dir, 10));
-  ASSERT_FALSE(before.empty());
+    train::CheckpointRotator rot(dir, 4);
+    ASSERT_TRUE(rot.save(model, 10, opt.get()).ok);
+    const std::string before =
+        read_bytes(train::CheckpointRotator::path_for(dir, 10));
+    ASSERT_FALSE(before.empty());
 
-  // Diverge, then roll back and re-save at the same step: the file must be
-  // byte-identical, i.e. weights AND optimizer state round-trip exactly.
-  train_steps(model, *opt, data, 10, 13);
-  auto rolled = train::load_checkpoint(
-      train::CheckpointRotator::path_for(dir, 10), model, opt.get());
-  ASSERT_TRUE(rolled.ok) << rolled.error;
-  ASSERT_TRUE(rolled.optimizer_state_restored);
-  ASSERT_TRUE(rot.save(model, 10, opt.get()).ok);
-  const std::string after =
-      read_bytes(train::CheckpointRotator::path_for(dir, 10));
-  EXPECT_EQ(before, after);
-  fs::remove_all(dir);
+    // Diverge, then roll back and re-save at the same step: the file must
+    // be byte-identical, i.e. weights AND optimizer state round-trip.
+    train_steps(model, *opt, data, 10, 13);
+    auto rolled = train::load_checkpoint(
+        train::CheckpointRotator::path_for(dir, 10), model, opt.get());
+    ASSERT_TRUE(rolled.ok) << rolled.error;
+    ASSERT_TRUE(rolled.optimizer_state_restored);
+    ASSERT_TRUE(rot.save(model, 10, opt.get()).ok);
+    const std::string after =
+        read_bytes(train::CheckpointRotator::path_for(dir, 10));
+    EXPECT_EQ(before, after);
+    fs::remove_all(dir);
+  }
 }
 
 TEST(AutoResume, EmptyOrMissingDirIsNotAnError) {
@@ -273,6 +275,54 @@ TEST(AutoResume, AllCorruptRestoresOriginalWeightsAndReportsError) {
   // A half-applied corrupt load must not leak into the model: the scan
   // restores the pre-scan weights on total failure.
   EXPECT_TRUE(fresh.parameters()[0]->value == want);
+  obs::Registry::instance().reset();
+  fs::remove_all(dir);
+}
+
+// A name whose step passes INT_MAX (trainer steps are ints) names no
+// checkpoint: it is not listed, so it costs the scan no skip.
+TEST(AutoResume, OverlongStepNamesAreNotListed) {
+  const std::string dir = fresh_dir("resume_overlong");
+  obs::Registry::instance().reset();
+  nn::LlamaModel m(tiny(), 1);
+  train::CheckpointRotator rot(dir, 8);
+  ASSERT_TRUE(rot.save(m, 10, nullptr).ok);
+  std::ofstream(dir + "/ckpt_99999999999999999999.aplo").flush();
+  std::ofstream(dir + "/ckpt_2147483648.aplo").flush();
+  std::ofstream(dir + "/ckpt_10.shard99999999999999999999of1.aplo").flush();
+  EXPECT_EQ(train::CheckpointRotator::list_steps(dir),
+            (std::vector<int64_t>{10}));
+  EXPECT_EQ(train::shard_world_at(dir, 10), 0);
+
+  nn::LlamaModel fresh(tiny(), 2);
+  const auto rr = train::auto_resume(dir, fresh, nullptr);
+  EXPECT_TRUE(rr.resumed) << rr.error;
+  EXPECT_EQ(rr.step, 10);
+  EXPECT_TRUE(rr.skipped.empty());
+  EXPECT_EQ(
+      obs::Registry::instance().counter("ckpt.corrupt_skipped").value(), 0);
+  obs::Registry::instance().reset();
+  fs::remove_all(dir);
+}
+
+// A copy of ckpt_4 named ckpt_12 holds step 4: the scan skips it with its
+// reason and resumes from the real newest step.
+TEST(AutoResume, SkipsAFileWhoseHeaderStepDiffersFromItsName) {
+  const std::string dir = fresh_dir("resume_renamed");
+  nn::LlamaModel m(tiny(), 1);
+  train::CheckpointRotator rot(dir, 8);
+  ASSERT_TRUE(rot.save(m, 4, nullptr).ok);
+  ASSERT_TRUE(rot.save(m, 8, nullptr).ok);
+  fs::copy_file(train::CheckpointRotator::path_for(dir, 4),
+                train::CheckpointRotator::path_for(dir, 12));
+
+  nn::LlamaModel fresh(tiny(), 2);
+  const auto rr = train::auto_resume(dir, fresh, nullptr);
+  EXPECT_TRUE(rr.resumed) << rr.error;
+  EXPECT_EQ(rr.step, 8);
+  ASSERT_EQ(rr.skipped.size(), 1u);
+  EXPECT_EQ(rr.skipped[0], train::CheckpointRotator::path_for(dir, 12) +
+                               ": step mismatch: holds 4");
   obs::Registry::instance().reset();
   fs::remove_all(dir);
 }
@@ -357,6 +407,73 @@ TEST(AutoResume, DdpSkipsShardBlobLengthPastTheEndOfTheFile) {
               std::string::npos)
         << rr.skipped[0];
   }
+  obs::Registry::instance().reset();
+  fs::remove_all(dir);
+}
+
+// A shard renamed into another width's set holds the world it was written
+// in: the set it would complete is skipped, and every rank resumes from the
+// older set.
+TEST(AutoResume, DdpSkipsAShardWhoseHeaderWorldDiffersFromItsName) {
+  const std::string dir = fresh_dir("resume_shard_world");
+  const FixedBatches data(2);
+  nn::LlamaModel model(tiny(), 1);
+  core::Apollo opt(core::ApolloConfig{});
+  train_steps(model, opt, data, 0, 2);
+  std::string err;
+  {
+    train::DdpCheckpointRotator rot(dir, 4, 0, 1);
+    ASSERT_TRUE(rot.save(model, 2, opt, &err)) << err;
+  }
+  for (int r = 0; r < 2; ++r) {
+    train::DdpCheckpointRotator rot(dir, 4, r, 2);
+    opt.set_shard(r, 2);
+    ASSERT_TRUE(rot.save(model, 4, opt, &err)) << err;
+  }
+  fs::remove(train::shard_path_for(dir, 4, 1, 2));
+  fs::rename(train::shard_path_for(dir, 4, 0, 2),
+             train::shard_path_for(dir, 4, 0, 1));
+  ASSERT_EQ(train::shard_world_at(dir, 4), 1);
+
+  nn::LlamaModel fresh(tiny(), 2);
+  core::Apollo fresh_opt(core::ApolloConfig{});
+  const auto rr = train::auto_resume_ddp(dir, fresh, &fresh_opt);
+  EXPECT_TRUE(rr.resumed) << rr.error;
+  EXPECT_EQ(rr.step, 2);
+  ASSERT_EQ(rr.skipped.size(), 1u);
+  EXPECT_EQ(rr.skipped[0],
+            train::shard_path_for(dir, 4, 0, 1) + ": world mismatch: holds 2");
+  obs::Registry::instance().reset();
+  fs::remove_all(dir);
+}
+
+// Flora's and GaLore w. RP's records have one layout, so only the name in
+// the shard header tells them apart. A set another optimizer wrote resumes
+// the weights alone, as a single-process checkpoint does.
+TEST(AutoResume, DdpSetOfAnotherOptimizerResumesTheWeightsOnly) {
+  const std::string dir = fresh_dir("resume_shard_other_opt");
+  const FixedBatches data(2);
+  nn::LlamaModel model(tiny(), 1);
+  auto flora = core::make_optimizer("flora");
+  train_steps(model, *flora, data, 0, 2);
+  std::string err;
+  train::DdpCheckpointRotator rot(dir, 4, 0, 1);
+  ASSERT_TRUE(rot.save(model, 2, *flora, &err)) << err;
+
+  nn::LlamaModel fresh(tiny(), 2);
+  auto galore_rp = core::make_optimizer("galore-rp");
+  const auto rr = train::auto_resume_ddp(dir, fresh, galore_rp.get());
+  EXPECT_TRUE(rr.resumed) << rr.error;
+  EXPECT_EQ(rr.step, 2);
+  EXPECT_FALSE(rr.optimizer_state_restored);
+  EXPECT_EQ(galore_rp->state_bytes(), 0);
+  EXPECT_TRUE(fresh.parameters()[0]->value == model.parameters()[0]->value);
+
+  auto same = core::make_optimizer("flora");
+  nn::LlamaModel again(tiny(), 2);
+  const auto rr2 = train::auto_resume_ddp(dir, again, same.get());
+  EXPECT_TRUE(rr2.optimizer_state_restored);
+  EXPECT_EQ(same->state_bytes(), flora->state_bytes());
   obs::Registry::instance().reset();
   fs::remove_all(dir);
 }

@@ -11,10 +11,11 @@
 #include <sstream>
 
 #include "core/apollo.h"
+#include "core/factory.h"
 #include "data/corpus.h"
 #include "fault/fault_injection.h"
 #include "optim/adamw.h"
-#include "optim/sgd.h"
+#include "optim/lowrank.h"
 #include "train/checkpoint.h"
 #include "train/resilience.h"
 #include "train/trainer.h"
@@ -61,7 +62,7 @@ void train_steps(nn::LlamaModel& model, optim::Optimizer& opt,
 }
 
 template <typename MakeOpt>
-void check_exact_resume(MakeOpt make_opt, bool expect_state) {
+void check_exact_resume(MakeOpt make_opt) {
   const FixedBatches data(24);
   const std::string path =
       std::string(::testing::TempDir()) + "resume_test.ckpt";
@@ -79,52 +80,48 @@ void check_exact_resume(MakeOpt make_opt, bool expect_state) {
   // not 10, so resumed runs cross a re-seed boundary.
   auto saved = train::save_checkpoint(path, first, 10, first_opt.get());
   ASSERT_TRUE(saved.ok) << saved.error;
-  EXPECT_EQ(saved.optimizer_state_restored, expect_state);
+  EXPECT_TRUE(saved.optimizer_state_restored);
 
   nn::LlamaModel resumed(tiny(), 2);  // different init — must be overwritten
   auto resumed_opt = make_opt();
   auto loaded = train::load_checkpoint(path, resumed, resumed_opt.get());
   ASSERT_TRUE(loaded.ok) << loaded.error;
   EXPECT_EQ(loaded.step, 10);
-  EXPECT_EQ(loaded.optimizer_state_restored, expect_state);
+  EXPECT_TRUE(loaded.optimizer_state_restored);
+  EXPECT_EQ(resumed_opt->state_bytes(), first_opt->state_bytes());
   train_steps(resumed, *resumed_opt, data, 10, 24);
 
   auto pr = ref.parameters();
   auto ps = resumed.parameters();
-  for (size_t i = 0; i < pr.size(); ++i) {
-    if (expect_state) {
-      EXPECT_TRUE(pr[i]->value == ps[i]->value)
-          << "exact-resume mismatch at " << pr[i]->name;
-    } else {
-      // Weights-only resume: trajectories diverge (fresh moments).
-      // Nothing to assert beyond successful load.
-    }
+  for (size_t i = 0; i < pr.size(); ++i)
+    EXPECT_TRUE(pr[i]->value == ps[i]->value)
+        << "exact-resume mismatch at " << pr[i]->name;
+  EXPECT_EQ(resumed_opt->state_bytes(), ref_opt->state_bytes());
+}
+
+// Every factory optimizer, with the refresh period (and GoLore's switch to
+// random projections) at step 12, after the resume at step 10.
+TEST(Resume, EveryOptimizerExact) {
+  for (const std::string& name : core::known_optimizers()) {
+    SCOPED_TRACE(name);
+    check_exact_resume([&] {
+      core::FactoryOptions fo;
+      fo.update_freq = 12;
+      return core::make_optimizer(name, fo);
+    });
   }
 }
 
-TEST(Resume, AdamWExact) {
-  check_exact_resume([] { return std::make_unique<optim::AdamW>(); }, true);
-}
-
-TEST(Resume, ApolloExact) {
-  check_exact_resume(
-      [] {
-        core::ApolloConfig cfg;
-        cfg.rank = 4;
-        cfg.update_freq = 12;  // re-seed boundary crossed after resume
-        cfg.seed = 9;
-        return core::Apollo::standard(cfg);
-      },
-      true);
-}
-
-TEST(Resume, ApolloMiniExact) {
-  check_exact_resume([] { return core::Apollo::mini(31); }, true);
-}
-
-TEST(Resume, UnsupportedOptimizerFallsBackToWeightsOnly) {
-  check_exact_resume([] { return std::make_unique<optim::Sgd>(0.9f); },
-                     false);
+// ReLoRA merging every 5 steps: the step-10 restart leaves the checkpoint
+// an adapter with fresh factors and no factor moments, and steps 15 and 20
+// restart again after the resume.
+TEST(Resume, ReloraRestartsExact) {
+  check_exact_resume([] {
+    optim::AdapterConfig cfg;
+    cfg.kind = optim::AdapterKind::kRelora;
+    cfg.merge_freq = 5;
+    return std::make_unique<optim::LowRankAdapter>(cfg);
+  });
 }
 
 TEST(Resume, FusedSaveUnfusedLoadRoundTrip) {

@@ -59,7 +59,8 @@ void usage() {
       "                      trajectory)\n"
       "  --eval-every N      validation cadence (default steps/10)\n"
       "  --csv PATH          write the eval curve as CSV\n"
-      "  --save PATH         write a checkpoint after training\n"
+      "  --save PATH         write a checkpoint after training (weights\n"
+      "                      only under --ranks)\n"
       "  --load PATH         initialize weights from a checkpoint\n"
       "  --seed N            master seed (default 42)\n"
       "\nDistributed data parallelism (docs/DISTRIBUTED.md):\n"
@@ -205,6 +206,8 @@ int run_training(const RunOptions& o, const nn::LlamaConfig& cfg,
     csv_path.clear();
   }
   if (!load_path.empty()) {
+    // A rank keeps only its ZeRO-1 shard of the loaded optimizer state.
+    if (comm != nullptr) opt->set_shard(comm->rank(), comm->world());
     auto r = train::load_checkpoint(load_path, model, opt.get());
     if (!r.ok) {
       std::fprintf(stderr, "error: %s\n", r.error.c_str());
@@ -266,13 +269,18 @@ int run_training(const RunOptions& o, const nn::LlamaConfig& cfg,
                   (1024.0 * 1024.0));
 
   if (!save_path.empty()) {
-    auto r = train::save_checkpoint(save_path, model, tc.steps, opt.get());
+    // Under --ranks this rank holds one ZeRO-1 shard of the optimizer state,
+    // not the whole: the file carries the weights alone.
+    auto r = train::save_checkpoint(save_path, model, tc.steps,
+                                    comm != nullptr ? nullptr : opt.get());
     if (!r.ok) {
       std::fprintf(stderr, "error: %s\n", r.error.c_str());
       return 1;
     }
     std::printf("saved checkpoint to %s%s\n", save_path.c_str(),
-                r.optimizer_state_restored ? " (with optimizer state)" : "");
+                comm != nullptr ? " (weights only; the optimizer state is "
+                                  "the shard set in --ckpt-dir)"
+                                : " (with optimizer state)");
   }
   return csv_ok ? 0 : 1;
 }
