@@ -3,6 +3,8 @@
 #include "tensor/matrix.h"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 namespace apollo::nn {
 
@@ -19,6 +21,28 @@ int64_t LlamaConfig::param_count() const {
   return 2ll * vocab * hidden      // embedding + lm head
          + hidden                  // final norm
          + n_layers * per_layer_params(*this);
+}
+
+std::string config_error(const LlamaConfig& c) {
+  const std::pair<const char*, int> sizes[] = {
+      {"hidden", c.hidden}, {"n_heads", c.n_heads},
+      {"intermediate", c.intermediate}, {"vocab", c.vocab},
+      {"seq_len", c.seq_len}};
+  for (const auto& [name, v] : sizes)
+    if (v < 1)
+      return std::string(name) + " must be positive, got " +
+             std::to_string(v);
+  if (c.n_layers < 0)
+    return "n_layers must not be negative, got " +
+           std::to_string(c.n_layers);
+  if (c.hidden % c.n_heads != 0)
+    return "n_heads " + std::to_string(c.n_heads) + " does not divide hidden " +
+           std::to_string(c.hidden);
+  if ((c.hidden / c.n_heads) % 2 != 0)
+    return "head dimension hidden/n_heads = " +
+           std::to_string(c.hidden / c.n_heads) +
+           " is odd; rotary embeddings rotate pairs";
+  return std::string();
 }
 
 // The proxy ladder: hidden sizes shrink but relative proportions follow the
@@ -55,8 +79,8 @@ LlamaConfig llama_7b_proxy() {
 }
 
 LlamaModel::LlamaModel(const LlamaConfig& cfg, uint64_t seed) : cfg_(cfg) {
-  APOLLO_CHECK(cfg.hidden % cfg.n_heads == 0);
-  APOLLO_CHECK((cfg.hidden / cfg.n_heads) % 2 == 0);  // RoPE needs even pairs
+  const std::string bad_shape = config_error(cfg);
+  APOLLO_CHECK_MSG(bad_shape.empty(), bad_shape.c_str());
 
   Rng rng(seed);
   const int64_t h = cfg.hidden, v = cfg.vocab, it = cfg.intermediate;

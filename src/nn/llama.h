@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "autograd/tape.h"
@@ -27,6 +28,12 @@ struct LlamaConfig {
 
   int64_t param_count() const;
 };
+
+// Why LlamaModel cannot be built at shape `cfg`, or "" when it can: every
+// size but the layer count must be positive (layers may be 0), n_heads must
+// divide hidden, and the head dimension must be even (RoPE rotates pairs).
+// The constructor asserts it; the tools report it as a usage error.
+std::string config_error(const LlamaConfig& cfg);
 
 // Proxy configurations standing in for the paper's model ladder. Hidden
 // sizes shrink ~32× but layer-count ratios and SwiGLU sizing follow Table 8.

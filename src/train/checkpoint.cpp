@@ -215,6 +215,7 @@ CheckpointResult load_v3(CrcReader& rd, std::FILE* f, const std::string& path,
     return fail("missing end marker (truncated tail): " + path);
 
   r.ok = true;
+  r.has_optimizer_section = has_opt != 0;
   if (has_opt != 0 && opt != nullptr && opt_name == opt->name()) {
     // The blob is already CRC-verified; hand the optimizer an in-memory
     // stream so a short blob surfaces as a load failure, not a file error.

@@ -33,6 +33,8 @@ struct CheckpointResult {
   int64_t step = 0;
   // True when the file carried optimizer state and it was restored.
   bool optimizer_state_restored = false;
+  // Loads only: the file has an optimizer section, of any optimizer.
+  bool has_optimizer_section = false;
   std::string error;
 };
 

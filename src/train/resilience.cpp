@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 
 #include "nn/llama.h"
 #include "nn/parameter.h"
@@ -57,6 +56,10 @@ double DivergenceWatchdog::running_median() const {
 
 namespace {
 
+constexpr char kShardMagic[4] = {'A', 'P', 'S', 'D'};
+constexpr char kShardEndMagic[4] = {'D', 'S', 'P', 'A'};
+constexpr uint32_t kShardVersion = 1;
+
 // Parses the decimal digits s[b, e) into *out. False when there are none,
 // a character is not a digit, or the value passes INT_MAX: steps, ranks and
 // widths are ints in the trainer.
@@ -83,6 +86,23 @@ int64_t step_of_filename(const std::string& name) {
   return has_ckpt_affixes(name) && parse_digits(name, 5, name.size() - 5, &step)
              ? step
              : -1;
+}
+
+// Parses `ckpt_<step>.shard<rank>of<world>.aplo`; false for anything else.
+bool parse_shard_filename(const std::string& name, int64_t* step, int* rank,
+                          int* world) {
+  if (!has_ckpt_affixes(name)) return false;
+  const size_t shard_at = name.find(".shard");
+  if (shard_at == std::string::npos) return false;
+  const size_t of_at = name.find("of", shard_at + 6);
+  if (of_at == std::string::npos) return false;
+  int s = 0;
+  if (!parse_digits(name, 5, shard_at, &s) ||
+      !parse_digits(name, shard_at + 6, of_at, rank) ||
+      !parse_digits(name, of_at + 2, name.size() - 5, world))
+    return false;
+  *step = s;
+  return *world >= 1 && *rank < *world;
 }
 
 }  // namespace
@@ -120,32 +140,90 @@ CheckpointResult CheckpointRotator::save(nn::LlamaModel& model, int64_t step,
                                          const optim::Optimizer* opt) {
   CheckpointResult r = save_checkpoint(path_for(dir_, step), model, step, opt);
   if (!r.ok) return r;
-  std::vector<int64_t> steps = list_steps(dir_);
+  const std::vector<int64_t> steps = list_steps(dir_);
+  if (static_cast<int>(steps.size()) <= keep_) return r;
+  // Whole steps rotate out: a shard of any width — an older world's
+  // included — goes with its step.
+  const int64_t oldest_kept = steps[steps.size() - static_cast<size_t>(keep_)];
   std::error_code ec;
-  while (static_cast<int>(steps.size()) > keep_) {
-    fs::remove(path_for(dir_, steps.front()), ec);
-    steps.erase(steps.begin());
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    const std::string name = entry.path().filename().string();
+    int64_t s = step_of_filename(name);
+    int rank = 0, world = 0;
+    if ((s >= 0 || parse_shard_filename(name, &s, &rank, &world)) &&
+        s < oldest_kept)
+      fs::remove(entry.path(), ec);
   }
   return r;
 }
 
 namespace {
 
-// Loads the checkpoint at one step for resume_newest_first. Returns true
-// once it is loaded (filling rr->step and rr->optimizer_state_restored), or
-// false with the skip reason in *why. Setting rr->error ends the scan.
-using StepLoader =
-    std::function<bool(int64_t step, ResumeResult* rr, std::string* why)>;
+// Loads the checkpoint at one step for auto_resume. True once it is loaded
+// (filling rr->step and rr->optimizer_state_restored); false with the skip
+// reason in *why. Setting rr->error ends the scan.
+bool load_step(const std::string& dir, int64_t step, nn::LlamaModel& model,
+               optim::Optimizer* opt, ResumeResult* rr, std::string* why) {
+  const std::string path = CheckpointRotator::path_for(dir, step);
+  const CheckpointResult r = load_checkpoint(path, model, opt);
+  // A renamed copy would resume elsewhere than its name says.
+  if (!r.ok || r.step != step) {
+    *why = path + ": " +
+           (r.ok ? "step mismatch: holds " + std::to_string(r.step)
+                 : r.error);
+    return false;
+  }
+  rr->step = step;
+  rr->optimizer_state_restored = r.optimizer_state_restored;
+  if (r.has_optimizer_section || opt == nullptr) return true;
+  const int w = shard_world_at(dir, step);
+  if (w == 0) {
+    *why = path + ": no complete optimizer shard set";
+    return false;
+  }
+  // Validate the whole shard set in memory before touching any state — a
+  // torn set must never leave the optimizer half-merged. The transient cost
+  // is one unsharded optimizer footprint, paid only while loading.
+  std::vector<std::vector<char>> blobs(static_cast<size_t>(w));
+  std::string saved_by;
+  for (int k = 0; k < w; ++k)
+    if (!read_state_shard(shard_path_for(dir, step, k, w), step, k, w,
+                          &saved_by, &blobs[static_cast<size_t>(k)], why))
+      return false;
+  // As with a file's own section, another optimizer's state is not ours to
+  // merge: the weights resume alone.
+  if (saved_by != opt->name()) return true;
+  const nn::ParamList params = model.parameters();
+  bool merged = true;
+  for (int k = 0; k < w && merged; ++k) {
+    std::vector<char>& blob = blobs[static_cast<size_t>(k)];
+    std::FILE* mf = fmemopen(blob.data(), blob.size(), "rb");
+    // The first shard is loaded, which clears what a rolled-back run
+    // holds; the others merge into it.
+    merged = mf != nullptr && (k == 0 ? opt->load_state(mf, params)
+                                      : opt->merge_state(mf, params));
+    if (mf != nullptr) std::fclose(mf);
+  }
+  if (!merged) {
+    // CRC-valid bytes failing the structured parse means a writer bug or
+    // crafted bytes: resuming older state underneath a half-merged
+    // optimizer would silently corrupt the trajectory.
+    rr->error = "optimizer shard merge failed at step " +
+                std::to_string(step) + " in " + dir;
+    return false;
+  }
+  rr->optimizer_state_restored = true;
+  return true;
+}
 
-// The newest-first scan behind both resume kinds. Each skip is counted in
-// `ckpt.corrupt_skipped`; `kind` names the files in the final error.
-ResumeResult resume_newest_first(const std::string& dir,
-                                 nn::LlamaModel& model, const char* kind,
-                                 const StepLoader& load_step) {
+}  // namespace
+
+ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
+                         optim::Optimizer* opt, int64_t newest) {
   ResumeResult rr;
-  std::error_code ec;
-  if (!fs::is_directory(dir, ec)) return rr;
   std::vector<int64_t> steps = CheckpointRotator::list_steps(dir);
+  steps.erase(std::upper_bound(steps.begin(), steps.end(), newest),
+              steps.end());
   if (steps.empty()) return rr;
   obs::Counter& skipped = obs::Registry::instance().counter(
       "ckpt.corrupt_skipped");
@@ -158,7 +236,7 @@ ResumeResult resume_newest_first(const std::string& dir,
   for (const nn::Parameter* p : params) snapshot.push_back(p->value);
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
     std::string why;
-    if (load_step(*it, &rr, &why)) {
+    if (load_step(dir, *it, model, opt, &rr, &why)) {
       rr.resumed = true;
       return rr;
     }
@@ -168,67 +246,12 @@ ResumeResult resume_newest_first(const std::string& dir,
   }
   for (size_t i = 0; i < params.size(); ++i)
     params[i]->value = snapshot[i];
-  rr.error = std::string("no loadable ") + kind + " among " +
-             std::to_string(steps.size()) + " candidate(s) in " + dir;
+  rr.error = "no loadable checkpoint among " + std::to_string(steps.size()) +
+             " candidate(s) in " + dir;
   return rr;
 }
 
-// Loads the weights file named for `step`, refusing one whose header holds
-// another step (a renamed copy would resume elsewhere than its name says).
-// False with the reason in *why.
-bool load_named(const std::string& dir, int64_t step, nn::LlamaModel& model,
-                optim::Optimizer* opt, CheckpointResult* r,
-                std::string* why) {
-  const std::string path = CheckpointRotator::path_for(dir, step);
-  *r = load_checkpoint(path, model, opt);
-  if (r->ok && r->step == step) return true;
-  *why = path + ": " +
-         (r->ok ? "step mismatch: holds " + std::to_string(r->step)
-                : r->error);
-  return false;
-}
-
-}  // namespace
-
-ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
-                         optim::Optimizer* opt) {
-  return resume_newest_first(
-      dir, model, "checkpoint",
-      [&](int64_t step, ResumeResult* rr, std::string* why) {
-        CheckpointResult r;
-        if (!load_named(dir, step, model, opt, &r, why)) return false;
-        rr->step = r.step;
-        rr->optimizer_state_restored = r.optimizer_state_restored;
-        return true;
-      });
-}
-
-// --- DDP shard checkpoints -------------------------------------------------
-
-namespace {
-
-constexpr char kShardMagic[4] = {'A', 'P', 'S', 'D'};
-constexpr char kShardEndMagic[4] = {'D', 'S', 'P', 'A'};
-constexpr uint32_t kShardVersion = 1;
-
-// Parses `ckpt_<step>.shard<rank>of<world>.aplo`; false for anything else.
-bool parse_shard_filename(const std::string& name, int64_t* step, int* rank,
-                          int* world) {
-  if (!has_ckpt_affixes(name)) return false;
-  const size_t shard_at = name.find(".shard");
-  if (shard_at == std::string::npos) return false;
-  const size_t of_at = name.find("of", shard_at + 6);
-  if (of_at == std::string::npos) return false;
-  int s = 0;
-  if (!parse_digits(name, 5, shard_at, &s) ||
-      !parse_digits(name, shard_at + 6, of_at, rank) ||
-      !parse_digits(name, of_at + 2, name.size() - 5, world))
-    return false;
-  *step = s;
-  return *world >= 1 && *rank < *world;
-}
-
-}  // namespace
+// --- shard files -----------------------------------------------------------
 
 std::string shard_path_for(const std::string& dir, int64_t step, int rank,
                            int world) {
@@ -356,75 +379,8 @@ bool DdpCheckpointRotator::save(nn::LlamaModel& model, int64_t step,
       return false;
     }
   }
-  if (!save_state_shard(shard_path_for(dir(), step, rank_, world_), opt,
-                        model.parameters(), step, rank_, world_, err))
-    return false;
-  // Prune this rank's own shard files (any world width — older epochs of a
-  // shrunk world included), newest keep retained.
-  std::error_code ec;
-  std::vector<std::pair<int64_t, std::string>> mine;
-  for (const auto& entry : fs::directory_iterator(dir(), ec)) {
-    int64_t s = 0;
-    int r = 0, w = 0;
-    if (parse_shard_filename(entry.path().filename().string(), &s, &r, &w) &&
-        r == rank_)
-      mine.emplace_back(s, entry.path().string());
-  }
-  std::sort(mine.begin(), mine.end());
-  while (static_cast<int>(mine.size()) > weights_.keep()) {
-    fs::remove(mine.front().second, ec);
-    mine.erase(mine.begin());
-  }
-  return true;
-}
-
-ResumeResult auto_resume_ddp(const std::string& dir, nn::LlamaModel& model,
-                             optim::Optimizer* opt) {
-  return resume_newest_first(
-      dir, model, "DDP checkpoint",
-      [&](int64_t step, ResumeResult* rr, std::string* why) {
-        const std::string wpath = CheckpointRotator::path_for(dir, step);
-        const int w = shard_world_at(dir, step);
-        if (w == 0) {
-          *why = wpath + ": no complete optimizer shard set";
-          return false;
-        }
-        // Validate the whole shard set in memory before touching any state
-        // — a torn set must never leave the optimizer half-merged. The
-        // transient cost is one unsharded optimizer footprint, paid only
-        // during resume.
-        std::vector<std::vector<char>> blobs(static_cast<size_t>(w));
-        std::string saved_by;
-        for (int r = 0; r < w; ++r)
-          if (!read_state_shard(shard_path_for(dir, step, r, w), step, r, w,
-                                &saved_by, &blobs[static_cast<size_t>(r)],
-                                why))
-            return false;
-        CheckpointResult wres;
-        if (!load_named(dir, step, model, nullptr, &wres, why)) return false;
-        // As in a single-process load, another optimizer's state is not
-        // ours to merge: the weights resume alone.
-        const bool ours = opt != nullptr && saved_by == opt->name();
-        const nn::ParamList params = model.parameters();
-        bool merged = ours;
-        for (int r = 0; r < w && merged; ++r) {
-          std::vector<char>& blob = blobs[static_cast<size_t>(r)];
-          std::FILE* mf = fmemopen(blob.data(), blob.size(), "rb");
-          merged = mf != nullptr && opt->merge_state(mf, params);
-          if (mf != nullptr) std::fclose(mf);
-        }
-        if (ours && !merged) {
-          // CRC-valid bytes failing the structured parse means a writer bug
-          // or crafted bytes: resuming older state underneath a half-merged
-          // optimizer would silently corrupt the trajectory.
-          rr->error = "optimizer shard merge failed at step " +
-                      std::to_string(step) + " in " + dir;
-          return false;
-        }
-        rr->step = wres.step;
-        rr->optimizer_state_restored = ours;
-        return true;
-      });
+  return save_state_shard(shard_path_for(dir(), step, rank_, world_), opt,
+                          model.parameters(), step, rank_, world_, err);
 }
 
 }  // namespace apollo::train

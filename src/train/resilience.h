@@ -19,6 +19,7 @@
 // count.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -105,10 +106,21 @@ class LrBackoff {
 };
 
 // --- rotating checkpoints + auto-resume ------------------------------------
+//
+// A checkpoint at step S is `ckpt_S.aplo`, a v3 file (train/checkpoint.h),
+// plus — when that file carries no optimizer section — the complete shard
+// set a data-parallel world writes beside it:
+//   ckpt_S.shard<r>of<W>.aplo   rank r's optimizer-state shard, one per rank
+// Shard files are committed by the same code as checkpoint v3
+// (train/ckpt_io.h: commit_file) with the same CRC-32 section framing, and
+// their blob length is checked before it sizes an allocation. One loader
+// reads both kinds at any world width, so a run can continue on more or
+// fewer ranks than wrote its checkpoints.
 
 // Writes `ckpt_<step>.aplo` files into a directory through the atomic
-// checkpoint path and prunes all but the newest `keep`. Stale `*.tmp`
-// leftovers from crashed saves are removed on construction.
+// checkpoint path and keeps the newest `keep` steps: every file of an older
+// step, its weights file and its shards of any width, is deleted. Stale
+// `*.tmp` leftovers from crashed saves are removed on construction.
 class CheckpointRotator {
  public:
   CheckpointRotator(std::string dir, int keep);
@@ -121,7 +133,6 @@ class CheckpointRotator {
   static std::vector<int64_t> list_steps(const std::string& dir);
 
   const std::string& dir() const { return dir_; }
-  int keep() const { return keep_; }
 
  private:
   std::string dir_;
@@ -137,27 +148,23 @@ struct ResumeResult {
   std::string error;  // set when checkpoints existed but none loaded
 };
 
-// Scans `dir` newest-to-oldest and loads the first checkpoint that passes
-// all CRC/shape validation and whose header holds the step its name gives,
-// skipping the others with a readable reason (each skip increments the
-// `ckpt.corrupt_skipped` registry counter). Names whose step passes INT_MAX
-// are not checkpoints and are not listed.
-// An empty or missing directory resumes nothing and is not an error.
+// Scans the checkpoints of `dir` at or before step `newest`, newest first,
+// and loads the first that validates, skipping the others with a readable
+// reason (each skip increments the `ckpt.corrupt_skipped` registry
+// counter). A step loads when its weights file passes all CRC/shape
+// validation and its header holds the step its name gives; when `opt` is
+// given and the file has no optimizer section, the step's complete shard
+// set must validate too, whole and in memory before any state is merged.
+// The optimizer state — the file's own section, or the shard set merged in
+// rank order — is restored under `opt`'s current shard configuration, which
+// redistributes ZeRO-1 ownership when the width changed; a section or set
+// another optimizer wrote resumes the weights alone. Every rank of a world
+// scans the same files and reaches the same verdict. Names whose step
+// passes INT_MAX are not checkpoints and are not listed. An empty or
+// missing directory resumes nothing and is not an error.
 ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
-                         optim::Optimizer* opt);
-
-// --- DDP shard checkpoints (src/dist) --------------------------------------
-//
-// A DDP checkpoint at step S is a *set* of files in the same directory:
-//   ckpt_S.aplo                 weights only, written by rank 0 (v3 format)
-//   ckpt_S.shard<r>of<W>.aplo   rank r's optimizer-state shard, one per rank
-// Shard files are committed by the same code as checkpoint v3
-// (train/ckpt_io.h: commit_file) with the same CRC-32 section framing, and
-// their blob length is checked before it sizes an allocation. A set is
-// loadable only when the weights file and a complete, mutually consistent
-// shard set 0..W-1 all validate — torn sets (a crash mid-rotation) are
-// skipped, and every rank reaches the same verdict without communicating
-// because all ranks scan the same files.
+                         optim::Optimizer* opt,
+                         int64_t newest = INT64_MAX);
 
 std::string shard_path_for(const std::string& dir, int64_t step, int rank,
                            int world);
@@ -183,9 +190,9 @@ bool read_state_shard(const std::string& path, int64_t expect_step,
 // preferring the larger is safe and deterministic.)
 int shard_world_at(const std::string& dir, int64_t step);
 
-// Rotating writer for DDP runs, built on CheckpointRotator: rank 0 writes
-// and rotates the weights files through it, every rank writes its own
-// shard, and every rank prunes only its own shards.
+// Rotating writer for a data-parallel world, built on CheckpointRotator:
+// rank 0 writes the weights file (weights only) and rotates the directory
+// through it, and every rank writes its own shard.
 class DdpCheckpointRotator {
  public:
   DdpCheckpointRotator(std::string dir, int keep, int rank, int world);
@@ -201,18 +208,6 @@ class DdpCheckpointRotator {
   int world_;
 };
 
-// DDP auto-resume: auto_resume's newest-to-oldest scan over the weights
-// steps (same skip counting and weight restore), where each step requires
-// a fully CRC-valid shard set (validated in memory *before* any state is
-// merged, so a bad set never leaves the optimizer half-merged), loads the
-// weights, then, when the set was written by an optimizer of `opt`'s name,
-// merges every shard in rank order through Optimizer::merge_state under the
-// optimizer's current shard configuration — which redistributes ownership
-// when the world width changed. Every rank performs the identical scan and
-// reaches the identical verdict.
-ResumeResult auto_resume_ddp(const std::string& dir, nn::LlamaModel& model,
-                             optim::Optimizer* opt);
-
 // --- trainer-facing configuration ------------------------------------------
 
 struct ResilienceConfig {
@@ -221,7 +216,8 @@ struct ResilienceConfig {
   int ckpt_every = 50;
   int ckpt_keep = 3;
   // Scan ckpt_dir before training and continue from the newest good
-  // checkpoint (requires ckpt_dir).
+  // checkpoint (requires ckpt_dir). Without it the run is a new one, and
+  // Trainer::run refuses a ckpt_dir that already holds checkpoints.
   bool auto_resume = true;
   // Enables the divergence watchdog (requires ckpt_dir for rollback).
   bool watchdog = false;

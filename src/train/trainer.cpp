@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
-#include <memory>
 #include <optional>
 
 #include "autograd/tape.h"
@@ -58,50 +57,102 @@ TrainResult Trainer::run() {
   const bool rotating = !rc.ckpt_dir.empty();
   APOLLO_CHECK(!rc.watchdog || rotating);  // rollback needs a ckpt target
 
-  // Data-parallel configuration. The watchdog's rollback protocol and the
-  // INT8 weight store are incompatible with ZeRO-1 sharding (each would
-  // need a collective agreement protocol of its own), and grad_accum is
-  // redundant — the world *is* the accumulation (see trainer.h).
+  // Data-parallel configuration. The INT8 weight store is incompatible with
+  // ZeRO-1 sharding, and grad_accum is redundant — the world *is* the
+  // accumulation (see trainer.h).
   const int world = comm_ != nullptr ? comm_->world() : 1;
   const int rank = comm_ != nullptr ? comm_->rank() : 0;
   if (comm_ != nullptr) {
     APOLLO_CHECK_MSG(cfg_.grad_accum <= 1,
                      "DDP replaces grad accumulation; use --ranks");
-    APOLLO_CHECK_MSG(!rc.watchdog, "the divergence watchdog is per-process");
     APOLLO_CHECK_MSG(qstore_ == nullptr,
                      "quantized weights are incompatible with DDP");
   }
   opt_.set_shard(rank, world);
+  const int accum = std::max(1, cfg_.grad_accum);
 
-  std::unique_ptr<CheckpointRotator> rotator;
-  std::unique_ptr<DdpCheckpointRotator> ddp_rotator;
-  if (rotating && comm_ != nullptr)
-    ddp_rotator = std::make_unique<DdpCheckpointRotator>(
-        rc.ckpt_dir, rc.ckpt_keep, rank, world);
-  else if (rotating)
-    rotator = std::make_unique<CheckpointRotator>(rc.ckpt_dir, rc.ckpt_keep);
+  // A run that does not resume is a new one: its rollbacks and later
+  // resumes must never reach another run's checkpoints.
+  if (rotating && !rc.auto_resume &&
+      !CheckpointRotator::list_steps(rc.ckpt_dir).empty()) {
+    res.diverged = true;
+    res.divergence_diagnostics =
+        "auto-resume is off but " + rc.ckpt_dir +
+        " already holds checkpoints of another run";
+    return res;
+  }
+
   // Log prefix naming this process under DDP.
   const std::string who =
       comm_ != nullptr ? "rank " + std::to_string(rank) + " " : "";
-  int start_step = 0;
-  int64_t last_ckpt_step = -1;  // the watchdog's rollback target
-  if (rotating && rc.auto_resume) {
-    ResumeResult rr = comm_ != nullptr
-                          ? auto_resume_ddp(rc.ckpt_dir, model_, &opt_)
-                          : auto_resume(rc.ckpt_dir, model_, &opt_);
-    res.corrupt_checkpoints_skipped = static_cast<int>(rr.skipped.size());
+  // The newest step this run saved or resumed from: resume and rollback
+  // read nothing newer.
+  int64_t last_good = -1;
+
+  // The one checkpoint save, for periodic checkpoints and the watchdog's
+  // baseline. A single process writes its optimizer state into the
+  // weights file; in a world rank 0 writes the weights and every rank its
+  // own shard.
+  std::optional<CheckpointRotator> rotator;
+  std::optional<DdpCheckpointRotator> shard_rotator;
+  if (rotating && comm_ != nullptr)
+    shard_rotator.emplace(rc.ckpt_dir, rc.ckpt_keep, rank, world);
+  else if (rotating)
+    rotator.emplace(rc.ckpt_dir, rc.ckpt_keep);
+  auto save = [&](int step) {
+    std::string err;
+    bool saved = false;
+    if (shard_rotator) {
+      saved = shard_rotator->save(model_, step, opt_, &err);
+    } else {
+      const CheckpointResult r = rotator->save(model_, step, &opt_);
+      saved = r.ok;
+      err = r.error;
+    }
+    if (saved) {
+      last_good = step;
+      ++res.checkpoints_saved;
+    } else {
+      std::fprintf(stderr, "[ckpt] %ssave failed at step %d: %s\n",
+                   who.c_str(), step, err.c_str());
+    }
+  };
+
+  // Every rank owns an identical loader over the identical stream; a DDP
+  // step consumes `world` micro-batches (each rank keeps the rank-th), so
+  // a replay to step S skips S x accum x world batches: step S then sees
+  // exactly the batches an uninterrupted run would have.
+  std::optional<data::BatchLoader> loader;
+  auto replay_to = [&](int64_t step) {
+    loader.emplace(corpus_, cfg_.batch, model_.config().seq_len,
+                   cfg_.data_seed);
+    skip_batches(*loader, step * accum * world);
+  };
+  // The one rewind, shared by resume, rollback and the abort reload: load
+  // the newest good checkpoint at or before `newest`, absorb its fp32
+  // weights back into the INT8 store (so the streaming per-slot
+  // requantization continues from the restored trajectory instead of the
+  // construction-time codes), and replay the data stream to it.
+  auto rewind = [&](int64_t newest) {
+    ResumeResult rr = auto_resume(rc.ckpt_dir, model_, &opt_, newest);
+    res.corrupt_checkpoints_skipped += static_cast<int>(rr.skipped.size());
     for (const std::string& s : rr.skipped)
-      std::fprintf(stderr, "[resume] skipped corrupt checkpoint %s\n",
-                   s.c_str());
+      std::fprintf(stderr, "[resume] %sskipped corrupt checkpoint %s\n",
+                   who.c_str(), s.c_str());
+    if (rr.resumed) {
+      last_good = rr.step;
+      if (qstore_ != nullptr) qstore_->requantize_from_params();
+      replay_to(rr.step);
+    }
+    return rr;
+  };
+
+  int start_step = 0;
+  if (rotating && rc.auto_resume) {
+    const ResumeResult rr = rewind(INT64_MAX);
     if (rr.resumed) {
       start_step = static_cast<int>(rr.step);
       res.resumed_from_step = rr.step;
-      // Newer files the scan skipped are no rollback target.
-      last_ckpt_step = rr.step;
-      // Checkpoints carry fp32 weights; absorb them back into the INT8
-      // store so the streaming per-slot requantization resumes from the
-      // restored trajectory instead of the construction-time codes.
-      if (qstore_ != nullptr) qstore_->requantize_from_params();
       std::fprintf(stderr, "[resume] %scontinuing from step %lld%s\n",
                    who.c_str(), static_cast<long long>(rr.step),
                    rr.optimizer_state_restored ? " with optimizer state"
@@ -114,40 +165,25 @@ TrainResult Trainer::run() {
       return res;
     }
   }
+  if (!loader) replay_to(0);
+  if (rc.watchdog && last_good < 0) {
+    // Baseline rollback target: divergence before the first periodic
+    // checkpoint rolls back to the initial weights. Every rank scans the
+    // directory and sweeps its temps before any rank writes into it.
+    if (comm_ != nullptr) comm_->barrier();
+    save(start_step);
+  }
 
   const data::ValidationSet val = data::make_validation_set(
       corpus_, cfg_.eval_batches, cfg_.batch, model_.config().seq_len,
       cfg_.val_seed);
   CosineSchedule sched(cfg_.lr, cfg_.steps, cfg_.warmup_frac,
                        cfg_.final_lr_frac);
-  const int accum = std::max(1, cfg_.grad_accum);
-
-  // Every rank owns an identical loader over the identical stream; a DDP
-  // step consumes `world` micro-batches (each rank keeps the rank-th), so
-  // replay after resume skips world x accum batches per completed step.
-  std::optional<data::BatchLoader> loader;
-  loader.emplace(corpus_, cfg_.batch, model_.config().seq_len,
-                 cfg_.data_seed);
-  skip_batches(*loader, static_cast<int64_t>(start_step) * accum * world);
 
   DivergenceWatchdog watchdog(rc.wd);
   LrBackoff backoff(rc.wd.lr_backoff, rc.wd.min_history);
   int retries = 0;
   bool limiter_tightened = false;
-  if (rotating && last_ckpt_step < 0) {
-    const std::vector<int64_t> existing =
-        CheckpointRotator::list_steps(rc.ckpt_dir);
-    if (!existing.empty()) {
-      last_ckpt_step = existing.back();
-    } else if (rc.watchdog) {
-      // Baseline rollback target: divergence before the first periodic
-      // checkpoint rolls back to the initial weights.
-      if (rotator->save(model_, start_step, &opt_).ok) {
-        last_ckpt_step = start_step;
-        ++res.checkpoints_saved;
-      }
-    }
-  }
 
   std::vector<int32_t> ids, targets;
   // One cached-env branch when APOLLO_METRICS is unset — the telemetry path
@@ -166,6 +202,9 @@ TrainResult Trainer::run() {
 
   // Rolls the step back (or aborts the run) after the loss check or the
   // gradient check failed. kRetry rewinds `step` to the rollback target.
+  // Every rank of a world reaches the same verdict (the loss is all-reduced
+  // and the gradient norm exchanged) and, past that collective, scans the
+  // same committed files, so all ranks roll back to the same step.
   enum class WdAction { kRetry, kAbort };
   auto handle_divergence = [&](int& step, const std::string& why) {
     // The abandoned attempt's fields and samples must not reach the row of
@@ -189,26 +228,21 @@ TrainResult Trainer::run() {
             "diverged at step " + std::to_string(step) + ": " + why + "; " +
             std::to_string(res.rollbacks) + " rollback(s), lr " + "scale " +
             std::to_string(backoff.scale()) +
-            ", last good checkpoint at step " +
-            std::to_string(last_ckpt_step);
+            ", last good checkpoint at step " + std::to_string(last_good);
         std::fprintf(stderr, "[watchdog] aborting: %s\n",
                      res.divergence_diagnostics.c_str());
-        if (last_ckpt_step >= 0)
-          load_checkpoint(
-              CheckpointRotator::path_for(rc.ckpt_dir, last_ckpt_step),
-              model_, &opt_);
+        rewind(last_good);
         return WdAction::kAbort;
       }
     }
     ++retries;
-    APOLLO_CHECK(last_ckpt_step >= 0);
-    const std::string path =
-        CheckpointRotator::path_for(rc.ckpt_dir, last_ckpt_step);
-    CheckpointResult rolled = load_checkpoint(path, model_, &opt_);
-    if (!rolled.ok) {
+    const ResumeResult rr = rewind(last_good);
+    if (!rr.resumed) {
       res.diverged = true;
       res.divergence_diagnostics =
-          "rollback target unloadable (" + path + "): " + rolled.error;
+          "no rollback target at or before step " +
+          std::to_string(last_good) +
+          (rr.error.empty() ? std::string() : ": " + rr.error);
       std::fprintf(stderr, "[watchdog] aborting: %s\n",
                    res.divergence_diagnostics.c_str());
       return WdAction::kAbort;
@@ -217,17 +251,12 @@ TrainResult Trainer::run() {
     backoff.on_rollback();
     watchdog.reset_history();
     std::fprintf(stderr,
-                 "[watchdog] step %d: %s — rolled back to step %lld "
+                 "[watchdog] %sstep %d: %s — rolled back to step %lld "
                  "(retry %d/%d, lr scale %.6g)\n",
-                 step, why.c_str(), static_cast<long long>(last_ckpt_step),
-                 retries, rc.wd.max_retries,
+                 who.c_str(), step, why.c_str(),
+                 static_cast<long long>(rr.step), retries, rc.wd.max_retries,
                  static_cast<double>(backoff.scale()));
-    // Replay the data stream from the rollback point.
-    loader.emplace(corpus_, cfg_.batch, model_.config().seq_len,
-                   cfg_.data_seed);
-    skip_batches(*loader, last_ckpt_step * accum);
-    if (qstore_ != nullptr) qstore_->requantize_from_params();
-    step = static_cast<int>(last_ckpt_step) - 1;  // ++ re-enters there
+    step = static_cast<int>(rr.step) - 1;  // ++ re-enters there
     return WdAction::kRetry;
   };
 
@@ -365,24 +394,8 @@ TrainResult Trainer::run() {
       if (telemetry) obs::telemetry().set("val_loss", vl);
     }
 
-    if (rotating && (step + 1) % std::max(1, rc.ckpt_every) == 0) {
-      std::string err;
-      bool saved = false;
-      if (ddp_rotator != nullptr) {
-        saved = ddp_rotator->save(model_, step + 1, opt_, &err);
-      } else {
-        const CheckpointResult r = rotator->save(model_, step + 1, &opt_);
-        saved = r.ok;
-        err = r.error;
-      }
-      if (saved) {
-        last_ckpt_step = step + 1;
-        ++res.checkpoints_saved;
-      } else {
-        std::fprintf(stderr, "[ckpt] %ssave failed at step %d: %s\n",
-                     who.c_str(), step + 1, err.c_str());
-      }
-    }
+    if (rotating && (step + 1) % std::max(1, rc.ckpt_every) == 0)
+      save(step + 1);
 
     if (telemetry) {
       obs::Telemetry& tel = obs::telemetry();

@@ -84,7 +84,7 @@ struct TrainResult {
   int64_t resumed_from_step = 0;   // > 0 when auto-resume kicked in
   int rollbacks = 0;               // watchdog-triggered rollbacks
   int checkpoints_saved = 0;       // rotating checkpoint commits
-  int corrupt_checkpoints_skipped = 0;  // during auto-resume
+  int corrupt_checkpoints_skipped = 0;  // by resume and rollback scans
   bool diverged = false;  // aborted after the retry budget was exhausted
   std::string divergence_diagnostics;
 };
@@ -109,8 +109,9 @@ class Trainer {
   // only its owned slot shard and the owner broadcasts refreshed
   // parameters. The loss/grad-norm trajectory is bit-identical to a
   // single-process run with `grad_accum = world` at the same micro-batch
-  // size. Requires grad_accum == 1, no watchdog, and no quantized weights;
-  // composes with the fused update path.
+  // size, and so is every rank's rollback under the watchdog. Requires
+  // grad_accum == 1 and no quantized weights; composes with the fused
+  // update path.
   void set_communicator(dist::Communicator* comm) { comm_ = comm; }
 
   TrainResult run();

@@ -596,7 +596,7 @@ TEST(CraftedState, WrongShapedShardEndsTheDdpScan) {
         << err;
     nn::LlamaModel fresh(tiny(), 2);
     core::Apollo opt{core::ApolloConfig{}};
-    const auto rr = train::auto_resume_ddp(dir, fresh, &opt);
+    const auto rr = train::auto_resume(dir, fresh, &opt);
     EXPECT_EQ(rr.resumed, well_formed) << rr.error;
     if (!well_formed) {
       EXPECT_EQ(rr.error,

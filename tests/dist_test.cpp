@@ -3,10 +3,12 @@
 // restart machinery, ZeRO-1 sharded-update equivalence, shard-checkpoint
 // round-trips across width changes, and the end-to-end contracts — a 4-rank
 // world, classic or fused, must reproduce the single-process
-// `--grad-accum 4` loss/grad-norm streams bit for bit, a world that loses a
-// rank (crash or hang) must auto-recover onto the same trajectory, and an
-// out-of-range --ranks or a malformed number is refused with one usage
-// error.
+// `--grad-accum 4` loss/grad-norm streams bit for bit, and a 2-rank world
+// under the watchdog those of `--grad-accum 2`; a world that loses a rank
+// (crash or hang) must auto-recover onto the same trajectory, a rollback
+// must fall back past a corrupt newest checkpoint, and an out-of-range
+// --ranks, a malformed number, a bad model shape or a zero count is
+// refused with one usage error.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -25,6 +27,7 @@
 
 #include "core/apollo.h"
 #include "core/factory.h"
+#include "data/corpus.h"
 #include "dist/world.h"
 #include "fault/fault_injection.h"
 #include "nn/llama.h"
@@ -32,6 +35,7 @@
 #include "tensor/matrix.h"
 #include "train/checkpoint.h"
 #include "train/resilience.h"
+#include "train/trainer.h"
 
 namespace apollo {
 namespace {
@@ -442,7 +446,7 @@ std::vector<Replica> resume_world(const OptimizerMaker& make,
   std::vector<Replica> world =
       make_world(make, width, [](int r) { return 20 + r; });
   for (Replica& rep : world) {
-    const auto rr = train::auto_resume_ddp(dir, *rep.model, rep.opt.get());
+    const auto rr = train::auto_resume(dir, *rep.model, rep.opt.get());
     EXPECT_TRUE(rr.resumed) << rr.error;
     EXPECT_EQ(rr.step, 7);
     EXPECT_TRUE(rr.optimizer_state_restored);
@@ -475,21 +479,27 @@ void step_world(std::vector<Replica>& world, uint64_t seed) {
 }
 
 // For every optimizer: trains worlds of widths 2 and 4 for three steps and
-// saves their shard sets, resumes them onto fresh worlds of other widths
-// (2→1, 2→3, 4→2), and proves each merged state is the state of a world of
-// that width that was never interrupted: every rank holds the same resident
-// state bytes (heavy fields for its own slots only), and two more
+// saves their shard sets, and one unsharded optimizer for the same three
+// steps and saves its single-process checkpoint. Resumes them onto fresh
+// worlds of other widths (2→1, 2→3, 4→2, and the single-process file →2),
+// and the 2-rank set onto a Trainer with no communicator, all through the
+// one auto_resume scan, and proves each resumed state is the state of a
+// world of that width that was never interrupted: every rank holds the same
+// resident state bytes (heavy fields for its own slots only), and two more
 // identical-gradient steps land every rank on the bits of one unsharded
 // optimizer.
 TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
-  const std::string dir2 =
-      std::string(::testing::TempDir()) + "dist_shards_w2";
-  const std::string dir4 =
-      std::string(::testing::TempDir()) + "dist_shards_w4";
+  const std::string tmp = ::testing::TempDir();
+  const std::string dir1 = tmp + "dist_shards_w1";
+  const std::string dir2 = tmp + "dist_shards_w2";
+  const std::string dir4 = tmp + "dist_shards_w4";
+  data::CorpusConfig ccfg;
+  ccfg.vocab = tiny_config().vocab;
+  const data::SyntheticCorpus corpus(ccfg);
   for (const auto& [name, make] : shard_test_optimizers()) {
     SCOPED_TRACE(name);
-    std::filesystem::remove_all(dir2);
-    std::filesystem::remove_all(dir4);
+    for (const std::string& dir : {dir1, dir2, dir4})
+      std::filesystem::remove_all(dir);
     nn::LlamaModel model(tiny_config(), 3);
     auto opt = make();
     opt->set_lr(1e-2f);
@@ -498,6 +508,8 @@ TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
       fill_model_grads(params, seed);
       opt->step(params);
     }
+    train::CheckpointRotator single(dir1, 2);
+    ASSERT_TRUE(single.save(model, 7, opt.get()).ok);
 
     std::string err;
     for (const auto& [dir, width] : {std::pair{dir2, 2}, std::pair{dir4, 4}}) {
@@ -516,11 +528,9 @@ TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
       fill_model_grads(params, seed);
       opt->step(params);
     }
-    for (const auto& [dir, width] :
-         {std::pair{dir2, 1}, std::pair{dir2, 3}, std::pair{dir4, 2}}) {
-      SCOPED_TRACE(dir + " onto width " + std::to_string(width));
-      std::vector<Replica> world = resume_world(make, dir, width);
-      ASSERT_FALSE(HasFailure()) << "the world did not resume";
+    // Continues `world` next to one that never stopped and compares them.
+    const auto expect_uninterrupted = [&](std::vector<Replica>& world) {
+      const int width = static_cast<int>(world.size());
       std::vector<Replica> straight =
           make_world(make, width, [](int) { return 3; });
       for (uint64_t seed = 100; seed < 103; ++seed) step_world(straight, seed);
@@ -535,10 +545,32 @@ TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
         for (size_t i = 0; i < params.size(); ++i)
           EXPECT_TRUE(got[i]->value == params[i]->value) << params[i]->name;
       }
+    };
+    for (const auto& [dir, width] :
+         {std::pair{dir2, 1}, std::pair{dir2, 3}, std::pair{dir4, 2},
+          std::pair{dir1, 2}}) {
+      SCOPED_TRACE(dir + " onto width " + std::to_string(width));
+      std::vector<Replica> world = resume_world(make, dir, width);
+      ASSERT_FALSE(HasFailure()) << "the world did not resume";
+      expect_uninterrupted(world);
+    }
+    {
+      SCOPED_TRACE(dir2 + " onto a Trainer with no communicator");
+      std::vector<Replica> world =
+          make_world(make, 1, [](int) { return 20; });
+      train::TrainConfig tc;
+      tc.steps = 7;  // resumes at the last step: trains nothing
+      tc.batch = 1;
+      tc.eval_batches = 1;
+      tc.resilience.ckpt_dir = dir2;
+      const train::TrainResult res =
+          train::Trainer(*world[0].model, *world[0].opt, corpus, tc).run();
+      ASSERT_EQ(res.resumed_from_step, 7) << res.divergence_diagnostics;
+      expect_uninterrupted(world);
     }
   }
-  std::filesystem::remove_all(dir2);
-  std::filesystem::remove_all(dir4);
+  for (const std::string& dir : {dir1, dir2, dir4})
+    std::filesystem::remove_all(dir);
 }
 
 // --- end-to-end subprocess drills -------------------------------------------
@@ -591,6 +623,16 @@ std::string metric_stream(const std::string& path, const std::string& key) {
   }
   EXPECT_FALSE(out.empty()) << key << " never appears in " << path;
   return out;
+}
+
+// Lines of `text` that contain `needle`.
+int count_lines_with(const std::string& text, const std::string& needle) {
+  std::istringstream in(text);
+  std::string line;
+  int n = 0;
+  while (std::getline(in, line))
+    if (line.find(needle) != std::string::npos) ++n;
+  return n;
 }
 
 // The acceptance contract: a 4-rank world at the same global batch emits
@@ -731,6 +773,79 @@ TEST(DistE2E, KillRankRecoversOntoSameTrajectory) {
   std::filesystem::remove_all(dir);
 }
 
+// The watchdog under a world: a NaN gradient at step 6 rolls every rank
+// back to the step-4 checkpoint once, and every rank's loss and grad-norm
+// streams are the `--grad-accum 2 --watchdog` run's, on both drivers. The
+// replay after the rollback skips step x world batches, as a resume does.
+TEST(DistE2E, WatchdogUnderRanksMatchesGradAccum) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_wd";
+  const std::string bin = APOLLO_TRAIN_BIN;
+  const std::string cd = "cd " + dir + " && APOLLO_FAULTS=nan_grad@6 ";
+  for (const char* driver : {"", " --fused-update"}) {
+    SCOPED_TRACE(driver[0] != '\0' ? "fused" : "classic");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string args = std::string(kShape) + driver +
+                             " --steps 10 --ckpt-every 4 --watchdog";
+    ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=solo.jsonl " + bin + args +
+                      " --grad-accum 2 --ckpt-dir solo > solo.log 2>&1"),
+              0);
+    ASSERT_EQ(run_cmd(cd + "APOLLO_METRICS=world.jsonl " + bin + args +
+                      " --ranks 2 --ckpt-dir world > world.log 2>&1"),
+              0);
+    const std::string log = file_contents(dir + "/world.log");
+    EXPECT_EQ(count_lines_with(log, "rolled back to step 4"), 2) << log;
+    for (const char* key : {"loss", "grad_norm"}) {
+      SCOPED_TRACE(key);
+      const std::string solo = metric_stream(dir + "/solo.jsonl", key);
+      EXPECT_EQ(solo, metric_stream(dir + "/world.jsonl.rank0", key));
+      EXPECT_EQ(solo, metric_stream(dir + "/world.jsonl.rank1", key));
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A rollback scans back past a corrupt newest checkpoint: the step-8 file's
+// optimizer section is bit-flipped, so a NaN at step 10 rolls back to step
+// 4 and the run finishes, on one rank and on every rank of two.
+TEST(DistE2E, RollbackSkipsACorruptNewestCheckpoint) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_wd_flip";
+  for (const int ranks : {1, 2}) {
+    SCOPED_TRACE(ranks);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ASSERT_EQ(run_cmd("cd " + dir + " && APOLLO_FAULTS='bitflip_opt@8;"
+                      "nan_grad@10' " + APOLLO_TRAIN_BIN + kShape +
+                      " --steps 12 --ckpt-every 4 --watchdog --ckpt-dir c"
+                      " --ranks " + std::to_string(ranks) + " > out.log 2>&1"),
+              0);
+    const std::string log = file_contents(dir + "/out.log");
+    EXPECT_EQ(count_lines_with(log, "skipped corrupt checkpoint c/ckpt_8"),
+              ranks)
+        << log;
+    EXPECT_EQ(count_lines_with(log, "rolled back to step 4"), ranks) << log;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A world restarted after a rank loss continues its own run from its own
+// checkpoints, even under --no-resume, which refuses only a directory that
+// held checkpoints before the run began.
+TEST(DistE2E, RestartedWorldResumesUnderNoResume) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_nores";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(run_cmd("cd " + dir + " && APOLLO_FAULTS='crash@6:1' " +
+                    APOLLO_TRAIN_BIN + kShape +
+                    " --steps 8 --ranks 2 --ckpt-dir c --ckpt-every 4"
+                    " --no-resume > out.log 2>&1"),
+            0);
+  const std::string log = file_contents(dir + "/out.log");
+  EXPECT_NE(log.find("restarting world"), std::string::npos) << log;
+  EXPECT_EQ(count_lines_with(log, "continuing from step 4"), 2) << log;
+  std::filesystem::remove_all(dir);
+}
+
 // Hang drill: a rank that stops making progress (alive, heartbeat stalled)
 // must be detected by the supervisor's timeout, killed, and recovered from.
 TEST(DistE2E, HungRankIsDetectedAndRecovered) {
@@ -787,20 +902,11 @@ TEST(DistE2E, UnknownModelSizeIsAUsageError) {
   std::filesystem::remove_all(dir);
 }
 
-// Lines of `text` that contain `needle`.
-int count_lines_with(const std::string& text, const std::string& needle) {
-  std::istringstream in(text);
-  std::string line;
-  int n = 0;
-  while (std::getline(in, line))
-    if (line.find(needle) != std::string::npos) ++n;
-  return n;
-}
-
 // A value that does not parse whole, or does not fit the flag's integer
-// type, is a usage error, and so are an unknown optimizer and an unreadable
-// data file. Options are read and checked before any rank is forked, so
-// under --ranks the error prints once and no rank fails.
+// type, is a usage error, and so are an unknown optimizer, an unreadable
+// data file, a model shape LlamaModel cannot build and a count below 1.
+// Options are read and checked before any rank is forked, so under --ranks
+// the error prints once and no rank fails.
 TEST(DistE2E, MalformedNumberIsAUsageError) {
   const std::string dir = std::string(::testing::TempDir()) + "dist_number";
   std::filesystem::remove_all(dir);
@@ -818,7 +924,24 @@ TEST(DistE2E, MalformedNumberIsAUsageError) {
         Case{" --optimizer nosuch --ranks 2",
              "error: unknown optimizer 'nosuch'"},
         Case{" --data /nonexistent.txt --ranks 2",
-             "error: --data /nonexistent.txt:"}}) {
+             "error: --data /nonexistent.txt:"},
+        Case{" --seq 0", "error: model shape: seq_len must be positive"},
+        Case{" --heads 0 --ranks 2",
+             "error: model shape: n_heads must be positive"},
+        Case{" --hidden 0", "error: model shape: hidden must be positive"},
+        Case{" --inter 0",
+             "error: model shape: intermediate must be positive"},
+        Case{" --vocab 0", "error: model shape: vocab must be positive"},
+        Case{" --heads 3 --ranks 2",
+             "error: model shape: n_heads 3 does not divide hidden 32"},
+        Case{" --hidden 8 --heads 8",
+             "error: model shape: head dimension hidden/n_heads = 1 is odd"},
+        Case{" --vocab 8",
+             "error: the synthetic corpus needs --vocab of at least 16"},
+        Case{" --batch 0 --ranks 2", "error: --batch must be at least 1"},
+        Case{" --steps 0", "error: --steps must be at least 1"},
+        Case{" --rank 0 --ranks 2", "error: --rank must be at least 1"},
+        Case{" --update-freq 0", "error: --update-freq must be at least 1"}}) {
     SCOPED_TRACE(c.args);
     EXPECT_EQ(run_cmd("cd " + dir + " && " + APOLLO_TRAIN_BIN +
                       " --model 60m --batch 1 --eval-every 0" + c.args +

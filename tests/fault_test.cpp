@@ -98,12 +98,7 @@ TEST(FaultInjector, CheckpointEventsRipen) {
 
 // --- in-process recovery ----------------------------------------------------
 
-// A tiny model trained by APOLLO (rank 2, refresh every 4 steps), or by
-// `opt` when given; its final weights go to `weights` when given.
-train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
-                            bool fused = false, bool quantized = false,
-                            optim::Optimizer* opt = nullptr,
-                            std::vector<Matrix>* weights = nullptr) {
+nn::LlamaConfig tiny() {
   nn::LlamaConfig cfg;
   cfg.vocab = 64;
   cfg.hidden = 16;
@@ -111,7 +106,16 @@ train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
   cfg.n_heads = 2;
   cfg.n_layers = 1;
   cfg.seq_len = 8;
-  nn::LlamaModel model(cfg, 3);
+  return cfg;
+}
+
+// A tiny model trained by APOLLO (rank 2, refresh every 4 steps), or by
+// `opt` when given; its final weights go to `weights` when given.
+train::TrainResult run_tiny(const std::string& ckpt_dir, int steps,
+                            bool fused = false, bool quantized = false,
+                            optim::Optimizer* opt = nullptr,
+                            std::vector<Matrix>* weights = nullptr) {
+  nn::LlamaModel model(tiny(), 3);
   data::CorpusConfig ccfg;
   ccfg.vocab = 64;
   data::SyntheticCorpus corpus(ccfg);
@@ -225,6 +229,52 @@ TEST(FaultInjector, RollbackTargetIsTheResumedCheckpoint) {
   fs::remove_all(base);
 }
 
+// A rollback is the resume scan bounded by the newest step the run saved:
+// with the step-8 file's optimizer section bit-flipped, a NaN at step 10
+// skips it and rolls back to step 4 instead of aborting.
+TEST(FaultInjector, RollbackFallsBackPastACorruptNewestCheckpoint) {
+  const std::string dir = std::string(::testing::TempDir()) + "fault_flip";
+  std::filesystem::remove_all(dir);
+  FaultGuard guard("bitflip_opt@8;nan_grad@10");
+  const auto res = run_tiny(dir, 12);
+  EXPECT_FALSE(res.diverged) << res.divergence_diagnostics;
+  EXPECT_EQ(res.rollbacks, 1);
+  EXPECT_EQ(res.corrupt_checkpoints_skipped, 1);
+  EXPECT_TRUE(std::isfinite(res.final_perplexity));
+  obs::Registry::instance().reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A run that does not resume never reads another run's checkpoints: the
+// trainer refuses a directory that already holds some, before it trains.
+TEST(FaultInjector, NoResumeRefusesADirectoryWithCheckpoints) {
+  const std::string dir = std::string(::testing::TempDir()) + "fault_noresume";
+  std::filesystem::remove_all(dir);
+  run_tiny(dir, 8);
+  const std::vector<int64_t> before = train::CheckpointRotator::list_steps(dir);
+  ASSERT_FALSE(before.empty());
+  nn::LlamaModel model(tiny(), 3);
+  data::CorpusConfig ccfg;
+  ccfg.vocab = 64;
+  const data::SyntheticCorpus corpus(ccfg);
+  core::Apollo apollo(core::ApolloConfig{});
+  train::TrainConfig tc;
+  tc.steps = 12;
+  tc.batch = 2;
+  tc.resilience.ckpt_dir = dir;
+  tc.resilience.ckpt_every = 4;
+  tc.resilience.auto_resume = false;
+  tc.resilience.watchdog = true;
+  const auto res = train::Trainer(model, apollo, corpus, tc).run();
+  EXPECT_TRUE(res.diverged);
+  EXPECT_NE(res.divergence_diagnostics.find("already holds checkpoints"),
+            std::string::npos)
+      << res.divergence_diagnostics;
+  EXPECT_EQ(res.checkpoints_saved, 0);
+  EXPECT_EQ(train::CheckpointRotator::list_steps(dir), before);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(FaultInjector, RolledBackStepLeavesNoTelemetry) {
   // APOLLO samples its scaling factors per slot inside the fused backward.
   // The rolled-back attempt at step 6 must not add its samples to the row
@@ -321,6 +371,36 @@ TEST(FaultInjector, KillAndResumeMatchesCleanPerplexity) {
   // Acceptance contract: recovery lands within 5% of the clean run.
   EXPECT_NEAR(recovered, clean, 0.05 * clean)
       << "clean " << clean << " vs recovered " << recovered;
+  std::filesystem::remove_all(dir);
+}
+
+// The --no-resume repro: an 8-step run left ckpt_4 and ckpt_8, and a new
+// --no-resume run with a NaN at step 2 rolled back to the other run's step
+// 8. apollo-train now refuses the directory with one usage error, before
+// it trains or forks a rank, and leaves the other run's files alone.
+TEST(FaultInjector, NoResumeIntoAnotherRunsCheckpointsIsAUsageError) {
+  const std::string dir = std::string(::testing::TempDir()) + "fault_e2e_nr";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string cd = "cd " + dir + " && ";
+  const std::string args = std::string(APOLLO_TRAIN_BIN) +
+                           " --model 60m --batch 2 --eval-every 0 --seed 1"
+                           " --ckpt-dir D --ckpt-every 4";
+  ASSERT_EQ(run_cmd(cd + args + " --steps 8 > first.log 2>&1"), 0);
+  for (const char* ranks : {"", " --ranks 2"}) {
+    SCOPED_TRACE(ranks);
+    EXPECT_EQ(run_cmd(cd + "APOLLO_FAULTS=nan_grad@2 " + args + ranks +
+                      " --steps 12 --no-resume --watchdog > second.log 2>&1"),
+              1);
+    std::ifstream in(dir + "/second.log");
+    std::stringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(ss.str(),
+              "error: --no-resume starts a new run, but --ckpt-dir D already "
+              "holds checkpoints\n");
+  }
+  EXPECT_EQ(train::CheckpointRotator::list_steps(dir + "/D"),
+            (std::vector<int64_t>{4, 8}));
   std::filesystem::remove_all(dir);
 }
 

@@ -1,15 +1,18 @@
 // Resilience subsystem unit tests: divergence watchdog thresholds, LR
-// backoff sequence + probation restore, checkpoint rotation, bit-identical
-// rollback, and newest-first auto-resume that skips corrupt checkpoints.
+// backoff sequence + probation restore, checkpoint rotation by whole steps,
+// bit-identical rollback, and the newest-first auto-resume scan that skips
+// corrupt checkpoints and shard sets.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/apollo.h"
 #include "core/factory.h"
@@ -177,6 +180,46 @@ TEST(Rotator, KeepsNewestKAndSweepsTmpLeftovers) {
   // Committed checkpoints are untouched by the sweep.
   EXPECT_EQ(train::CheckpointRotator::list_steps(dir),
             (std::vector<int64_t>{20, 30}));
+  fs::remove_all(dir);
+}
+
+// The checkpoint files in `dir`, sorted.
+std::vector<std::string> files_in(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir))
+    out.push_back(entry.path().filename().string());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Rotation keeps whole steps: after a world shrinks from 2 ranks to 1, and
+// after a single process continues its run, the directory holds the files
+// of the newest `keep` steps and nothing of an older step, whatever width
+// wrote it.
+TEST(Rotator, PrunesWholeStepsAtEveryWidth) {
+  const std::string dir = fresh_dir("rot_widths");
+  nn::LlamaModel m(tiny(), 1);
+  core::Apollo opt(core::ApolloConfig{});
+  std::string err;
+  for (const int64_t step : {2, 4})
+    for (int r = 0; r < 2; ++r) {
+      train::DdpCheckpointRotator rot(dir, 2, r, 2);
+      opt.set_shard(r, 2);
+      ASSERT_TRUE(rot.save(m, step, opt, &err)) << err;
+    }
+  opt.set_shard(0, 1);
+  train::DdpCheckpointRotator shrunk(dir, 2, 0, 1);
+  for (const int64_t step : {6, 8})
+    ASSERT_TRUE(shrunk.save(m, step, opt, &err)) << err;
+  EXPECT_EQ(files_in(dir),
+            (std::vector<std::string>{"ckpt_6.aplo", "ckpt_6.shard0of1.aplo",
+                                      "ckpt_8.aplo",
+                                      "ckpt_8.shard0of1.aplo"}));
+  train::CheckpointRotator single(dir, 2);
+  ASSERT_TRUE(single.save(m, 10, &opt).ok);
+  EXPECT_EQ(files_in(dir),
+            (std::vector<std::string>{"ckpt_10.aplo", "ckpt_8.aplo",
+                                      "ckpt_8.shard0of1.aplo"}));
   fs::remove_all(dir);
 }
 
@@ -399,7 +442,7 @@ TEST(AutoResume, DdpSkipsShardBlobLengthPastTheEndOfTheFile) {
     nn::LlamaModel fresh(tiny(), 2);
     core::Apollo fresh_opt(core::ApolloConfig{});
     fresh_opt.set_shard(r, 2);
-    const auto rr = train::auto_resume_ddp(dir, fresh, &fresh_opt);
+    const auto rr = train::auto_resume(dir, fresh, &fresh_opt);
     EXPECT_TRUE(rr.resumed) << rr.error;
     EXPECT_EQ(rr.step, 2);
     ASSERT_EQ(rr.skipped.size(), 1u);
@@ -437,7 +480,7 @@ TEST(AutoResume, DdpSkipsAShardWhoseHeaderWorldDiffersFromItsName) {
 
   nn::LlamaModel fresh(tiny(), 2);
   core::Apollo fresh_opt(core::ApolloConfig{});
-  const auto rr = train::auto_resume_ddp(dir, fresh, &fresh_opt);
+  const auto rr = train::auto_resume(dir, fresh, &fresh_opt);
   EXPECT_TRUE(rr.resumed) << rr.error;
   EXPECT_EQ(rr.step, 2);
   ASSERT_EQ(rr.skipped.size(), 1u);
@@ -462,7 +505,7 @@ TEST(AutoResume, DdpSetOfAnotherOptimizerResumesTheWeightsOnly) {
 
   nn::LlamaModel fresh(tiny(), 2);
   auto galore_rp = core::make_optimizer("galore-rp");
-  const auto rr = train::auto_resume_ddp(dir, fresh, galore_rp.get());
+  const auto rr = train::auto_resume(dir, fresh, galore_rp.get());
   EXPECT_TRUE(rr.resumed) << rr.error;
   EXPECT_EQ(rr.step, 2);
   EXPECT_FALSE(rr.optimizer_state_restored);
@@ -471,7 +514,7 @@ TEST(AutoResume, DdpSetOfAnotherOptimizerResumesTheWeightsOnly) {
 
   auto same = core::make_optimizer("flora");
   nn::LlamaModel again(tiny(), 2);
-  const auto rr2 = train::auto_resume_ddp(dir, again, same.get());
+  const auto rr2 = train::auto_resume(dir, again, same.get());
   EXPECT_TRUE(rr2.optimizer_state_restored);
   EXPECT_EQ(same->state_bytes(), flora->state_bytes());
   obs::Registry::instance().reset();

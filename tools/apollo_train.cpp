@@ -75,12 +75,16 @@ void usage() {
       "  --max-restarts N    world restarts before giving up (default 3)\n"
       "\nFault tolerance (docs/RESILIENCE.md):\n"
       "  --ckpt-dir DIR      rotating crash-consistent checkpoints +\n"
-      "                      auto-resume from the newest good one\n"
+      "                      auto-resume from the newest good one, at any\n"
+      "                      --ranks width, whatever width wrote it\n"
       "  --ckpt-every N      checkpoint period in steps (default 50)\n"
-      "  --ckpt-keep K       checkpoints retained (default 3)\n"
-      "  --no-resume         disable auto-resume scanning of --ckpt-dir\n"
+      "  --ckpt-keep K       checkpoint steps retained, each with its\n"
+      "                      shards of any width (default 3)\n"
+      "  --no-resume         start a new run: --ckpt-dir must hold no\n"
+      "                      checkpoints\n"
       "  --watchdog          divergence watchdog: rollback + LR backoff on\n"
-      "                      NaN/Inf or loss spikes (needs --ckpt-dir)\n"
+      "                      NaN/Inf or loss spikes (needs --ckpt-dir; every\n"
+      "                      rank rolls back together under --ranks)\n"
       "  --spike-factor F    spike threshold vs running median (default 10)\n"
       "  --max-retries N     rollback budget before escalation (default 3)\n"
       "  --lr-backoff F      LR multiplier per rollback (default 0.5)\n"
@@ -99,8 +103,12 @@ struct RunOptions {
   train::TrainConfig tc;
 };
 
-RunOptions read_options(const tools::Args& args, const nn::LlamaConfig& cfg) {
-  RunOptions o;
+// Reads every option of a training job into *out. A count below 1, or a
+// synthetic corpus too small for its generator, is a usage error: it is
+// reported on stderr and the function returns false.
+bool read_options(const tools::Args& args, const nn::LlamaConfig& cfg,
+                  RunOptions* out) {
+  RunOptions& o = *out;
   o.seed = static_cast<uint64_t>(args.get_long("seed", 42));
   o.data_path = args.get("data", "");
   o.opt_name = args.get("optimizer", "apollo");
@@ -134,7 +142,24 @@ RunOptions read_options(const tools::Args& args, const nn::LlamaConfig& cfg) {
   o.save_path = args.get("save", "");
   o.csv_path = args.get("csv", "");
   o.quantize = args.has("quantize-weights");
-  return o;
+
+  const std::pair<const char*, long long> counts[] = {
+      {"steps", tc.steps}, {"batch", tc.batch}, {"rank", o.fo.rank},
+      {"update-freq", o.fo.update_freq}};
+  for (const auto& [flag, v] : counts)
+    if (v < 1) {
+      std::fprintf(stderr, "error: --%s must be at least 1, got %lld\n", flag,
+                   v);
+      return false;
+    }
+  if (o.data_path.empty() && cfg.vocab < 16) {
+    std::fprintf(stderr,
+                 "error: the synthetic corpus needs --vocab of at least 16, "
+                 "got %d\n",
+                 cfg.vocab);
+    return false;
+  }
+  return true;
 }
 
 // Writes the --csv eval curve: a `step,val_loss,ppl` header, then one row
@@ -299,8 +324,9 @@ int main(int argc, char** argv) {
   }
 
   nn::LlamaConfig cfg;
-  if (!tools::model_config(args, cfg)) return 1;
-  const RunOptions opts = read_options(args, cfg);
+  RunOptions opts;
+  if (!tools::model_config(args, cfg) || !read_options(args, cfg, &opts))
+    return 1;
 
   // Distributed launch.
   const int ranks = args.get_int("ranks", 1);
@@ -317,9 +343,20 @@ int main(int argc, char** argv) {
                  dist::kMaxRanks);
     return 1;
   }
-  if (opts.tc.resilience.watchdog && opts.tc.resilience.ckpt_dir.empty()) {
+  const train::ResilienceConfig& rc = opts.tc.resilience;
+  if (rc.watchdog && rc.ckpt_dir.empty()) {
     std::fprintf(stderr,
                  "error: --watchdog needs --ckpt-dir (rollback target)\n");
+    return 1;
+  }
+  // A new run never shares a directory with another run's checkpoints: its
+  // rollbacks and later resumes would read them.
+  if (!rc.auto_resume && !rc.ckpt_dir.empty() &&
+      !train::CheckpointRotator::list_steps(rc.ckpt_dir).empty()) {
+    std::fprintf(stderr,
+                 "error: --no-resume starts a new run, but --ckpt-dir %s "
+                 "already holds checkpoints\n",
+                 rc.ckpt_dir.c_str());
     return 1;
   }
   for (const auto& flag : args.unknown())
@@ -343,12 +380,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "error: --ranks replaces --grad-accum (the world is the "
                  "accumulation; use --ranks N --grad-accum 1)\n");
-    return 1;
-  }
-  if (opts.tc.resilience.watchdog) {
-    std::fprintf(stderr,
-                 "error: --watchdog is incompatible with --ranks (rank loss "
-                 "recovery already rewinds to the newest checkpoint)\n");
     return 1;
   }
   if (opts.quantize) {
@@ -380,7 +411,13 @@ int main(int argc, char** argv) {
     // recovery restart the spec is disarmed so the replanted fault doesn't
     // re-kill the replacement world every epoch.
     fault::set_rank(comm.rank());
-    if (comm.epoch() > 0) fault::set_spec("");
+    // A restarted world continues this run from its own checkpoints, even
+    // under --no-resume.
+    RunOptions run = opts;
+    if (comm.epoch() > 0) {
+      fault::set_spec("");
+      run.tc.resilience.auto_resume = true;
+    }
     if (!metrics_path.empty())
       obs::telemetry_set_path(
           (metrics_path + ".rank" + std::to_string(comm.rank())).c_str());
@@ -390,12 +427,12 @@ int main(int argc, char** argv) {
       std::FILE* sink = freopen("/dev/null", "w", stdout);
       (void)sink;
     }
-    const int rc = run_training(opts, cfg, *source, &comm);
+    const int code = run_training(run, cfg, *source, &comm);
     // Workers leave via _Exit (no atexit hooks), so the telemetry file is
     // finalized by hand before the wrapper exits.
     obs::Telemetry::instance().finalize();
     std::fflush(stdout);
     std::fflush(stderr);
-    return rc;
+    return code;
   });
 }

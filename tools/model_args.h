@@ -11,8 +11,9 @@
 
 namespace apollo::tools {
 
-// Fills `cfg` from the flags (default size 130m). An unknown size is a usage
-// error: it is reported on stderr and the function returns false.
+// Fills `cfg` from the flags (default size 130m). An unknown size, or a
+// shape LlamaModel cannot build (nn::config_error), is a usage error: it is
+// reported on stderr and the function returns false.
 inline bool model_config(const Args& args, nn::LlamaConfig& cfg) {
   const std::string size = args.get("model", "130m");
   if (size == "60m") cfg = nn::llama_60m_proxy();
@@ -31,7 +32,10 @@ inline bool model_config(const Args& args, nn::LlamaConfig& cfg) {
   cfg.intermediate = args.get_int("inter", cfg.intermediate);
   cfg.vocab = args.get_int("vocab", cfg.vocab);
   cfg.seq_len = args.get_int("seq", cfg.seq_len);
-  return true;
+  const std::string bad = nn::config_error(cfg);
+  if (bad.empty()) return true;
+  std::fprintf(stderr, "error: model shape: %s\n", bad.c_str());
+  return false;
 }
 
 }  // namespace apollo::tools
