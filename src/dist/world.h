@@ -22,7 +22,7 @@
 // A worker's exit code classifies it: 0 = done, kWorkerInterruptedExit =
 // drained on request (always restartable), any code in
 // `restartable_exit_codes` = rank loss (e.g. the fault harness's planted
-// crash), anything else = fatal for the whole run (bad config, divergence).
+// kills), anything else = fatal for the whole run (bad config, divergence).
 #pragma once
 
 #include <functional>

@@ -11,20 +11,23 @@
 //   crash@S        the trainer calls _Exit(kCrashExitCode) at the *start*
 //                  of step index S — a simulated kill: no atexit flushing,
 //                  no destructors, exactly like SIGKILL mid-training;
-//   crash_save@S   save_checkpoint calls _Exit(kCrashInSaveExitCode)
-//                  halfway through writing the temp file of the first save
-//                  whose step is ≥ S — proves the temp+rename protocol
-//                  never exposes a torn final file;
-//   trunc_ckpt@S   after the first checkpoint save with step ≥ S commits,
-//                  the on-disk file is truncated to half its size —
-//                  the torn write a non-atomic writer would have left;
-//   bitflip_opt@S  after the first checkpoint save with step ≥ S commits,
-//                  one bit inside the optimizer-state section is flipped —
-//                  undetectable without the v3 per-section CRCs.
+//   crash_save@S   train::commit_file leaves half of the temp file on
+//                  disk and calls _Exit(kCrashInSaveExitCode) — proves the
+//                  temp+rename protocol never exposes a torn final file;
+//   trunc_ckpt@S   train::commit_file truncates the file it just committed
+//                  to half its size — the torn write a non-atomic writer
+//                  would have left;
+//   bitflip_opt@S  train::commit_file flips one bit mid-way through the
+//                  last CRC section of the file it just committed, the
+//                  optimizer state — undetectable without the per-section
+//                  CRCs;
 //   hang@S         the trainer stops making progress at the start of step
 //                  index S (an infinite nanosleep loop): the process stays
 //                  alive but its heartbeat stalls, exercising the dist
 //                  supervisor's hung-rank timeout path.
+//
+// The three checkpoint faults fire in the first checkpoint file the process
+// commits at or after step S: a weights file, or a rank's optimizer shard.
 //
 // Any event may carry an optional rank scope, `kind@step:rank` (e.g.
 // `crash@60:2`): it fires only in the process whose dist rank — declared

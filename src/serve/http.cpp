@@ -67,6 +67,7 @@ bool header_value(const std::string& headers, const std::string& name,
 }  // namespace
 
 HttpServer::HttpServer(int port) {
+  APOLLO_CHECK_MSG(port >= 0 && port <= 65535, "port outside [0, 65535]");
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   APOLLO_CHECK_MSG(listen_fd_ >= 0, "socket() failed");
   const int one = 1;

@@ -33,7 +33,8 @@ struct HttpRequest {
 class HttpServer {
  public:
   // Binds 127.0.0.1:`port` (0 picks an ephemeral port; see port()).
-  // Aborts via CHECK on bind failure — the server cannot run without it.
+  // Aborts via CHECK on a port outside [0, 65535] or a bind failure — the
+  // server cannot run without it.
   explicit HttpServer(int port);
   ~HttpServer();
   HttpServer(const HttpServer&) = delete;

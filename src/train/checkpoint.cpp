@@ -1,13 +1,9 @@
 #include "train/checkpoint.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <ctime>
-#include <unistd.h>
 #include <vector>
 
-#include "fault/fault_injection.h"
 #include "nn/parameter.h"
 #include "obs/trace.h"
 #include "train/ckpt_io.h"
@@ -19,7 +15,6 @@ namespace {
 constexpr char kMagic[4] = {'A', 'P', 'L', 'O'};
 constexpr char kEndMagic[4] = {'O', 'L', 'P', 'A'};
 constexpr uint32_t kVersion = 3;
-constexpr int kSaveAttempts = 3;
 
 CheckpointResult fail(const std::string& msg) {
   CheckpointResult r;
@@ -27,17 +22,12 @@ CheckpointResult fail(const std::string& msg) {
   return r;
 }
 
-// Writes the full v3 payload into an already-open temp file; returns "" or
-// what failed. `step` is forwarded to the fault-injection hooks. Sets
-// *opt_section_off to the file offset where the optimizer section begins
-// (for the bitflip_opt fault).
-std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
-                          const optim::Optimizer* opt,
-                          long* opt_section_off) {
-  CrcWriter w(f);
-  auto params = model.parameters();
+// Writes the full v3 payload; returns "" or what failed. `blob` is the
+// state of `opt`, captured once for every commit attempt.
+std::string write_payload(CrcWriter& w, const nn::ParamList& params,
+                          int64_t step, const optim::Optimizer* opt,
+                          const OptimizerBlob& blob) {
   const uint32_t count = static_cast<uint32_t>(params.size());
-
   w.write_raw(kMagic, 4);
   w.write_pod(kVersion);
   w.write_pod(step);
@@ -45,16 +35,7 @@ std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
   w.emit_crc();
   if (!w.ok()) return "write failed (header)";
 
-  size_t i = 0;
   for (const nn::Parameter* p : params) {
-    // Simulated crash halfway through the parameter sections: the temp
-    // file is flushed (so a torn prefix is actually on disk) and the
-    // process dies without any cleanup, exactly like a mid-save SIGKILL.
-    if (i++ == params.size() / 2 &&
-        fault::take_at_or_after(fault::Kind::kCrashInSave, step)) {
-      std::fflush(f);
-      std::_Exit(fault::kCrashInSaveExitCode);
-    }
     const uint32_t name_len = static_cast<uint32_t>(p->name.size());
     const int64_t rows = p->value.rows(), cols = p->value.cols();
     w.write_pod(name_len);
@@ -67,10 +48,6 @@ std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
     if (!w.ok()) return "write failed (param " + p->name + ")";
   }
 
-  *opt_section_off = std::ftell(f);
-  OptimizerBlob blob;
-  if (opt != nullptr && !capture_optimizer_blob(*opt, params, &blob))
-    return "write failed (optimizer state)";
   const uint8_t has_opt = opt != nullptr ? 1 : 0;
   w.write_pod(has_opt);
   if (opt != nullptr) {
@@ -85,81 +62,6 @@ std::string write_payload(std::FILE* f, nn::LlamaModel& model, int64_t step,
   if (!w.ok()) return "write failed (optimizer section)";
   return std::string();
 }
-
-void backoff_sleep(int attempt) {
-  // 10ms, 40ms, 160ms — bounded, long enough for transient EAGAIN/ENOSPC
-  // blips to clear, short enough to never matter on the happy path.
-  timespec ts{};
-  ts.tv_nsec = 10L * 1000 * 1000 << (2 * attempt);
-  nanosleep(&ts, nullptr);
-}
-
-// Post-commit fault hooks: corrupt the just-renamed checkpoint in the ways
-// a less careful writer (or failing hardware) would, so auto-resume's CRC
-// scan has something real to detect.
-void apply_post_commit_faults(const std::string& path, int64_t step,
-                              long opt_section_off) {
-  if (fault::take_at_or_after(fault::Kind::kTruncCkpt, step)) {
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    long size = 0;
-    if (f) {
-      std::fseek(f.get(), 0, SEEK_END);
-      size = std::ftell(f.get());
-      f.reset();
-    }
-    if (size > 0) {
-      if (::truncate(path.c_str(), size / 2) != 0)
-        std::fprintf(stderr, "[fault] trunc_ckpt: truncate failed\n");
-    }
-  }
-  if (fault::take_at_or_after(fault::Kind::kBitflipOpt, step)) {
-    FilePtr f(std::fopen(path.c_str(), "r+b"));
-    if (f) {
-      std::fseek(f.get(), 0, SEEK_END);
-      const long size = std::ftell(f.get());
-      // Midpoint of the optimizer section payload (before its CRC and the
-      // end magic): detectable only by the section checksum.
-      const long payload_end = size - 8;
-      if (payload_end > opt_section_off) {
-        const long off = opt_section_off + (payload_end - opt_section_off) / 2;
-        std::fseek(f.get(), off, SEEK_SET);
-        const int c = std::fgetc(f.get());
-        if (c != EOF) {
-          std::fseek(f.get(), off, SEEK_SET);
-          std::fputc(c ^ 0x10, f.get());
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-CheckpointResult save_checkpoint(const std::string& path,
-                                 nn::LlamaModel& model, int64_t step,
-                                 const optim::Optimizer* opt) {
-  APOLLO_TRACE_SCOPE("save_checkpoint", "io");
-  std::string err;
-  for (int attempt = 0; attempt < kSaveAttempts; ++attempt) {
-    if (attempt > 0) backoff_sleep(attempt - 1);
-    long opt_section_off = 0;
-    err = commit_file(path, [&](std::FILE* f) {
-      return write_payload(f, model, step, opt, &opt_section_off);
-    });
-    if (err.empty()) {
-      apply_post_commit_faults(path, step, opt_section_off);
-      CheckpointResult r;
-      r.ok = true;
-      r.step = step;
-      r.optimizer_state_restored = opt != nullptr;  // saved, symmetrically
-      return r;
-    }
-  }
-  return fail(err + " (after " + std::to_string(kSaveAttempts) +
-              " attempts)");
-}
-
-namespace {
 
 // Reads the sections after the header; `rd` continues the header's reader.
 CheckpointResult load_v3(CrcReader& rd, std::FILE* f, const std::string& path,
@@ -231,6 +133,25 @@ CheckpointResult load_v3(CrcReader& rd, std::FILE* f, const std::string& path,
 }
 
 }  // namespace
+
+CheckpointResult save_checkpoint(const std::string& path,
+                                 nn::LlamaModel& model, int64_t step,
+                                 const optim::Optimizer* opt) {
+  APOLLO_TRACE_SCOPE("save_checkpoint", "io");
+  const nn::ParamList params = model.parameters();
+  OptimizerBlob blob;
+  if (opt != nullptr && !capture_optimizer_blob(*opt, params, &blob))
+    return fail("write failed (optimizer state): " + path);
+  const std::string err = commit_file(path, step, [&](CrcWriter& w) {
+    return write_payload(w, params, step, opt, blob);
+  });
+  if (!err.empty()) return fail(err);
+  CheckpointResult r;
+  r.ok = true;
+  r.step = step;
+  r.optimizer_state_restored = opt != nullptr;  // saved, symmetrically
+  return r;
+}
 
 CheckpointResult load_checkpoint(const std::string& path,
                                  nn::LlamaModel& model,

@@ -9,10 +9,9 @@
 //   end magic "OLPA"
 // Every section carries a CRC-32 over its payload bytes (src/fault/crc32.h),
 // so truncation, torn writes and bit rot are detected at load time with a
-// section-precise error. Saves are atomic: payload goes to `path + ".tmp"`,
-// is fsync'd, and is renamed over `path` only once fully durable — a crash
-// mid-save leaves the previous checkpoint untouched. Transient I/O errors
-// are retried with bounded backoff.
+// section-precise error. Saves commit through train::commit_file
+// (train/ckpt_io.h): atomic, retried on transient I/O errors, and the one
+// place the checkpoint faults fire.
 //
 // Loading validates magic/version, every section CRC, and that every
 // parameter matches the model's name and shape, so a checkpoint from a
@@ -39,8 +38,8 @@ struct CheckpointResult {
 };
 
 // Saves weights, and the state of `opt` when it is non-null (every
-// optimizer's, through Optimizer::save_state). Write-temp → fsync →
-// atomic-rename, with bounded retry on transient I/O errors.
+// optimizer's, through Optimizer::save_state, captured once). The state is
+// the file's last CRC section.
 CheckpointResult save_checkpoint(const std::string& path,
                                  nn::LlamaModel& model, int64_t step,
                                  const optim::Optimizer* opt = nullptr);

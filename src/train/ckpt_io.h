@@ -1,11 +1,12 @@
-// File I/O shared by the v3 checkpoint (train/checkpoint.cpp) and the
-// per-rank optimizer shard files (train/resilience.cpp): the atomic commit,
-// the in-memory capture of an optimizer's state, and CRC-32-sectioned
-// streams. A "section" is a run of bytes followed by the CRC-32 of exactly
-// those bytes; the CRC bytes themselves belong to no section. Writers
-// short-circuit after the first failure so call sites can batch writes and
-// check `ok()` once; readers report a mismatch (or a truncation inside the
-// CRC itself) from check_crc().
+// The one way a checkpoint file reaches disk, shared by the v3 checkpoint
+// (train/checkpoint.cpp) and the per-rank optimizer shard files
+// (train/resilience.cpp): the atomic commit with its retries and its
+// checkpoint faults, the in-memory capture of an optimizer's state, and
+// CRC-32-sectioned streams. A "section" is a run of bytes followed by the
+// CRC-32 of exactly those bytes; the CRC bytes themselves belong to no
+// section. Writers short-circuit after the first failure so call sites can
+// batch writes and check `ok()` once; readers report a mismatch (or a
+// truncation inside the CRC itself) from check_crc().
 #pragma once
 
 #include <cstdint>
@@ -29,15 +30,6 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-// Commits a file atomically: `write` fills `path + ".tmp"`, which is
-// flushed, fsync'd and renamed over `path`, and then the parent directory
-// is fsync'd so the rename itself is durable. A crash at any point leaves
-// either the old `path` or a stale temp. `write` returns "" or what failed
-// ("write failed (header)"); on any failure the temp is removed and the
-// error returned, naming the temp file.
-std::string commit_file(const std::string& path,
-                        const std::function<std::string(std::FILE*)>& write);
 
 // Optimizer state serialized into memory: the buffer open_memstream grew,
 // freed with the blob.
@@ -71,6 +63,7 @@ class CrcWriter {
       return;
     }
     crc_ = fault::crc32_update(crc_, p, n);
+    pos_ += static_cast<int64_t>(n);
   }
   template <typename T>
   void write_pod(const T& v) {
@@ -83,23 +76,47 @@ class CrcWriter {
     const uint32_t c = fault::crc32_final(crc_);
     if (ok_ && std::fwrite(&c, 1, sizeof c, f_) != sizeof c) ok_ = false;
     crc_ = fault::kCrc32Init;
+    last_mid_ = pos_ > begin_ ? (begin_ + pos_) / 2 : -1;
+    pos_ += sizeof c;
+    begin_ = pos_;
   }
   // A u64 length, then the bytes: the layout CrcReader::read_blob reads.
   void write_blob(const void* p, size_t n) {
     write_pod(static_cast<uint64_t>(n));
     write(p, n);
   }
-  // Raw write outside any section (magic bytes).
+  // Raw write outside any section (magic bytes): written between sections,
+  // it moves the next section's start past it.
   void write_raw(const void* p, size_t n) {
     if (ok_ && std::fwrite(p, 1, n, f_) != n) ok_ = false;
+    if (begin_ == pos_) begin_ += static_cast<int64_t>(n);
+    pos_ += static_cast<int64_t>(n);
   }
   bool ok() const { return ok_; }
+  // Bytes written so far, and the offset of the middle byte of the last
+  // section emit_crc() closed (-1 when it was empty).
+  int64_t bytes() const { return pos_; }
+  int64_t last_section_mid() const { return last_mid_; }
 
  private:
   std::FILE* f_;
   uint32_t crc_ = fault::kCrc32Init;
   bool ok_ = true;
+  int64_t pos_ = 0, begin_ = 0, last_mid_ = -1;
 };
+
+// Commits one checkpoint file atomically: `write` fills `path + ".tmp"`,
+// which is fsync'd and renamed over `path`, and then the parent directory
+// is fsync'd. A crash at any point leaves the old `path` or a stale temp.
+// `write` returns "" or what failed; a failed attempt removes its temp and
+// runs again after 10 ms, then 40 ms, and the third failure is returned
+// with "(after 3 attempts)". The checkpoint faults (fault_injection.h) fire
+// here, in the first file a process commits at or after their step:
+// crash_save leaves half of the temp and exits 86, trunc_ckpt halves the
+// committed file, and bitflip_opt flips a bit mid-way through its last CRC
+// section, the optimizer state of a weights file and of a shard alike.
+std::string commit_file(const std::string& path, int64_t step,
+                        const std::function<std::string(CrcWriter&)>& write);
 
 // Reads bytes while accumulating a CRC-32; check_crc() reads the stored
 // section CRC and compares.

@@ -11,6 +11,7 @@
 #include "nn/parameter.h"
 #include "obs/metrics.h"
 #include "optim/optimizer.h"
+#include "tensor/check.h"
 #include "tensor/matrix.h"
 #include "train/ckpt_io.h"
 
@@ -105,14 +106,24 @@ bool parse_shard_filename(const std::string& name, int64_t* step, int* rank,
   return *world >= 1 && *rank < *world;
 }
 
+// True when every shard of `step`'s set at width `world` is on disk.
+bool whole_shard_set(const std::string& dir, int64_t step, int world) {
+  for (int k = 0; k < world; ++k)
+    if (!fs::exists(shard_path_for(dir, step, k, world))) return false;
+  return true;
+}
+
 }  // namespace
 
-CheckpointRotator::CheckpointRotator(std::string dir, int keep)
-    : dir_(std::move(dir)), keep_(std::max(1, keep)) {
+CheckpointRotator::CheckpointRotator(std::string dir, int keep, int rank,
+                                     int world)
+    : dir_(std::move(dir)), keep_(std::max(1, keep)), rank_(rank),
+      world_(world) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   // A crash mid-save leaves a `.tmp` behind; it is not a checkpoint and
-  // must never shadow one, so sweep stale temps on startup.
+  // must never shadow one, so sweep stale temps on startup. Every rank of
+  // a world sweeps; a removal a peer got to first is benign.
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0)
@@ -138,13 +149,30 @@ std::vector<int64_t> CheckpointRotator::list_steps(const std::string& dir) {
 
 CheckpointResult CheckpointRotator::save(nn::LlamaModel& model, int64_t step,
                                          const optim::Optimizer* opt) {
-  CheckpointResult r = save_checkpoint(path_for(dir_, step), model, step, opt);
-  if (!r.ok) return r;
+  CheckpointResult r;
+  if (rank_ == 0) {
+    r = save_checkpoint(path_for(dir_, step), model, step,
+                        world_ == 1 ? opt : nullptr);
+    if (!r.ok) return r;
+  }
+  if (world_ > 1) {
+    APOLLO_CHECK_MSG(opt != nullptr, "a world's checkpoint needs its shards");
+    r.ok = save_state_shard(shard_path_for(dir_, step, rank_, world_), *opt,
+                            model.parameters(), step, rank_, world_,
+                            &r.error);
+    if (!r.ok) return r;
+  }
+  r.step = step;
+  // The step is complete once every rank's shard is on disk; until then
+  // the older steps are all that can be loaded, so they stay.
+  if (world_ > 1 && !whole_shard_set(dir_, step, world_)) return r;
   const std::vector<int64_t> steps = list_steps(dir_);
   if (static_cast<int>(steps.size()) <= keep_) return r;
   // Whole steps rotate out: a shard of any width — an older world's
-  // included — goes with its step.
-  const int64_t oldest_kept = steps[steps.size() - static_cast<size_t>(keep_)];
+  // included — goes with its step. The step just saved always stays, even
+  // beside newer files an earlier run left.
+  const int64_t oldest_kept = std::min(
+      step, steps[steps.size() - static_cast<size_t>(keep_)]);
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
@@ -157,13 +185,22 @@ CheckpointResult CheckpointRotator::save(nn::LlamaModel& model, int64_t step,
   return r;
 }
 
+bool CheckpointRotator::save(nn::LlamaModel& model, int64_t step,
+                             const optim::Optimizer& opt, std::string* err) {
+  const CheckpointResult r = save(model, step, &opt);
+  if (!r.ok && err != nullptr) *err = r.error;
+  return r.ok;
+}
+
 namespace {
 
 // Loads the checkpoint at one step for auto_resume. True once it is loaded
 // (filling rr->step and rr->optimizer_state_restored); false with the skip
-// reason in *why. Setting rr->error ends the scan.
+// reason in *why, and *torn set when the step is a world's save that never
+// completed. Setting rr->error ends the scan.
 bool load_step(const std::string& dir, int64_t step, nn::LlamaModel& model,
-               optim::Optimizer* opt, ResumeResult* rr, std::string* why) {
+               optim::Optimizer* opt, ResumeResult* rr, std::string* why,
+               bool* torn) {
   const std::string path = CheckpointRotator::path_for(dir, step);
   const CheckpointResult r = load_checkpoint(path, model, opt);
   // A renamed copy would resume elsewhere than its name says.
@@ -179,6 +216,7 @@ bool load_step(const std::string& dir, int64_t step, nn::LlamaModel& model,
   const int w = shard_world_at(dir, step);
   if (w == 0) {
     *why = path + ": no complete optimizer shard set";
+    *torn = true;
     return false;
   }
   // Validate the whole shard set in memory before touching any state — a
@@ -234,20 +272,27 @@ ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
   std::vector<Matrix> snapshot;
   snapshot.reserve(params.size());
   for (const nn::Parameter* p : params) snapshot.push_back(p->value);
+  bool all_torn = true;
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
     std::string why;
-    if (load_step(dir, *it, model, opt, &rr, &why)) {
+    bool torn = false;
+    if (load_step(dir, *it, model, opt, &rr, &why, &torn)) {
       rr.resumed = true;
       return rr;
     }
     if (!rr.error.empty()) return rr;
+    all_torn = all_torn && torn;
     skipped.add(1);
     rr.skipped.push_back(std::move(why));
   }
   for (size_t i = 0; i < params.size(); ++i)
     params[i]->value = snapshot[i];
-  rr.error = "no loadable checkpoint among " + std::to_string(steps.size()) +
-             " candidate(s) in " + dir;
+  // A world's step whose shard set never completed is a save a lost rank
+  // left unfinished, as a single process leaves a `.tmp`: a directory
+  // holding nothing else has nothing to resume.
+  if (!all_torn)
+    rr.error = "no loadable checkpoint among " +
+               std::to_string(steps.size()) + " candidate(s) in " + dir;
   return rr;
 }
 
@@ -269,8 +314,7 @@ bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
   OptimizerBlob blob;
   if (!capture_optimizer_blob(opt, params, &blob))
     return fail("write failed (optimizer state): " + path);
-  const std::string e = commit_file(path, [&](std::FILE* f) {
-    CrcWriter w(f);
+  const std::string e = commit_file(path, step, [&](CrcWriter& w) {
     w.write_raw(kShardMagic, sizeof kShardMagic);
     w.write_pod(kShardVersion);
     w.write_pod(step);
@@ -283,7 +327,7 @@ bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
     w.write_blob(blob.bytes.get(), blob.size);
     w.emit_crc();
     w.write_raw(kShardEndMagic, sizeof kShardEndMagic);
-    return w.ok() ? std::string() : std::string("write failed");
+    return std::string();
   });
   return e.empty() || fail(e);
 }
@@ -337,50 +381,15 @@ bool read_state_shard(const std::string& path, int64_t expect_step,
 
 int shard_world_at(const std::string& dir, int64_t step) {
   std::error_code ec;
-  std::vector<std::pair<int, int>> seen;  // (world, rank) pairs for `step`
+  int best = 0;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     int64_t s = 0;
     int r = 0, w = 0;
     if (parse_shard_filename(entry.path().filename().string(), &s, &r, &w) &&
-        s == step)
-      seen.emplace_back(w, r);
-  }
-  std::sort(seen.begin(), seen.end());
-  int best = 0;
-  for (size_t i = 0; i < seen.size();) {
-    const int w = seen[i].first;
-    int have = 0;
-    int expect = 0;
-    for (; i < seen.size() && seen[i].first == w; ++i)
-      if (seen[i].second == expect) {
-        ++have;
-        ++expect;
-      }
-    if (have == w && w > best) best = w;
+        s == step && w > best && whole_shard_set(dir, step, w))
+      best = w;
   }
   return best;
-}
-
-// Every rank builds `weights_` and so sweeps stale temps; concurrent
-// removals are benign (remove with an error_code tolerates a peer getting
-// there first).
-DdpCheckpointRotator::DdpCheckpointRotator(std::string dir, int keep,
-                                           int rank, int world)
-    : weights_(std::move(dir), keep), rank_(rank), world_(world) {}
-
-bool DdpCheckpointRotator::save(nn::LlamaModel& model, int64_t step,
-                                const optim::Optimizer& opt,
-                                std::string* err) {
-  if (rank_ == 0) {
-    // Weights-only v3 file: the optimizer state lives in the shards.
-    const CheckpointResult r = weights_.save(model, step, nullptr);
-    if (!r.ok) {
-      if (err != nullptr) *err = r.error;
-      return false;
-    }
-  }
-  return save_state_shard(shard_path_for(dir(), step, rank_, world_), opt,
-                          model.parameters(), step, rank_, world_, err);
 }
 
 }  // namespace apollo::train

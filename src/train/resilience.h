@@ -117,16 +117,23 @@ class LrBackoff {
 // reads both kinds at any world width, so a run can continue on more or
 // fewer ranks than wrote its checkpoints.
 
-// Writes `ckpt_<step>.aplo` files into a directory through the atomic
-// checkpoint path and keeps the newest `keep` steps: every file of an older
-// step, its weights file and its shards of any width, is deleted. Stale
-// `*.tmp` leftovers from crashed saves are removed on construction.
+// Writes the checkpoints of rank `rank` of a `world`-wide run into a
+// directory. At width 1 a step is one `ckpt_<step>.aplo` holding the
+// weights and `opt`'s state; in a world rank 0 writes that file with the
+// weights alone and every rank its own shard of `opt`'s state. The process
+// that sees a step's files all on disk (in a world, the last rank to commit
+// its shard) deletes every file of the steps older than the newest `keep`,
+// shards of any width included, so a rank lost mid-save never leaves the
+// directory without a complete step. Construction sweeps stale `*.tmp`s.
 class CheckpointRotator {
  public:
-  CheckpointRotator(std::string dir, int keep);
+  CheckpointRotator(std::string dir, int keep, int rank = 0, int world = 1);
 
   CheckpointResult save(nn::LlamaModel& model, int64_t step,
                         const optim::Optimizer* opt);
+  // The same save, reporting a failure through *err.
+  bool save(nn::LlamaModel& model, int64_t step, const optim::Optimizer& opt,
+            std::string* err);
 
   static std::string path_for(const std::string& dir, int64_t step);
   // Steps with an on-disk checkpoint file, ascending.
@@ -137,7 +144,12 @@ class CheckpointRotator {
  private:
   std::string dir_;
   int keep_;
+  int rank_;
+  int world_;
 };
+
+// The data-parallel spelling of the same rotator.
+using DdpCheckpointRotator = CheckpointRotator;
 
 struct ResumeResult {
   bool resumed = false;
@@ -161,7 +173,8 @@ struct ResumeResult {
 // another optimizer wrote resumes the weights alone. Every rank of a world
 // scans the same files and reaches the same verdict. Names whose step
 // passes INT_MAX are not checkpoints and are not listed. An empty or
-// missing directory resumes nothing and is not an error.
+// missing directory resumes nothing and is not an error, nor is one whose
+// every step lacks a complete shard set (saves a lost rank left unfinished).
 ResumeResult auto_resume(const std::string& dir, nn::LlamaModel& model,
                          optim::Optimizer* opt,
                          int64_t newest = INT64_MAX);
@@ -170,7 +183,8 @@ std::string shard_path_for(const std::string& dir, int64_t step, int rank,
                            int world);
 
 // Atomically writes one rank's optimizer shard: what Optimizer::save_state
-// writes under that rank's shard configuration.
+// writes under that rank's shard configuration, as the file's last CRC
+// section.
 bool save_state_shard(const std::string& path, const optim::Optimizer& opt,
                       const nn::ParamList& params, int64_t step, int rank,
                       int world, std::string* err);
@@ -189,24 +203,6 @@ bool read_state_shard(const std::string& path, int64_t expect_step,
 // encode the same trajectory — merge_state redistributes ownership — so
 // preferring the larger is safe and deterministic.)
 int shard_world_at(const std::string& dir, int64_t step);
-
-// Rotating writer for a data-parallel world, built on CheckpointRotator:
-// rank 0 writes the weights file (weights only) and rotates the directory
-// through it, and every rank writes its own shard.
-class DdpCheckpointRotator {
- public:
-  DdpCheckpointRotator(std::string dir, int keep, int rank, int world);
-
-  bool save(nn::LlamaModel& model, int64_t step, const optim::Optimizer& opt,
-            std::string* err);
-
-  const std::string& dir() const { return weights_.dir(); }
-
- private:
-  CheckpointRotator weights_;
-  int rank_;
-  int world_;
-};
 
 // --- trainer-facing configuration ------------------------------------------
 

@@ -90,31 +90,19 @@ TrainResult Trainer::run() {
   int64_t last_good = -1;
 
   // The one checkpoint save, for periodic checkpoints and the watchdog's
-  // baseline. A single process writes its optimizer state into the
-  // weights file; in a world rank 0 writes the weights and every rank its
-  // own shard.
+  // baseline, at every width: a single process writes its optimizer state
+  // into the weights file; in a world rank 0 writes the weights and every
+  // rank its own shard.
   std::optional<CheckpointRotator> rotator;
-  std::optional<DdpCheckpointRotator> shard_rotator;
-  if (rotating && comm_ != nullptr)
-    shard_rotator.emplace(rc.ckpt_dir, rc.ckpt_keep, rank, world);
-  else if (rotating)
-    rotator.emplace(rc.ckpt_dir, rc.ckpt_keep);
+  if (rotating) rotator.emplace(rc.ckpt_dir, rc.ckpt_keep, rank, world);
   auto save = [&](int step) {
-    std::string err;
-    bool saved = false;
-    if (shard_rotator) {
-      saved = shard_rotator->save(model_, step, opt_, &err);
-    } else {
-      const CheckpointResult r = rotator->save(model_, step, &opt_);
-      saved = r.ok;
-      err = r.error;
-    }
-    if (saved) {
+    const CheckpointResult r = rotator->save(model_, step, &opt_);
+    if (r.ok) {
       last_good = step;
       ++res.checkpoints_saved;
     } else {
       std::fprintf(stderr, "[ckpt] %ssave failed at step %d: %s\n",
-                   who.c_str(), step, err.c_str());
+                   who.c_str(), step, r.error.c_str());
     }
   };
 

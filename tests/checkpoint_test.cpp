@@ -156,6 +156,18 @@ TEST(Checkpoint, UnwritablePathReportsRetryExhaustion) {
   EXPECT_NE(r.error.find("after 3 attempts"), std::string::npos) << r.error;
 }
 
+// A shard is committed by the same code as the weights file, retries
+// included.
+TEST(Checkpoint, UnwritableShardPathReportsRetryExhaustion) {
+  nn::LlamaModel a(tiny(), 1);
+  core::Apollo opt(core::ApolloConfig{});
+  std::string err;
+  EXPECT_FALSE(train::save_state_shard(
+      temp_path("no_such_dir/ckpt_4.shard0of2.aplo"), opt, a.parameters(), 4,
+      0, 2, &err));
+  EXPECT_NE(err.find("after 3 attempts"), std::string::npos) << err;
+}
+
 TEST(Checkpoint, LegacyV1FileIsRejected) {
   // Hand-crafted v1 layout (no CRCs, weights only). Only builds older than
   // format v3 wrote v1/v2 files, and their reader is gone: the file must be

@@ -517,7 +517,7 @@ TEST(ShardCheckpoint, RoundTripsAcrossWidthChanges) {
           make_world(make, width, [](int) { return 3; });
       for (uint64_t seed = 100; seed < 103; ++seed) step_world(world, seed);
       for (int r = 0; r < width; ++r) {
-        train::DdpCheckpointRotator rot(dir, 2, r, width);
+        train::CheckpointRotator rot(dir, 2, r, width);
         const Replica& rep = world[static_cast<size_t>(r)];
         ASSERT_TRUE(rot.save(*rep.model, 7, *rep.opt, &err)) << err;
       }
@@ -843,6 +843,83 @@ TEST(DistE2E, RestartedWorldResumesUnderNoResume) {
   const std::string log = file_contents(dir + "/out.log");
   EXPECT_NE(log.find("restarting world"), std::string::npos) << log;
   EXPECT_EQ(count_lines_with(log, "continuing from step 4"), 2) << log;
+  std::filesystem::remove_all(dir);
+}
+
+// A rank's shard is a checkpoint file like any other: each checkpoint
+// fault scoped to rank 1 fires in its step-8 shard, the restarted world
+// skips step 8 on every rank and resumes from step 4, and the run writes
+// the uninterrupted run's --save bytes. The planted mid-save kill (exit 86)
+// is a rank loss, like a planted crash. No step is pruned before the last
+// rank commits the shard set that replaces it, so even --ckpt-keep 1
+// leaves step 4 to resume from.
+TEST(DistE2E, RankShardFaultsRecoverOntoTheUninterruptedBytes) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_shard";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string cd = "cd " + dir + " && ";
+  const std::string run = std::string(APOLLO_TRAIN_BIN) + kShape +
+                          " --steps 12 --ranks 2 --ckpt-every 4";
+  ASSERT_EQ(run_cmd(cd + run + " --save clean.aplo > clean.log 2>&1"), 0);
+  const std::string clean = file_contents(dir + "/clean.aplo");
+  const struct {
+    const char* spec;
+    const char* keep;
+    const char* fired;
+    std::vector<int64_t> left;
+  } drills[] = {
+      {"crash_save@8:1", "3", "[fault] injected crash_save at step 8 (rank 1)",
+       {4, 8, 12}},
+      {"trunc_ckpt@8:1;crash@10", "3",
+       "[fault] injected trunc_ckpt at step 8 (rank 1)", {4, 8, 12}},
+      {"bitflip_opt@8:1;crash@10", "3",
+       "[fault] injected bitflip_opt at step 8 (rank 1)", {4, 8, 12}},
+      {"crash_save@8:1", "1", "[fault] injected crash_save at step 8 (rank 1)",
+       {12}},
+  };
+  for (const auto& d : drills) {
+    SCOPED_TRACE(std::string(d.spec) + " --ckpt-keep " + d.keep);
+    std::filesystem::remove_all(dir + "/c");
+    ASSERT_EQ(run_cmd(cd + "APOLLO_FAULTS='" + d.spec + "' " + run +
+                      " --ckpt-keep " + d.keep +
+                      " --ckpt-dir c --save faulted.aplo > out.log 2>&1"),
+              0);
+    const std::string log = file_contents(dir + "/out.log");
+    EXPECT_EQ(count_lines_with(log, d.fired), 1) << log;
+    EXPECT_EQ(count_lines_with(log, "restarting world"), 1) << log;
+    EXPECT_EQ(count_lines_with(log, "skipped corrupt checkpoint c/ckpt_8"), 2)
+        << log;
+    EXPECT_EQ(count_lines_with(log, "continuing from step 4"), 2) << log;
+    EXPECT_TRUE(file_contents(dir + "/faulted.aplo") == clean);
+    EXPECT_EQ(train::CheckpointRotator::list_steps(dir + "/c"), d.left);
+    EXPECT_EQ(train::shard_world_at(dir + "/c", 12), 2);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A rank lost while writing the first checkpoint leaves a step without
+// its whole shard set and nothing older: the restarted world skips it,
+// starts over, and writes the uninterrupted run's --save bytes.
+TEST(DistE2E, RankLostInTheFirstSaveStartsOver) {
+  const std::string dir = std::string(::testing::TempDir()) + "dist_first";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string cd = "cd " + dir + " && ";
+  const std::string run = std::string(APOLLO_TRAIN_BIN) + kShape +
+                          " --steps 8 --ranks 2 --ckpt-every 4";
+  ASSERT_EQ(run_cmd(cd + run + " --save clean.aplo > clean.log 2>&1"), 0);
+  ASSERT_EQ(run_cmd(cd + "APOLLO_FAULTS='crash_save@4:1' " + run +
+                    " --ckpt-dir c --save faulted.aplo > out.log 2>&1"),
+            0);
+  const std::string log = file_contents(dir + "/out.log");
+  EXPECT_EQ(count_lines_with(log, "restarting world"), 1) << log;
+  EXPECT_EQ(count_lines_with(log, "c/ckpt_4.aplo: no complete optimizer "
+                                  "shard set"),
+            2)
+      << log;
+  EXPECT_EQ(count_lines_with(log, "continuing from step"), 0) << log;
+  EXPECT_TRUE(file_contents(dir + "/faulted.aplo") ==
+              file_contents(dir + "/clean.aplo"));
   std::filesystem::remove_all(dir);
 }
 

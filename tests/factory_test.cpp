@@ -122,13 +122,13 @@ TEST(GradAccum, AccumReducesPeakActivations) {
 
 #ifdef APOLLO_TRAIN_BIN
 
-constexpr const char* kTinyRun =
-    " --hidden 32 --layers 1 --heads 2 --inter 88 --vocab 64 --seq 16"
-    " --optimizer adamw --batch 1";
+constexpr const char* kTinyShape =
+    " --hidden 32 --layers 1 --heads 2 --inter 88 --vocab 64 --seq 16";
 
 int run_train(const std::string& dir, const std::string& args) {
-  const std::string cmd = "cd " + dir + " && " + APOLLO_TRAIN_BIN + kTinyRun +
-                          args + " > out.txt 2>&1";
+  const std::string cmd = "cd " + dir + " && " + APOLLO_TRAIN_BIN +
+                          kTinyShape + " --optimizer adamw --batch 1" + args +
+                          " > out.txt 2>&1";
   const int rc = std::system(cmd.c_str());
   EXPECT_TRUE(WIFEXITED(rc)) << cmd;
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
@@ -176,6 +176,65 @@ TEST(ApolloTrainCsv, UnopenablePathFailsBeforeAnyStep) {
   EXPECT_FALSE(std::filesystem::exists(dir + "/final.ckpt"));
   std::filesystem::remove_all(dir);
 }
+
+#if defined(APOLLO_EVAL_BIN) && defined(APOLLO_SERVE_BIN)
+
+// Runs `cmd` in `dir`; returns its exit code, with what it printed to
+// stdout and stderr in *out.
+int run_tool(const std::string& dir, const std::string& cmd,
+             std::string* out) {
+  const int rc =
+      std::system(("cd " + dir + " && " + cmd + " > out.txt 2>&1").c_str());
+  std::ifstream log(dir + "/out.txt");
+  std::stringstream ss;
+  ss << log.rdbuf();
+  *out = ss.str();
+  EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+// A validation count below one is one usage error, reported before the
+// checkpoint is loaded: an empty validation set has no mean loss.
+TEST(ApolloEvalArgs, EvalBatchesBelowOneIsAUsageError) {
+  const std::string dir = std::string(::testing::TempDir()) + "eval_args";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(run_train(dir, " --steps 1 --eval-every 0 --save m.ckpt"), 0);
+  const std::string eval =
+      std::string(APOLLO_EVAL_BIN) + " --load m.ckpt" + kTinyShape;
+  std::string out;
+  for (const char* n : {"0", "-3"}) {
+    SCOPED_TRACE(n);
+    EXPECT_EQ(run_tool(dir, eval + " --eval-batches " + n, &out), 1);
+    EXPECT_EQ(out, std::string("error: --eval-batches must be >= 1, got ") +
+                       n + "\n");
+  }
+  EXPECT_EQ(run_tool(dir, eval + " --eval-batches 1", &out), 0) << out;
+  std::filesystem::remove_all(dir);
+}
+
+// A port outside TCP's range is one usage error, reported before the model
+// is built or a socket bound. The timeout ends a server that binds a
+// wrapped port instead and serves forever.
+TEST(ApolloServeArgs, PortOutsideTheTcpRangeIsAUsageError) {
+  const std::string dir = std::string(::testing::TempDir()) + "serve_args";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::string out;
+  for (const char* port : {"70000", "65536", "-1"}) {
+    SCOPED_TRACE(port);
+    EXPECT_EQ(run_tool(dir,
+                       std::string("timeout 20 ") + APOLLO_SERVE_BIN +
+                           kTinyShape + " --port " + port,
+                       &out),
+              1);
+    EXPECT_EQ(out, std::string("error: --port must be in [0, 65535], got ") +
+                       port + "\n");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+#endif  // APOLLO_EVAL_BIN && APOLLO_SERVE_BIN
 
 #endif  // APOLLO_TRAIN_BIN
 

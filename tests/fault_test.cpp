@@ -23,6 +23,9 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "tensor/matrix.h"
+#include "tensor/rng.h"
+#include "train/checkpoint.h"
+#include "train/ckpt_io.h"
 #include "train/resilience.h"
 #include "train/trainer.h"
 
@@ -34,6 +37,16 @@ struct FaultGuard {
   explicit FaultGuard(const char* spec) { fault::set_spec(spec); }
   ~FaultGuard() { fault::set_spec(""); }
 };
+
+// Lines of `text` that contain `needle`.
+int count_lines_with(const std::string& text, const std::string& needle) {
+  std::istringstream in(text);
+  std::string line;
+  int n = 0;
+  while (std::getline(in, line))
+    if (line.find(needle) != std::string::npos) ++n;
+  return n;
+}
 
 TEST(FaultSpec, ParsesEveryKind) {
   fault::Plan plan;
@@ -243,6 +256,154 @@ TEST(FaultInjector, RollbackFallsBackPastACorruptNewestCheckpoint) {
   EXPECT_TRUE(std::isfinite(res.final_perplexity));
   obs::Registry::instance().reset();
   std::filesystem::remove_all(dir);
+}
+
+// The escalation ladder with a one-rollback budget: each NaN planted at
+// step 6 rolls back to step 4 until the budget is spent. APOLLO's limiter
+// is tightened once for a final budget; AdamW has no limiter, so its second
+// NaN aborts. The abort reloads step 4, and that reload counts in
+// `rollbacks` like the others, so the count is one more than the
+// "rolled back" lines.
+TEST(FaultInjector, ExhaustedRetryBudgetTightensOnceThenAborts) {
+  const std::string dir = std::string(::testing::TempDir()) + "fault_ladder";
+  const struct {
+    const char* opt;
+    const char* spec;
+    int rollbacks;
+    int rolled_back_lines;
+    int tightened;
+    const char* diagnostics;
+  } cases[] = {
+      {"apollo", "nan_grad@6;nan_grad@6;nan_grad@6", 3, 2, 1,
+       "diverged at step 6: non-finite gradient norm (nan); 3 rollback(s), "
+       "lr scale 0.250000, last good checkpoint at step 4"},
+      {"adamw", "nan_grad@6;nan_grad@6", 2, 1, 0,
+       "diverged at step 6: non-finite gradient norm (nan); 2 rollback(s), "
+       "lr scale 0.500000, last good checkpoint at step 4"},
+  };
+  core::FactoryOptions fo;
+  fo.rank = 2;
+  fo.update_freq = 4;
+  obs::Registry& reg = obs::Registry::instance();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.opt);
+    std::filesystem::remove_all(dir);
+    reg.reset();
+    FaultGuard guard(c.spec);
+    nn::LlamaModel model(tiny(), 3);
+    data::CorpusConfig ccfg;
+    ccfg.vocab = 64;
+    const data::SyntheticCorpus corpus(ccfg);
+    auto opt = core::make_optimizer(c.opt, fo);
+    ASSERT_NE(opt, nullptr);
+    train::TrainConfig tc;
+    tc.steps = 10;
+    tc.batch = 2;
+    tc.resilience.ckpt_dir = dir;
+    tc.resilience.ckpt_every = 4;
+    tc.resilience.watchdog = true;
+    tc.resilience.wd.max_retries = 1;
+    ::testing::internal::CaptureStderr();
+    const auto res = train::Trainer(model, *opt, corpus, tc).run();
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(res.diverged);
+    EXPECT_EQ(res.divergence_diagnostics, c.diagnostics);
+    EXPECT_EQ(res.rollbacks, c.rollbacks);
+    EXPECT_EQ(reg.counter("watchdog.rollbacks").value(), c.rollbacks);
+    EXPECT_EQ(count_lines_with(log, "rolled back to step 4"),
+              c.rolled_back_lines)
+        << log;
+    EXPECT_EQ(count_lines_with(log, "tightened norm-growth limiter"),
+              c.tightened)
+        << log;
+    EXPECT_EQ(count_lines_with(log, "retry 1/1"), c.rolled_back_lines) << log;
+    // The abort hands back the weights of the last good checkpoint.
+    nn::LlamaModel step4(tiny(), 99);
+    ASSERT_TRUE(train::load_checkpoint(
+                    train::CheckpointRotator::path_for(dir, 4), step4)
+                    .ok);
+    const nn::ParamList got = model.parameters(), want = step4.parameters();
+    for (size_t i = 0; i < got.size(); ++i)
+      EXPECT_TRUE(got[i]->value == want[i]->value) << got[i]->name;
+  }
+  reg.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// APOLLO stepped twice on the tiny model (so every projected slot holds a
+// seed), re-seeded with `salt` unless it is negative; returns its state.
+std::string apollo_state_reseeded(int64_t salt, int64_t* reseeded) {
+  nn::LlamaModel model(tiny(), 3);
+  core::ApolloConfig acfg;
+  acfg.rank = 2;
+  core::Apollo apollo(acfg);
+  const nn::ParamList params = model.parameters();
+  apollo.set_lr(1e-2f);
+  for (uint64_t step = 0; step < 2; ++step) {
+    Rng rng(70 + step);
+    for (nn::Parameter* p : params) p->grad.fill_gaussian(rng, 0.f, 0.1f);
+    apollo.step(params);
+  }
+  if (salt >= 0) *reseeded = apollo.reseed_projection(salt);
+  train::OptimizerBlob blob;
+  EXPECT_TRUE(train::capture_optimizer_blob(apollo, params, &blob));
+  return std::string(blob.bytes.get(), blob.size);
+}
+
+// A rollback re-seeds APOLLO's projections from the old seeds and the
+// rollback count: the retry explores new subspaces, and the same salt
+// gives the same seeds, so a retried run stays deterministic.
+TEST(FaultInjector, ReseedProjectionGivesNewDeterministicSeeds) {
+  int64_t n1 = 0, n2 = 0, n3 = 0;
+  const std::string before = apollo_state_reseeded(-1, nullptr);
+  const std::string salt1 = apollo_state_reseeded(1, &n1);
+  EXPECT_GT(n1, 0);
+  EXPECT_EQ(apollo_state_reseeded(1, &n2), salt1);
+  EXPECT_EQ(n2, n1);
+  EXPECT_NE(salt1, before);
+  const std::string salt2 = apollo_state_reseeded(2, &n3);
+  EXPECT_NE(salt2, salt1);
+  EXPECT_NE(salt2, before);
+}
+
+// The checkpoint faults fire in the first file a process commits at or
+// after their step, a rank's optimizer shard included, and the shard
+// reader catches each.
+TEST(FaultInjector, CheckpointFaultsFireInAShard) {
+  namespace fs = std::filesystem;
+  const std::string dir = std::string(::testing::TempDir()) + "fault_shard";
+  nn::LlamaModel model(tiny(), 3);
+  core::Apollo apollo(core::ApolloConfig{});
+  const nn::ParamList params = model.parameters();
+  apollo.set_lr(1e-2f);
+  Rng rng(71);
+  for (nn::Parameter* p : params) p->grad.fill_gaussian(rng, 0.f, 0.1f);
+  apollo.step(params);
+  const struct {
+    const char* spec;
+    const char* why;
+  } cases[] = {{"trunc_ckpt@3", "state blob length"},
+               {"bitflip_opt@3", "CRC mismatch in state blob"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.spec);
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    FaultGuard guard(c.spec);
+    std::string err;
+    for (const int64_t step : {2, 4})
+      ASSERT_TRUE(train::save_state_shard(train::shard_path_for(dir, step, 1, 2),
+                                          apollo, params, step, 1, 2, &err))
+          << err;
+    EXPECT_FALSE(fault::enabled());
+    EXPECT_TRUE(train::read_state_shard(train::shard_path_for(dir, 2, 1, 2), 2,
+                                        1, 2, nullptr, nullptr, &err))
+        << err;
+    const std::string fired = train::shard_path_for(dir, 4, 1, 2);
+    EXPECT_FALSE(
+        train::read_state_shard(fired, 4, 1, 2, nullptr, nullptr, &err));
+    EXPECT_EQ(err.rfind(fired + ": " + c.why, 0), 0u) << err;
+  }
+  fs::remove_all(dir);
 }
 
 // A run that does not resume never reads another run's checkpoints: the

@@ -183,6 +183,21 @@ TEST(Rotator, KeepsNewestKAndSweepsTmpLeftovers) {
   fs::remove_all(dir);
 }
 
+// A save after a rollback can write a step older than files the abandoned
+// attempt left; rotation never prunes the step it just saved.
+TEST(Rotator, NeverPrunesTheStepItJustSaved) {
+  const std::string dir = fresh_dir("rot_resave");
+  nn::LlamaModel m(tiny(), 1);
+  train::CheckpointRotator rot(dir, /*keep=*/1);
+  for (int64_t s : {4, 8}) ASSERT_TRUE(rot.save(m, s, nullptr).ok);
+  EXPECT_EQ(train::CheckpointRotator::list_steps(dir),
+            (std::vector<int64_t>{8}));
+  ASSERT_TRUE(rot.save(m, 4, nullptr).ok);
+  EXPECT_EQ(train::CheckpointRotator::list_steps(dir),
+            (std::vector<int64_t>{4, 8}));
+  fs::remove_all(dir);
+}
+
 // The checkpoint files in `dir`, sorted.
 std::vector<std::string> files_in(const std::string& dir) {
   std::vector<std::string> out;
@@ -192,10 +207,12 @@ std::vector<std::string> files_in(const std::string& dir) {
   return out;
 }
 
-// Rotation keeps whole steps: after a world shrinks from 2 ranks to 1, and
-// after a single process continues its run, the directory holds the files
-// of the newest `keep` steps and nothing of an older step, whatever width
-// wrote it.
+// Rotation keeps whole steps: after a world shrinks from 2 ranks to 1 (and
+// writes single-process files), and after a 3-rank world continues the
+// run, the directory holds the files of the newest `keep` steps and
+// nothing of an older step, whatever width wrote it. A world's step prunes
+// only once its shard set is complete, so until the last rank commits, the
+// older steps stay loadable.
 TEST(Rotator, PrunesWholeStepsAtEveryWidth) {
   const std::string dir = fresh_dir("rot_widths");
   nn::LlamaModel m(tiny(), 1);
@@ -203,23 +220,30 @@ TEST(Rotator, PrunesWholeStepsAtEveryWidth) {
   std::string err;
   for (const int64_t step : {2, 4})
     for (int r = 0; r < 2; ++r) {
-      train::DdpCheckpointRotator rot(dir, 2, r, 2);
+      train::CheckpointRotator rot(dir, 2, r, 2);
       opt.set_shard(r, 2);
       ASSERT_TRUE(rot.save(m, step, opt, &err)) << err;
     }
   opt.set_shard(0, 1);
-  train::DdpCheckpointRotator shrunk(dir, 2, 0, 1);
+  train::CheckpointRotator shrunk(dir, 2, 0, 1);
   for (const int64_t step : {6, 8})
-    ASSERT_TRUE(shrunk.save(m, step, opt, &err)) << err;
+    ASSERT_TRUE(shrunk.save(m, step, &opt).ok);
   EXPECT_EQ(files_in(dir),
-            (std::vector<std::string>{"ckpt_6.aplo", "ckpt_6.shard0of1.aplo",
-                                      "ckpt_8.aplo",
-                                      "ckpt_8.shard0of1.aplo"}));
-  train::CheckpointRotator single(dir, 2);
-  ASSERT_TRUE(single.save(m, 10, &opt).ok);
+            (std::vector<std::string>{"ckpt_6.aplo", "ckpt_8.aplo"}));
+  for (int r = 0; r < 3; ++r) {
+    train::CheckpointRotator rot(dir, 2, r, 3);
+    opt.set_shard(r, 3);
+    ASSERT_TRUE(rot.save(m, 10, opt, &err)) << err;
+    if (r < 2) {
+      EXPECT_EQ(train::CheckpointRotator::list_steps(dir),
+                (std::vector<int64_t>{6, 8, 10}));
+    }
+  }
   EXPECT_EQ(files_in(dir),
-            (std::vector<std::string>{"ckpt_10.aplo", "ckpt_8.aplo",
-                                      "ckpt_8.shard0of1.aplo"}));
+            (std::vector<std::string>{
+                "ckpt_10.aplo", "ckpt_10.shard0of3.aplo",
+                "ckpt_10.shard1of3.aplo", "ckpt_10.shard2of3.aplo",
+                "ckpt_8.aplo"}));
   fs::remove_all(dir);
 }
 
@@ -416,6 +440,41 @@ TEST(AutoResume, SkipsOptimizerBlobLengthPastTheEndOfTheFile) {
   fs::remove_all(dir);
 }
 
+// A world's step whose shard set never completed is the save a lost rank
+// left unfinished. Alone in the directory it leaves nothing to resume, as
+// a single process's `.tmp` does; beside a corrupt step the scan fails.
+TEST(AutoResume, DdpStepWithoutItsWholeShardSetIsAnUnfinishedSave) {
+  const std::string dir = fresh_dir("resume_torn");
+  nn::LlamaModel model(tiny(), 1);
+  core::Apollo opt(core::ApolloConfig{});
+  std::string err;
+  train::CheckpointRotator rank0(dir, 4, 0, 2);
+  opt.set_shard(0, 2);
+  ASSERT_TRUE(rank0.save(model, 4, opt, &err)) << err;
+  nn::LlamaModel fresh(tiny(), 2);
+  const Matrix want = fresh.parameters()[0]->value;
+  core::Apollo fresh_opt(core::ApolloConfig{});
+  auto rr = train::auto_resume(dir, fresh, &fresh_opt);
+  EXPECT_FALSE(rr.resumed);
+  EXPECT_TRUE(rr.error.empty()) << rr.error;
+  ASSERT_EQ(rr.skipped.size(), 1u);
+  EXPECT_EQ(rr.skipped[0], train::CheckpointRotator::path_for(dir, 4) +
+                               ": no complete optimizer shard set");
+  EXPECT_TRUE(fresh.parameters()[0]->value == want);
+
+  opt.set_shard(0, 1);
+  train::CheckpointRotator single(dir, 4);
+  ASSERT_TRUE(single.save(model, 2, &opt).ok);
+  corrupt_middle_byte(train::CheckpointRotator::path_for(dir, 2));
+  rr = train::auto_resume(dir, fresh, &fresh_opt);
+  EXPECT_FALSE(rr.resumed);
+  EXPECT_EQ(rr.skipped.size(), 2u);
+  EXPECT_NE(rr.error.find("no loadable checkpoint"), std::string::npos)
+      << rr.error;
+  obs::Registry::instance().reset();
+  fs::remove_all(dir);
+}
+
 // The DDP twin: a shard whose blob length claims 2^39 bytes is skipped
 // without allocating them, and every rank resumes from the older set.
 TEST(AutoResume, DdpSkipsShardBlobLengthPastTheEndOfTheFile) {
@@ -427,7 +486,7 @@ TEST(AutoResume, DdpSkipsShardBlobLengthPastTheEndOfTheFile) {
   std::string err;
   for (const int64_t step : {2, 4}) {
     for (int r = 0; r < 2; ++r) {
-      train::DdpCheckpointRotator rot(dir, 4, r, 2);
+      train::CheckpointRotator rot(dir, 4, r, 2);
       opt.set_shard(r, 2);
       ASSERT_TRUE(rot.save(model, step, opt, &err)) << err;
     }
@@ -465,11 +524,11 @@ TEST(AutoResume, DdpSkipsAShardWhoseHeaderWorldDiffersFromItsName) {
   train_steps(model, opt, data, 0, 2);
   std::string err;
   {
-    train::DdpCheckpointRotator rot(dir, 4, 0, 1);
+    train::CheckpointRotator rot(dir, 4);
     ASSERT_TRUE(rot.save(model, 2, opt, &err)) << err;
   }
   for (int r = 0; r < 2; ++r) {
-    train::DdpCheckpointRotator rot(dir, 4, r, 2);
+    train::CheckpointRotator rot(dir, 4, r, 2);
     opt.set_shard(r, 2);
     ASSERT_TRUE(rot.save(model, 4, opt, &err)) << err;
   }
@@ -500,8 +559,13 @@ TEST(AutoResume, DdpSetOfAnotherOptimizerResumesTheWeightsOnly) {
   auto flora = core::make_optimizer("flora");
   train_steps(model, *flora, data, 0, 2);
   std::string err;
-  train::DdpCheckpointRotator rot(dir, 4, 0, 1);
-  ASSERT_TRUE(rot.save(model, 2, *flora, &err)) << err;
+  for (int r = 0; r < 2; ++r) {
+    train::CheckpointRotator rot(dir, 4, r, 2);
+    flora->set_shard(r, 2);
+    ASSERT_TRUE(rot.save(model, 2, *flora, &err)) << err;
+  }
+  flora->set_shard(0, 1);
+  ASSERT_EQ(train::shard_world_at(dir, 2), 2);
 
   nn::LlamaModel fresh(tiny(), 2);
   auto galore_rp = core::make_optimizer("galore-rp");

@@ -54,6 +54,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
     return 1;
   }
+  if (eval_batches < 1) {
+    std::fprintf(stderr, "error: --eval-batches must be >= 1, got %d\n",
+                 eval_batches);
+    return 1;
+  }
 
   nn::LlamaModel model(cfg, 0);
   auto r = train::load_checkpoint(load_path, model);

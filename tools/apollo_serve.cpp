@@ -54,6 +54,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", args.error().c_str());
     return 1;
   }
+  if (ecfg.port < 0 || ecfg.port > 65535) {
+    std::fprintf(stderr, "error: --port must be in [0, 65535], got %d\n",
+                 ecfg.port);
+    return 1;
+  }
   if (ecfg.max_batch < 1 || ecfg.max_queue < 1) {
     std::fprintf(stderr, "error: --max-batch and --max-queue must be >= 1\n");
     return 1;

@@ -398,9 +398,10 @@ int main(int argc, char** argv) {
   wc.timeout_ms = timeout_ms;
   wc.shrink_on_failure = on_fail == "shrink";
   wc.max_restarts = max_restarts;
-  // The fault harness's planted crash is a *simulated* rank loss — the
-  // whole point is recovering from it.
-  wc.restartable_exit_codes = {fault::kCrashExitCode};
+  // The fault harness's planted kills, at a step and mid-save, are
+  // *simulated* rank losses — the whole point is recovering from them.
+  wc.restartable_exit_codes = {fault::kCrashExitCode,
+                               fault::kCrashInSaveExitCode};
 
   const char* metrics = std::getenv("APOLLO_METRICS");
   const std::string metrics_path = metrics != nullptr ? metrics : "";
